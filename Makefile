@@ -25,7 +25,7 @@ fix-check:
 
 # Randomized fault-injection soak (docs/ROBUSTNESS.md): 50 seeded
 # programs, each under every fault profile plus a maimed variant, plus
-# the parallel-vs-sequential cluster determinism sweep, under the race
+# the per-cycle-vs-default cluster determinism sweep, under the race
 # detector. Override the breadth with SOAK_SEEDS=n.
 .PHONY: soak
 soak:

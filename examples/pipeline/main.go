@@ -20,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, stats, err := ex.Run(false)
+	m, stats, err := ex.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

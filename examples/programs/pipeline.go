@@ -32,9 +32,8 @@ type PipelineExample struct {
 // Run executes the pipeline on a fresh cluster under the strict
 // contract: the cluster linter (machine scope and cluster scope, with
 // the example's shared regions declared) must pass before anything
-// runs. sequential selects the lockstep reference scheduler; the
-// parallel and sequential schedulers produce byte-identical memory.
-func (e PipelineExample) Run(sequential bool) (*softbrain.Memory, *softbrain.Stats, error) {
+// runs.
+func (e PipelineExample) Run() (*softbrain.Memory, *softbrain.Stats, error) {
 	if len(e.Phases) == 0 {
 		return nil, nil, fmt.Errorf("pipeline %s has no phases", e.Name)
 	}
@@ -42,7 +41,6 @@ func (e PipelineExample) Run(sequential bool) (*softbrain.Memory, *softbrain.Sta
 	if err != nil {
 		return nil, nil, err
 	}
-	cl.Sequential = sequential
 	cl.Lint = softbrain.ClusterLintHook(e.Cfg, softbrain.ClusterLintOpts{Regions: e.Regions})
 	e.Init(cl.Mem)
 	stats, err := cl.RunPipelineStrict(e.Phases)

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"context"
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -231,5 +234,36 @@ func TestFixStudyPlacement(t *testing.T) {
 	}
 	if wins < 2 {
 		t.Errorf("cost-aware placement beats latest-legal on %d workloads, want >= 2", wins)
+	}
+}
+
+// TestSimRowDRAMUtilization fills the metrics columns of every
+// sdbench -json row, at its committed cycle golden: mem_utilization
+// must be a fraction in (0, 1], the multi-unit rows included.
+func TestSimRowDRAMUtilization(t *testing.T) {
+	data, err := os.ReadFile("../../scripts/bench_goldens.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goldens map[string]uint64
+	if err := json.Unmarshal(data, &goldens); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range simSuite() {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			t.Parallel()
+			inst, cfg, err := e.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := SimRow{Workload: e.name, Cycles: goldens[e.name]}
+			if err := metricsColumns(context.Background(), &row, inst, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if u := row.MemUtilization; !(u > 0 && u <= 1) {
+				t.Errorf("mem_utilization = %.4f, want a fraction in (0, 1]", u)
+			}
+		})
 	}
 }

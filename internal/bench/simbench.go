@@ -35,12 +35,13 @@ type SimRow struct {
 
 	// Stall attribution and data movement from a metrics-enabled run
 	// (internal/obs): per component, cause -> cycles summed across
-	// units; total bytes moved by retired streams; and the memory
-	// streams' bandwidth as a fraction of the DRAM peak.
+	// units; total bytes moved by retired streams; the memory streams'
+	// bytes per cycle, cache hits included; and the fraction of the
+	// shared DRAM channel's access slots the run used.
 	Stalls         map[string]map[string]uint64 `json:"stall_cycles,omitempty"`
 	BytesMoved     uint64                       `json:"bytes_moved,omitempty"`
 	MemBytesPerCyc float64                      `json:"mem_bytes_per_cycle,omitempty"`
-	MemUtilization float64                      `json:"mem_utilization,omitempty"` // 0..1 of peak
+	MemUtilization float64                      `json:"mem_utilization,omitempty"` // 0..1
 
 	// Sched summarizes the wake-set scheduler's behavior on a full-
 	// featured (skip-ahead and span retirement enabled) run: where the
@@ -150,8 +151,7 @@ func simSuite() []simEntry {
 	// multi-unit host-performance point outside the DNN configuration.
 	// The units run identical programs against one shared image (the
 	// writes are idempotent, so verification holds) and contend for the
-	// shared DRAM channel, which exercises the parallel lockstep
-	// scheduler and its deferred-grant barrier.
+	// shared DRAM channel, granted in unit order each cycle.
 	for _, g := range machsuite.All() {
 		if g.Name != "gemm" {
 			continue
@@ -294,37 +294,8 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 			WallNsNoSkip: offNs,
 			WallNs:       onNs,
 		}
-		// One extra, untimed run with the observability layer attached
-		// fills the stall and bandwidth columns. Its cycle count must
-		// agree — metrics are read-only by contract.
-		mStats, dump, err := inst.RunMetricsContext(ctx, cfg, obs.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s (metrics): %w", e.name, err)
-		}
-		if mStats.Cycles != onCycles {
-			return nil, fmt.Errorf("bench: %s: enabling metrics changed the cycle count (%d -> %d)",
-				e.name, onCycles, mStats.Cycles)
-		}
-		if err := obs.CheckConservation(dump); err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", e.name, err)
-		}
-		row.Stalls = map[string]map[string]uint64{}
-		for _, c := range dump.Total.Components {
-			row.Stalls[c.Name] = c.Causes
-		}
-		peak := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
-		var memBytes uint64
-		for _, s := range dump.Total.Streams {
-			row.BytesMoved += s.Bytes
-			if obs.MemKind(s.Kind) {
-				memBytes += s.Bytes
-			}
-		}
-		if onCycles > 0 {
-			row.MemBytesPerCyc = float64(memBytes) / float64(onCycles)
-			if peak > 0 {
-				row.MemUtilization = row.MemBytesPerCyc / peak
-			}
+		if err := metricsColumns(ctx, &row, inst, cfg); err != nil {
+			return nil, err
 		}
 		if onCycles > 0 {
 			row.NsPerCycleNoSkip = float64(offNs) / float64(onCycles)
@@ -355,6 +326,42 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 		rows = append(rows, geomeanRow(rows))
 	}
 	return rows, nil
+}
+
+// metricsColumns fills row's stall and data-movement columns from one
+// extra, untimed run with the observability layer attached. Its cycle
+// count must equal row.Cycles — metrics are read-only by contract.
+// MemUtilization counts DRAM access slots: every cache miss takes one,
+// and the shared channel grants one per MissInterval cycles, so the
+// fraction is at most 1.
+func metricsColumns(ctx context.Context, row *SimRow, inst *workloads.Instance, cfg core.Config) error {
+	stats, dump, err := inst.RunMetricsContext(ctx, cfg, obs.Options{})
+	if err != nil {
+		return fmt.Errorf("bench: %s (metrics): %w", row.Workload, err)
+	}
+	if stats.Cycles != row.Cycles {
+		return fmt.Errorf("bench: %s: enabling metrics changed the cycle count (%d -> %d)",
+			row.Workload, row.Cycles, stats.Cycles)
+	}
+	if err := obs.CheckConservation(dump); err != nil {
+		return fmt.Errorf("bench: %s: %w", row.Workload, err)
+	}
+	row.Stalls = map[string]map[string]uint64{}
+	for _, c := range dump.Total.Components {
+		row.Stalls[c.Name] = c.Causes
+	}
+	var memBytes uint64
+	for _, s := range dump.Total.Streams {
+		row.BytesMoved += s.Bytes
+		if obs.MemKind(s.Kind) {
+			memBytes += s.Bytes
+		}
+	}
+	if row.Cycles > 0 {
+		row.MemBytesPerCyc = float64(memBytes) / float64(row.Cycles)
+		row.MemUtilization = float64(stats.CacheMisses*cfg.Mem.MissInterval) / float64(row.Cycles)
+	}
+	return nil
 }
 
 // GeomeanWorkload names the aggregate row SimBenchContext appends: the

@@ -162,9 +162,9 @@ func TestCancelRerunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterCancelNoGoroutineLeak cancels a parallel cluster run
-// (worker goroutine per unit) and checks both the typed error and that
-// every worker is released.
+// TestClusterCancelNoGoroutineLeak cancels an 8-unit cluster run and
+// checks both the typed error and that the run leaves no goroutine
+// behind.
 func TestClusterCancelNoGoroutineLeak(t *testing.T) {
 	l := dnn.Layers()[0]
 	cfg := dnn.Config()

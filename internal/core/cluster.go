@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"softbrain/internal/faults"
@@ -15,20 +14,12 @@ import (
 // Cluster is several Softbrain units sharing one backing memory and one
 // DRAM channel — the 8-unit configuration of the DianNao comparison
 // (Section 7.1). Each unit has a private cache and memory port; units
-// contend only for DRAM bandwidth, and run in lockstep.
-//
-// Multi-unit clusters execute in parallel by default: one goroutine per
-// unit with an epoch barrier every cycle at the shared-DRAM boundary
-// (see docs/SIMKERNEL.md). The schedule is byte-identical to the
-// sequential one — DRAM grants are deferred during the cycle and
-// resolved in unit order at the barrier.
+// contend only for DRAM bandwidth, and run in lockstep: every cycle
+// steps the units in unit order, which is also the order the shared
+// DRAM channel grants their requests (see docs/SIMKERNEL.md).
 type Cluster struct {
 	Units []*Machine
 	Mem   *mem.Memory
-
-	// Sequential forces the single-goroutine lockstep scheduler; the
-	// determinism tests compare it against the parallel default.
-	Sequential bool
 
 	// Lint is the optional cluster-scope static-analysis hook consulted
 	// by RunStrict and RunPipelineStrict before any unit loads: it sees
@@ -45,11 +36,9 @@ type Cluster struct {
 	haveCfg   bool
 	unitStats []*Stats
 
-	// Cluster-level heartbeat (see Machine.SetHeartbeat); the cluster
-	// runs its own loop, so it owns the stride check.
-	hbEvery time.Duration
-	hbFn    func(ProgressReport)
-	hbLast  time.Time
+	// Cluster-level heartbeat (see Machine.SetHeartbeat), reporting
+	// across the units; the units' own heartbeats stay silent.
+	hb heartbeat
 }
 
 // EnableMetrics attaches one registry per unit (unit index = registry
@@ -95,43 +84,13 @@ func (c *Cluster) SchedTickBy() map[string]uint64 {
 // SetHeartbeat installs a progress callback on the cluster's run loop,
 // reporting aggregate progress across the units.
 func (c *Cluster) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
-	c.hbEvery = every
-	c.hbFn = fn
-}
-
-// report aggregates a point-in-time view across the units.
-func (c *Cluster) report(now uint64) ProgressReport {
-	r := ProgressReport{Cycle: now}
-	var attrs []*obs.Attribution
-	for _, u := range c.Units {
-		r.Commands += u.disp.Issued
-		r.Progress += u.kern.Progress()
-		r.RetiredBytes += u.retiredBytes()
-		attrs = append(attrs, u.reg.Attributions()...)
-	}
-	r.StallMix = stallMix(attrs)
-	return r
+	c.hb.every, c.hb.fn = every, fn
 }
 
 // Progress is the point-in-time aggregate report at cycle now — what a
 // heartbeat would deliver — exported so callers can snapshot final run
 // telemetry (retired bytes, stall mix) after a completed Run.
-func (c *Cluster) Progress(now uint64) ProgressReport { return c.report(now) }
-
-// heartbeat fires the cluster callback when the interval elapsed.
-func (c *Cluster) heartbeat(now uint64) {
-	if c.hbFn == nil {
-		return
-	}
-	if c.hbLast.IsZero() {
-		c.hbLast = time.Now()
-		return
-	}
-	if time.Since(c.hbLast) >= c.hbEvery {
-		c.hbLast = time.Now()
-		c.hbFn(c.report(now))
-	}
-}
+func (c *Cluster) Progress(now uint64) ProgressReport { return report(c.Units, now) }
 
 // NewCluster builds n identical units over a shared backing store.
 func NewCluster(cfg Config, n int) (*Cluster, error) {
@@ -194,7 +153,7 @@ func (c *Cluster) FaultStats() faults.Stats {
 // in unit order.
 func (c *Cluster) UnitStats() []*Stats { return c.unitStats }
 
-// Run executes one program per unit concurrently and returns aggregated
+// Run executes one program per unit in lockstep and returns aggregated
 // statistics (Cycles is the wall-clock of the slowest unit). Like
 // Machine.Run, it never lets an invariant panic escape: the recovered
 // MachineError names the unit whose Step failed.
@@ -203,10 +162,10 @@ func (c *Cluster) Run(progs []*Program) (*Stats, error) {
 }
 
 // RunContext is Run bounded by a context: cancellation or deadline
-// expiry mid-run stops the coordinator within one heartbeat stride,
-// releases the worker goroutines, and returns a *CanceledError
-// wrapping the context cause. See Machine.RunContext.
-func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stats, err error) {
+// expiry mid-run stops the run loop within one heartbeat stride and
+// returns a *CanceledError wrapping the context cause. See
+// Machine.RunContext.
+func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (*Stats, error) {
 	if err := c.validateUnits(); err != nil {
 		return nil, err
 	}
@@ -218,200 +177,15 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (stats *Stat
 			return nil, err
 		}
 	}
-	bases := make([]sysCounters, len(c.Units))
-	for i, u := range c.Units {
-		bases[i] = snapshotSys(u.Sys)
-	}
-	watchdog := c.cfg.WatchdogCycles
-	if watchdog == 0 {
-		watchdog = defaultWatchdog
-	}
-	var now uint64
-	curUnit := 0
-	defer func() {
-		if r := recover(); r != nil {
-			me := c.Units[curUnit].recoverPanic(r, now)
-			me.Unit = curUnit
-			stats, err = nil, me
-		}
-	}()
-	// step advances every running unit one cycle: sequentially in unit
-	// order, or on the worker goroutines with the epoch barrier.
-	step := func(now uint64) error {
-		for i, u := range c.Units {
-			if u.Done() {
-				continue
-			}
-			curUnit = i
-			if err := u.Step(now); err != nil {
-				if me, ok := err.(*MachineError); ok {
-					me.Unit = i
-				}
-				return err
-			}
-		}
-		return nil
-	}
-	if !c.Sequential && len(c.Units) > 1 {
-		var stop func()
-		step, stop = c.startWorkers()
-		defer stop()
-		for _, u := range c.Units {
-			u.Sys.DeferGrants(true)
-		}
-		defer func() {
-			for _, u := range c.Units {
-				u.Sys.DeferGrants(false)
-			}
-		}()
-	}
-	// diagnose classifies the stuck cluster: the first unit with a
-	// structural cause names the hang, Unknown otherwise.
-	diagnose := func(now uint64) *DeadlockError {
-		var first *DeadlockError
-		for i, u := range c.Units {
-			if u.Done() {
-				continue
-			}
-			de := u.diagnose(now)
-			de.Unit = i
-			if first == nil {
-				first = de
-			}
-			if de.Class != HangUnknown {
-				return de
-			}
-		}
-		return first
-	}
-	anyFaults := false
-	for _, u := range c.Units {
-		if u.faults != nil {
-			anyFaults = true
-		}
-	}
-	if ce := canceled(ctx, now); ce != nil {
-		return nil, ce
-	}
-	var lastProgress, lastChange uint64
-	var hbIter uint64
-	diagnosed := false
-	for {
-		done := true
-		for _, u := range c.Units {
-			if !u.Done() {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if err := step(now); err != nil {
-			return nil, err
-		}
-		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
-			if ce := canceled(ctx, now); ce != nil {
-				return nil, ce
-			}
-			c.heartbeat(now)
-		}
-		var pr uint64
-		for _, u := range c.Units {
-			pr += u.progress()
-		}
-		stillRunning := false
-		for _, u := range c.Units {
-			if !u.Done() { // re-check: Step may have just finished the unit
-				stillRunning = true
-				break
-			}
-		}
-		progressed := pr != lastProgress
-		if progressed {
-			lastProgress, lastChange = pr, now
-			diagnosed = false
-		} else if stillRunning {
-			idle := now - lastChange
-			if idle >= quiesceGrace && !diagnosed {
-				quiet := true
-				for _, u := range c.Units {
-					if !u.Done() && !u.quiescent(now) {
-						quiet = false
-						break
-					}
-				}
-				if quiet {
-					de := diagnose(now)
-					if de != nil && (de.Class != HangUnknown || !anyFaults) {
-						return nil, de
-					}
-					diagnosed = true
-				}
-			}
-			if idle > watchdog {
-				de := diagnose(now)
-				if de == nil {
-					de = &DeadlockError{Cycle: now}
-				}
-				if de.Class == HangUnknown {
-					de.Class = HangWatchdog
-					de.Detail = "no progress within the watchdog window; no structural cause identified"
-				}
-				return nil, de
-			}
-		}
-		next := now + 1
-		if stillRunning {
-			// Idle skip-ahead across the cluster: only when every running
-			// unit is asleep until a known future cycle (a unit with wake
-			// scheduling disabled reports Ready and vetoes). Capped at the
-			// watchdog deadline, like Machine.run.
-			h := sim.Idle()
-			for _, u := range c.Units {
-				if !u.Done() {
-					h = h.Earliest(u.NextWake(now))
-				}
-			}
-			if h.Kind == sim.WakeTimed && h.At > next {
-				target := h.At
-				if deadline := lastChange + watchdog + 1; target > deadline {
-					target = deadline
-				}
-				if target > next {
-					for _, u := range c.Units {
-						if !u.Done() {
-							u.onSkip(next, target)
-						}
-					}
-					next = target
-				}
-			} else if len(c.Units) == 1 {
-				// Span retirement (single-unit clusters only: peers would
-				// share DRAM arbitration, which a batched unit could
-				// reorder): when one component of the unit is due and the
-				// rest sleep, its ticks batch in one call. See
-				// Machine.retireSpan.
-				n, err := c.Units[0].retireSpan(next, lastChange+watchdog+1)
-				if err != nil {
-					if me, ok := err.(*MachineError); ok {
-						me.Unit = 0
-					}
-					return nil, err
-				}
-				next += n
-			}
-		}
-		now = next
+	units, err := runUnits(ctx, c.Units, &c.hb)
+	if err != nil {
+		return nil, err
 	}
 	total := &Stats{}
-	c.unitStats = c.unitStats[:0]
-	for i, u := range c.Units {
-		s := u.collect(now, bases[i])
-		c.unitStats = append(c.unitStats, s)
+	for _, s := range units {
 		total.Add(s)
 	}
-	total.Cycles = now
+	c.unitStats = units
 	return total, nil
 }
 
@@ -492,69 +266,4 @@ func (c *Cluster) RunPipelineStrict(phases [][]*Program) (*Stats, error) {
 		return nil, err
 	}
 	return c.RunPipeline(phases)
-}
-
-// startWorkers spawns one goroutine per unit and returns the parallel
-// step function plus a stop function releasing the workers. Each cycle
-// the coordinator broadcasts the cycle number, waits for every unit to
-// tick (units only share the backing memory and the DRAM channel, and
-// DRAM grants are deferred during the tick), then resolves the deferred
-// grants in unit order — the epoch barrier that makes the parallel
-// schedule identical to the sequential one.
-func (c *Cluster) startWorkers() (step func(now uint64) error, stop func()) {
-	n := len(c.Units)
-	work := make([]chan uint64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		work[i] = make(chan uint64, 1)
-		go func(i int) {
-			u := c.Units[i]
-			for now := range work[i] {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							me := u.recoverPanic(r, now)
-							me.Unit = i
-							errs[i] = me
-						}
-						wg.Done()
-					}()
-					if errs[i] != nil || u.Done() {
-						return
-					}
-					if err := u.Step(now); err != nil {
-						if me, ok := err.(*MachineError); ok {
-							me.Unit = i
-						}
-						errs[i] = err
-					}
-				}()
-			}
-		}(i)
-	}
-	step = func(now uint64) error {
-		wg.Add(n)
-		for i := range work {
-			work[i] <- now
-		}
-		wg.Wait()
-		// Epoch barrier: grant this cycle's DRAM requests in unit order,
-		// exactly as the sequential schedule would have.
-		for _, u := range c.Units {
-			u.ResolveGrants()
-		}
-		for _, err := range errs { // lowest unit wins, as in sequential order
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	stop = func() {
-		for i := range work {
-			close(work[i])
-		}
-	}
-	return step, stop
 }

@@ -16,7 +16,6 @@ import (
 // byte-identical to an uninterrupted run (see cancel_test.go).
 type CanceledError struct {
 	Cycle uint64
-	Unit  int   // cluster unit count context; 0 for a single machine
 	Err   error // context.Canceled, context.DeadlineExceeded, or the cancel cause
 }
 
@@ -29,7 +28,7 @@ func (e *CanceledError) Error() string {
 func (e *CanceledError) Unwrap() error { return e.Err }
 
 // canceled returns the typed cancellation error for ctx at cycle now,
-// or nil if ctx is still live. The run loops call it on the heartbeat
+// or nil if ctx is still live. The run loop calls it on the heartbeat
 // stride — one ctx.Err() atomic load every few thousand cycles — so
 // cancellation costs nothing on the hot path and reacts within host
 // milliseconds.

@@ -1,9 +1,10 @@
-// Cluster determinism: the parallel cluster scheduler (one goroutine
-// per unit, epoch barrier at the shared-DRAM boundary) must be
-// indistinguishable from the sequential one — byte-identical memory
-// images and identical per-unit statistics. make soak runs this under
-// the race detector, which doubles as the check that units touch no
-// shared mutable state outside the sanctioned boundary.
+// Cluster determinism: per-cycle stepping (NoSkipAhead) is the
+// reference semantics of the lockstep run loop, and default scheduling
+// — each unit's wake set plus cluster-level frozen jumps — must be
+// indistinguishable from it on multi-unit clusters: byte-identical
+// memory images, identical per-unit and total statistics, and
+// byte-identical metrics dumps. make soak runs this under the race
+// detector.
 package core_test
 
 import (
@@ -21,65 +22,73 @@ import (
 	"softbrain/internal/workloads/dnn"
 )
 
-// runClusterBoth runs the same programs on two fresh metrics-enabled
-// clusters, one sequential and one parallel, and returns both
-// (memory, per-unit stats, total, metrics dump) tuples.
-func runClusterBoth(t *testing.T, cfg core.Config, progs []*core.Program, init func(*mem.Memory)) (seqMem, parMem *mem.Memory, seqUnits, parUnits []*core.Stats, seqTotal, parTotal *core.Stats, seqDump, parDump []byte) {
-	t.Helper()
-	run := func(sequential bool) (*mem.Memory, []*core.Stats, *core.Stats, []byte) {
-		cl, err := core.NewCluster(cfg, len(progs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Sequential = sequential
-		cl.EnableMetrics(obs.Options{})
-		if init != nil {
-			init(cl.Mem)
-		}
-		total, err := cl.Run(progs)
-		if err != nil {
-			t.Fatalf("sequential=%v: %v", sequential, err)
-		}
-		d := cl.MetricsDump()
-		if err := obs.CheckConservation(d); err != nil {
-			t.Errorf("sequential=%v: %v", sequential, err)
-		}
-		dump, err := d.MarshalIndent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl.Mem, cl.UnitStats(), total, dump
-	}
-	seqMem, seqUnits, seqTotal, seqDump = run(true)
-	parMem, parUnits, parTotal, parDump = run(false)
-	return
+// clusterRun is the observable outcome of one metrics-enabled cluster
+// run.
+type clusterRun struct {
+	mem     *mem.Memory
+	units   []*core.Stats
+	total   *core.Stats
+	dump    []byte
+	skipped uint64 // cycles elided by frozen jumps
 }
 
-func compareClusterRuns(t *testing.T, label string, seqMem, parMem *mem.Memory, seqUnits, parUnits []*core.Stats, seqTotal, parTotal *core.Stats, seqDump, parDump []byte) {
+// runCluster runs progs on a fresh cluster with metrics attached,
+// stepping every cycle when noSkip is set.
+func runCluster(t *testing.T, cfg core.Config, progs []*core.Program, init func(*mem.Memory), noSkip bool) clusterRun {
 	t.Helper()
-	if !bytes.Equal(seqDump, parDump) {
-		t.Errorf("%s: metrics dump differs between schedulers:\nseq:\n%s\npar:\n%s", label, seqDump, parDump)
+	cfg.NoSkipAhead = noSkip
+	cl, err := core.NewCluster(cfg, len(progs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if addr, diff := parMem.FirstDiff(seqMem); diff {
-		t.Errorf("%s: parallel memory differs from sequential at %#x", label, addr)
+	cl.EnableMetrics(obs.Options{})
+	if init != nil {
+		init(cl.Mem)
 	}
-	if len(seqUnits) != len(parUnits) {
-		t.Fatalf("%s: %d vs %d per-unit stats", label, len(seqUnits), len(parUnits))
+	total, err := cl.Run(progs)
+	if err != nil {
+		t.Fatalf("noSkip=%v: %v", noSkip, err)
 	}
-	for i := range seqUnits {
-		if !reflect.DeepEqual(seqUnits[i], parUnits[i]) {
-			t.Errorf("%s: unit %d stats differ:\n  seq: %+v\n  par: %+v", label, i, seqUnits[i], parUnits[i])
-		}
+	d := cl.MetricsDump()
+	if err := obs.CheckConservation(d); err != nil {
+		t.Errorf("noSkip=%v: %v", noSkip, err)
 	}
-	if !reflect.DeepEqual(seqTotal, parTotal) {
-		t.Errorf("%s: total stats differ:\n  seq: %+v\n  par: %+v", label, seqTotal, parTotal)
+	dump, err := d.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return clusterRun{cl.Mem, cl.UnitStats(), total, dump, cl.SchedStats().Skipped}
 }
 
-// TestClusterDeterminismDNN runs DNN layers on the 8-unit cluster both
-// ways and demands byte-identical memories and identical per-unit
-// statistics; the golden-model check must also pass on the parallel
-// image.
+// compareClusterModes runs progs per-cycle and with default scheduling,
+// reports every difference, and returns the default-scheduling run.
+func compareClusterModes(t *testing.T, label string, cfg core.Config, progs []*core.Program, init func(*mem.Memory)) clusterRun {
+	t.Helper()
+	ref := runCluster(t, cfg, progs, init, true)
+	got := runCluster(t, cfg, progs, init, false)
+	if !bytes.Equal(ref.dump, got.dump) {
+		t.Errorf("%s: metrics dump differs between schedules:\nper-cycle:\n%s\ndefault:\n%s", label, ref.dump, got.dump)
+	}
+	if addr, diff := got.mem.FirstDiff(ref.mem); diff {
+		t.Errorf("%s: memory differs between schedules at %#x", label, addr)
+	}
+	if len(ref.units) != len(got.units) {
+		t.Fatalf("%s: %d vs %d per-unit stats", label, len(ref.units), len(got.units))
+	}
+	for i := range ref.units {
+		if !reflect.DeepEqual(ref.units[i], got.units[i]) {
+			t.Errorf("%s: unit %d stats differ:\n  per-cycle: %+v\n  default:   %+v", label, i, ref.units[i], got.units[i])
+		}
+	}
+	if !reflect.DeepEqual(ref.total, got.total) {
+		t.Errorf("%s: total stats differ:\n  per-cycle: %+v\n  default:   %+v", label, ref.total, got.total)
+	}
+	return got
+}
+
+// TestClusterDeterminismDNN runs every DNN layer on the 8-unit cluster
+// both ways and demands identical results; the golden-model check must
+// pass on the default-scheduling image, and frozen jumps must engage.
 func TestClusterDeterminismDNN(t *testing.T) {
 	cfg := dnn.Config()
 	layers := dnn.Layers()
@@ -94,12 +103,14 @@ func TestClusterDeterminismDNN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqMem, parMem, su, pu, st, pt, sd, pd := runClusterBoth(t, cfg, inst.Progs, inst.Init)
-			compareClusterRuns(t, l.Name, seqMem, parMem, su, pu, st, pt, sd, pd)
+			got := compareClusterModes(t, l.Name, cfg, inst.Progs, inst.Init)
 			if inst.Check != nil {
-				if err := inst.Check(parMem); err != nil {
-					t.Errorf("parallel run failed the golden check: %v", err)
+				if err := inst.Check(got.mem); err != nil {
+					t.Errorf("default-scheduling run failed the golden check: %v", err)
 				}
+			}
+			if got.skipped == 0 {
+				t.Error("no frozen jump engaged")
 			}
 		})
 	}
@@ -111,6 +122,7 @@ func TestClusterDeterminismProgen(t *testing.T) {
 	cfg := core.DefaultConfig()
 	const units = 4
 	const stride = uint64(1) << 20 // disjoint 1 MiB region per unit
+	var skipped uint64
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var progs []*core.Program
@@ -146,8 +158,10 @@ func TestClusterDeterminismProgen(t *testing.T) {
 				}
 			}
 		}
-		seqMem, parMem, su, pu, st, pt, sd, pd := runClusterBoth(t, cfg, progs, init)
-		compareClusterRuns(t, "seed", seqMem, parMem, su, pu, st, pt, sd, pd)
+		skipped += compareClusterModes(t, "seed", cfg, progs, init).skipped
+	}
+	if skipped == 0 {
+		t.Error("no generated run took a frozen jump")
 	}
 }
 

@@ -91,9 +91,9 @@ func TestHeartbeatStopsAfterCanceledRun(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestClusterHeartbeatStopsAfterRun audits the cluster-level
-// heartbeat, whose run loop also manages per-unit worker goroutines —
-// both must be gone when RunContext returns.
+// TestClusterHeartbeatStopsAfterRun is the same audit on the
+// cluster-level heartbeat: it too must go quiet when RunContext
+// returns.
 func TestClusterHeartbeatStopsAfterRun(t *testing.T) {
 	inst, cfg := buildGemm(t)
 	before := runtime.NumGoroutine()

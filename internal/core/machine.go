@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"softbrain/internal/cgra"
 	"softbrain/internal/dispatch"
@@ -76,8 +75,8 @@ type Machine struct {
 
 	// kern sequences the unit's components (see internal/sim and
 	// components.go); Step ticks only the components the kernel's wake
-	// hints and watch signals say could act, and run() uses the combined
-	// hint for idle skip-ahead.
+	// hints and watch signals say could act, and the run loop uses the
+	// combined hint for idle skip-ahead.
 	kern        sim.Kernel
 	noSkip      bool  // wake scheduling disabled (config or per-cycle fault draws)
 	spans       bool  // batched span retirement enabled
@@ -100,11 +99,9 @@ type Machine struct {
 	// Observability (see obs.go in this package). All nil/zero unless
 	// EnableMetrics / SetHeartbeat are called; the tick path pays one
 	// nil check and allocates nothing when disabled.
-	reg     *obs.Registry
-	attr    *attrSet
-	hbEvery time.Duration
-	hbFn    func(ProgressReport)
-	hbLast  time.Time
+	reg  *obs.Registry
+	attr *attrSet
+	hb   heartbeat
 }
 
 // NewMachine builds a unit with a private memory system.
@@ -425,15 +422,6 @@ func (m *Machine) SchedTickBy() map[string]uint64 {
 	return out
 }
 
-// ResolveGrants resolves deferred DRAM grants at the cluster's epoch
-// barrier and patches the provisional completion times held by the
-// memory stream engine.
-func (m *Machine) ResolveGrants() {
-	if resolve := m.Sys.ResolveGrants(); resolve != nil {
-		m.mse.ResolveDeferred(resolve)
-	}
-}
-
 // stalled reports whether fault injection freezes engine e this cycle.
 func (m *Machine) stalled(e faults.Engine, now uint64) bool {
 	return m.faults != nil && m.faults.Stalled(e, now)
@@ -507,8 +495,7 @@ func (m *Machine) stepCore(now uint64) {
 
 // progress is a monotone counter; if it stops changing, nothing is
 // happening in the machine. It is the sum of the components' Progress
-// counters (see components.go), so machine and cluster hang detection
-// share one definition.
+// counters (see components.go).
 func (m *Machine) progress() uint64 { return m.kern.Progress() }
 
 // snapshot renders the stuck state for deadlock diagnostics.
@@ -533,8 +520,6 @@ func (m *Machine) snapshot() string {
 	return b.String()
 }
 
-const defaultWatchdog = 50_000
-
 // Run executes the program to completion and returns statistics.
 func (m *Machine) Run(p *Program) (*Stats, error) {
 	return m.RunContext(context.Background(), p)
@@ -554,99 +539,14 @@ func (m *Machine) RunContext(ctx context.Context, p *Program) (*Stats, error) {
 	return m.run(ctx)
 }
 
-// run executes the loaded program to completion. Invariant panics from
-// any component are recovered into a MachineError — the execution
-// contract is that Run returns, it never takes the host process down.
-func (m *Machine) run(ctx context.Context) (stats *Stats, err error) {
-	base := snapshotSys(m.Sys)
-	watchdog := m.cfg.WatchdogCycles
-	if watchdog == 0 {
-		watchdog = defaultWatchdog
+// run executes the loaded program to completion, through the run loop
+// as a one-unit cluster.
+func (m *Machine) run(ctx context.Context) (*Stats, error) {
+	stats, err := runUnits(ctx, []*Machine{m}, &m.hb)
+	if err != nil {
+		return nil, err
 	}
-	var now uint64
-	defer func() {
-		if r := recover(); r != nil {
-			stats, err = nil, m.recoverPanic(r, now)
-		}
-	}()
-	if ce := canceled(ctx, now); ce != nil {
-		return nil, ce
-	}
-	var lastProgress, lastChange uint64
-	var hbIter uint64
-	diagnosed := false
-	for !m.Done() {
-		if err := m.Step(now); err != nil {
-			return nil, err
-		}
-		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
-			if ce := canceled(ctx, now); ce != nil {
-				return nil, ce
-			}
-			m.heartbeat(now)
-		}
-		if pr := m.progress(); pr != lastProgress {
-			lastProgress, lastChange = pr, now
-			diagnosed = false
-		} else if !m.Done() { // Step may have just finished the program
-			idle := now - lastChange
-			// Quiescence: no progress for the grace period and no timed
-			// event pending anywhere — provably stuck, so diagnose now
-			// rather than burning the full watchdog budget.
-			if idle >= quiesceGrace && !diagnosed && m.quiescent(now) {
-				de := m.diagnose(now)
-				if de.Class != HangUnknown || m.faults == nil {
-					return nil, de
-				}
-				// Unknown cause under fault injection: be conservative
-				// and keep running until the watchdog.
-				diagnosed = true
-			}
-			if idle > watchdog {
-				de := m.diagnose(now)
-				if de.Class == HangUnknown {
-					de.Class = HangWatchdog
-					de.Detail = "no progress within the watchdog window; no structural cause identified"
-				}
-				return nil, de
-			}
-		}
-		next := now + 1
-		if !m.noSkip && !m.Done() {
-			// Idle skip-ahead: when every component is asleep and the
-			// earliest wake is a known future cycle, jump there — the
-			// machine is frozen (nothing Ready, no watch signal moved),
-			// so the elided cycles are provably no-ops and the kernel
-			// only records them; the slept components replay their
-			// bookkeeping lazily before their next tick. The target is
-			// capped at the cycle the watchdog would fire so a hung run
-			// diagnoses at exactly the cycle the unskipped run would;
-			// skipped spans contain no quiescent cycle (a timed event is
-			// pending throughout), so no quiescence check is bypassed.
-			if h := m.kern.NextWake(now); h.Kind == sim.WakeTimed && h.At > next {
-				target := h.At
-				if deadline := lastChange + watchdog + 1; target > deadline {
-					target = deadline
-				}
-				if target > next {
-					m.onSkip(next, target)
-					next = target
-				}
-			} else {
-				// Span retirement: the machine is not frozen, but if a
-				// single component is due it can batch its solo ticks
-				// (see retireSpan). Capped at the watchdog deadline like
-				// the idle jump above.
-				n, err := m.retireSpan(next, lastChange+watchdog+1)
-				if err != nil {
-					return nil, err
-				}
-				next += n
-			}
-		}
-		now = next
-	}
-	return m.collect(now, base), nil
+	return stats[0], nil
 }
 
 // sysCounters is the subset of memory-system statistics snapshotted to

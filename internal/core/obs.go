@@ -211,8 +211,8 @@ func (m *Machine) classifySpan(from, to uint64) {
 
 // onSkip records an elided span [from, to) — the kernel only counts it
 // (slept components replay their own bookkeeping lazily, see
-// sim.Kernel) — and attributes its stall causes. Both run loops
-// (Machine.run, Cluster.Run) call this for whole-machine jumps.
+// sim.Kernel) — and attributes its stall causes. The run loop calls
+// this for frozen jumps.
 func (m *Machine) onSkip(from, to uint64) {
 	m.kern.Jump(from, to)
 	if m.attr != nil {
@@ -259,16 +259,19 @@ type ProgressReport struct {
 }
 
 // Report snapshots the machine's progress at cycle now.
-func (m *Machine) Report(now uint64) ProgressReport {
-	r := ProgressReport{
-		Cycle:        now,
-		Commands:     m.disp.Issued,
-		Progress:     m.kern.Progress(),
-		RetiredBytes: m.retiredBytes(),
+func (m *Machine) Report(now uint64) ProgressReport { return report([]*Machine{m}, now) }
+
+// report aggregates a point-in-time view across the units.
+func report(units []*Machine, now uint64) ProgressReport {
+	r := ProgressReport{Cycle: now}
+	var attrs []*obs.Attribution
+	for _, u := range units {
+		r.Commands += u.disp.Issued
+		r.Progress += u.kern.Progress()
+		r.RetiredBytes += u.retiredBytes()
+		attrs = append(attrs, u.reg.Attributions()...)
 	}
-	if m.reg != nil {
-		r.StallMix = stallMix(m.reg.Attributions())
-	}
+	r.StallMix = stallMix(attrs)
 	return r
 }
 
@@ -336,26 +339,34 @@ func stallMix(attrs []*obs.Attribution) string {
 // cycles, so a hot loop pays one counter increment). For long soaks
 // and sdsim -progress; purely observational.
 func (m *Machine) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
-	m.hbEvery = every
-	m.hbFn = fn
+	m.hb.every, m.hb.fn = every, fn
+}
+
+// heartbeat is a run's progress callback (see SetHeartbeat) and the
+// host-time throttle that paces it.
+type heartbeat struct {
+	every time.Duration
+	fn    func(ProgressReport)
+	last  time.Time
 }
 
 // heartbeatStride bounds how often the run loop consults the host
 // clock: every 4096 simulated cycles.
 const heartbeatStride = 1 << 12
 
-// heartbeat fires the callback when the interval elapsed; called every
-// heartbeatStride cycles by the run loops.
-func (m *Machine) heartbeat(now uint64) {
-	if m.hbFn == nil {
+// beat fires the callback with the units' aggregate report when the
+// interval elapsed; the run loop calls it every heartbeatStride
+// cycles.
+func (h *heartbeat) beat(units []*Machine, now uint64) {
+	if h.fn == nil {
 		return
 	}
-	if m.hbLast.IsZero() {
-		m.hbLast = time.Now()
+	if h.last.IsZero() {
+		h.last = time.Now()
 		return
 	}
-	if time.Since(m.hbLast) >= m.hbEvery {
-		m.hbLast = time.Now()
-		m.hbFn(m.Report(now))
+	if time.Since(h.last) >= h.every {
+		h.last = time.Now()
+		h.fn(report(units, now))
 	}
 }

@@ -3,8 +3,8 @@
 // its stall attribution must obey two hard properties. Conservation:
 // every component's cause counts sum exactly to the elapsed cycles, on
 // every workload and generated program. Invariance: the metrics dump
-// is byte-identical with idle skip-ahead off and on, and byte-identical
-// between the sequential and parallel cluster schedulers.
+// is byte-identical with idle skip-ahead off and on, for single
+// machines and multi-unit clusters alike.
 package core_test
 
 import (
@@ -106,8 +106,13 @@ func TestMetricsWorkloads(t *testing.T) {
 }
 
 // TestMetricsClusterParSeq runs the DNN layers on the 8-unit cluster
-// under both schedulers with metrics attached: the dumps must be
-// byte-identical, per unit and in total.
+// per-cycle (NoSkipAhead) and with default scheduling, metrics and
+// slice recording attached: the dumps must be byte-identical, per unit
+// and in total, and so must the Perfetto exports of every unit's stall
+// slices, so cluster-level frozen jumps replay the slice timeline
+// exactly, not just the cause counts. (The name dates from when the
+// comparison was between a parallel and a sequential cluster
+// scheduler.)
 func TestMetricsClusterParSeq(t *testing.T) {
 	cfg := dnn.Config()
 	for _, l := range dnn.Layers()[:2] {
@@ -118,32 +123,44 @@ func TestMetricsClusterParSeq(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(sequential bool) []byte {
-				cl, err := core.NewCluster(cfg, len(inst.Progs))
+			run := func(noSkip bool) (dump, trace []byte) {
+				c := cfg
+				c.NoSkipAhead = noSkip
+				cl, err := core.NewCluster(c, len(inst.Progs))
 				if err != nil {
 					t.Fatal(err)
 				}
-				cl.Sequential = sequential
-				cl.EnableMetrics(obs.Options{})
+				cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
 				if inst.Init != nil {
 					inst.Init(cl.Mem)
 				}
-				if _, err := cl.Run(inst.Progs); err != nil {
-					t.Fatalf("sequential=%v: %v", sequential, err)
-				}
-				dump := cl.MetricsDump()
-				if err := obs.CheckConservation(dump); err != nil {
-					t.Fatalf("sequential=%v: %v", sequential, err)
-				}
-				data, err := dump.MarshalIndent()
+				stats, err := cl.Run(inst.Progs)
 				if err != nil {
+					t.Fatalf("noSkip=%v: %v", noSkip, err)
+				}
+				d := cl.MetricsDump()
+				if err := obs.CheckConservation(d); err != nil {
+					t.Fatalf("noSkip=%v: %v", noSkip, err)
+				}
+				if dump, err = d.MarshalIndent(); err != nil {
 					t.Fatal(err)
 				}
-				return data
+				var buf bytes.Buffer
+				if err := obs.WriteTrace(&buf, cl.TraceInputs(stats.Cycles)); err != nil {
+					t.Fatal(err)
+				}
+				if err := obs.ValidateTrace(buf.Bytes()); err != nil {
+					t.Fatalf("noSkip=%v: %v", noSkip, err)
+				}
+				return dump, buf.Bytes()
 			}
-			seq, par := run(true), run(false)
-			if !bytes.Equal(seq, par) {
-				t.Errorf("metrics dump differs between schedulers:\nseq:\n%s\npar:\n%s", seq, par)
+			refDump, refTrace := run(true)
+			dump, trace := run(false)
+			if !bytes.Equal(refDump, dump) {
+				t.Errorf("metrics dump differs between schedules:\nper-cycle:\n%s\ndefault:\n%s", refDump, dump)
+			}
+			if !bytes.Equal(refTrace, trace) {
+				t.Errorf("stall-slice trace differs between schedules (%d vs %d bytes)", len(refTrace), len(trace))
 			}
 		})
 	}

@@ -52,9 +52,9 @@ type MSE struct {
 	Retired func(id int, kind isa.Kind, bytes uint64)
 
 	// Wake signals (see sim.Signal). Kicks counts streams entering the
-	// table (and deferred-grant resolutions); Lifecycle counts streams
-	// completing or reaching all-requests-in-flight — the events the
-	// dispatcher's scoreboards care about.
+	// table; Lifecycle counts streams completing or reaching
+	// all-requests-in-flight — the events the dispatcher's scoreboards
+	// care about.
 	Kicks     sim.Signal
 	Lifecycle sim.Signal
 
@@ -137,13 +137,6 @@ type memWrite struct {
 	srcPort   int
 	lastReady uint64
 	bytes     uint64 // data moved so far, for the bandwidth report
-
-	// deferredReady parks a provisional completion time from a write
-	// issued under deferred DRAM grants (parallel cluster mode). It is
-	// folded into lastReady — which keeps max semantics — once the
-	// epoch barrier resolves the grant. While set, the stream cannot
-	// retire.
-	deferredReady uint64
 }
 
 func (s *memWrite) issuedAll() bool {
@@ -571,36 +564,12 @@ func (e *MSE) commitWrite(s *memWrite, req LineReq, ready uint64) {
 			e.sys.Mem.StoreByte(req.Line+uint64(off), data[i])
 		}
 	}
-	if mem.IsProvisional(ready) {
-		// The real completion time is unknown until the epoch barrier;
-		// a provisional value must not clobber lastReady's max.
-		s.deferredReady = ready
-	} else if ready > s.lastReady {
+	if ready > s.lastReady {
 		s.lastReady = ready
 	}
 	e.LinesWritten++
 	e.BytesStored += uint64(req.Bytes())
 	s.bytes += uint64(req.Bytes())
-}
-
-// ResolveDeferred patches every provisional completion time recorded
-// under deferred DRAM grants with its resolved cycle. The cluster calls
-// it at the epoch barrier, after mem.System.ResolveGrants.
-func (e *MSE) ResolveDeferred(resolve func(uint64) uint64) {
-	e.Kicks.Raise() // ready times change outside a tick: re-validate hints
-	for _, s := range e.reads {
-		for i := range s.pending {
-			s.pending[i].ready = resolve(s.pending[i].ready)
-		}
-	}
-	for _, s := range e.writes {
-		if s.deferredReady != 0 {
-			if t := resolve(s.deferredReady); t > s.lastReady {
-				s.lastReady = t
-			}
-			s.deferredReady = 0
-		}
-	}
 }
 
 // retire removes finished streams and reports their IDs.
@@ -623,7 +592,7 @@ func (e *MSE) retire(now uint64) {
 	e.reads = reads
 	writes := e.writes[:0]
 	for _, s := range e.writes {
-		if s.issuedAll() && s.deferredReady == 0 && now >= s.lastReady {
+		if s.issuedAll() && now >= s.lastReady {
 			if e.Retired != nil {
 				e.Retired(s.id, s.kind, s.bytes)
 			}
@@ -697,10 +666,7 @@ func (e *MSE) Streams(now uint64) []StreamInfo {
 // (the machine attributes Busy from work-counter deltas and consults
 // this only otherwise). The classification is purely state-based so it
 // evaluates identically on a ticked cycle and across a frozen skip
-// span, and it reads only unit-local state plus comparisons the tick
-// path itself makes (`ready > now`, `deferredReady != 0`) — so it is
-// deterministic across sequential and parallel cluster runs. Across
-// streams, the most actionable blocker wins (obs.Worse).
+// span. Across streams, the most actionable blocker wins (obs.Worse).
 func (e *MSE) StallCause(now uint64) obs.Cause {
 	worst := obs.CauseIdle
 	for _, s := range e.reads {
@@ -741,7 +707,7 @@ func (e *MSE) StallCause(now uint64) obs.Cause {
 			default:
 				c = obs.MSHRFull
 			}
-		case s.deferredReady != 0 || s.lastReady > now:
+		case s.lastReady > now:
 			c = obs.DRAMBW // write completion in flight
 		}
 		worst = obs.Worse(worst, c)
@@ -838,8 +804,8 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 	for _, s := range e.reads {
 		if len(s.pending) > 0 {
 			r := s.pending[0].ready
-			if r <= now || mem.IsProvisional(r) {
-				return sim.ReadyNow() // deliverable (or unresolved grant)
+			if r <= now {
+				return sim.ReadyNow() // deliverable
 			}
 			h = h.Earliest(sim.WakeAt(r))
 		}
@@ -891,14 +857,10 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 			}
 			continue
 		}
-		switch {
-		case s.deferredReady != 0:
-			return sim.ReadyNow() // unresolved grant: never skip over it
-		case s.lastReady > now:
-			h = h.Earliest(sim.WakeAt(s.lastReady))
-		default:
+		if s.lastReady <= now {
 			return sim.ReadyNow() // retires next tick
 		}
+		h = h.Earliest(sim.WakeAt(s.lastReady))
 	}
 	return h
 }

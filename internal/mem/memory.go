@@ -8,22 +8,16 @@ package mem
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 )
 
 const pageShift = 12
 const pageSize = 1 << pageShift
 
-// Memory is a sparse, byte-addressable functional memory. The zero value
-// is ready to use; unwritten bytes read as zero.
-//
-// The page map is guarded so several cluster units may access a shared
-// backing store from their own goroutines. Byte ranges themselves are
-// not locked: concurrent accessors must touch disjoint write footprints
-// (the cluster's partitioning contract, see docs/SIMKERNEL.md), which
-// the race detector enforces in the determinism tests.
+// Memory is a sparse, byte-addressable functional memory, built by
+// NewMemory; unwritten bytes read as zero. A Memory is not safe for
+// concurrent use: a cluster's units share one, stepped by a single run
+// loop.
 type Memory struct {
-	mu    sync.RWMutex
 	pages map[uint64]*[pageSize]byte
 }
 
@@ -34,16 +28,10 @@ func NewMemory() *Memory {
 
 func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	pn := addr >> pageShift
-	m.mu.RLock()
 	p := m.pages[pn]
-	m.mu.RUnlock()
 	if p == nil && create {
-		m.mu.Lock()
-		if p = m.pages[pn]; p == nil {
-			p = new([pageSize]byte)
-			m.pages[pn] = p
-		}
-		m.mu.Unlock()
+		p = new([pageSize]byte)
+		m.pages[pn] = p
 	}
 	return p
 }
@@ -122,8 +110,6 @@ func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
 // FootprintBytes returns the number of bytes of allocated pages, a debug
 // aid for workload builders.
 func (m *Memory) FootprintBytes() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return uint64(len(m.pages)) * pageSize
 }
 
@@ -131,12 +117,6 @@ func (m *Memory) FootprintBytes() uint64 {
 // ok false when the two memories hold identical contents. Unwritten
 // bytes compare as zero, so allocation layout does not matter.
 func (m *Memory) FirstDiff(o *Memory) (addr uint64, ok bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if o != m {
-		o.mu.RLock()
-		defer o.mu.RUnlock()
-	}
 	seen := map[uint64]bool{}
 	var pns []uint64
 	for pn := range m.pages {

@@ -65,78 +65,10 @@ type System struct {
 	accepted    int      // requests accepted in acceptCycle
 	inflight    []uint64 // completion times of outstanding misses
 
-	// Deferred-grant mode (parallel cluster execution): misses record
-	// their request parameters instead of taking a DRAM slot, and the
-	// cluster's epoch barrier calls ResolveGrants in unit order so the
-	// shared channel is granted in exactly the sequential schedule.
-	deferGrants  bool
-	deferredReqs []deferredReq
-
 	Reads        uint64
 	Writes       uint64
 	BytesRead    uint64
 	BytesWritten uint64
-}
-
-// deferredReq is one miss awaiting its DRAM grant at the epoch barrier.
-type deferredReq struct {
-	at    uint64 // request cycle
-	write bool
-}
-
-// Provisional completion times stand in for unresolved deferred grants.
-// They live in a range no real cycle count reaches, carry the request
-// index in the high bits, and keep room in the low bits for additive
-// latency adjustments (fault-injected response delays) applied before
-// resolution.
-const (
-	provisionalBase    = uint64(1) << 62
-	provisionalIDShift = 32
-)
-
-// IsProvisional reports whether t is an unresolved deferred-grant
-// completion time rather than a real cycle.
-func IsProvisional(t uint64) bool { return t >= provisionalBase }
-
-// DeferGrants switches deferred-grant mode on or off. Turning it off
-// with unresolved grants outstanding would corrupt the MSHR list, so
-// the caller must ResolveGrants at every cycle boundary while the mode
-// is on.
-func (s *System) DeferGrants(on bool) { s.deferGrants = on }
-
-// ResolveGrants grants this cycle's deferred misses against the DRAM
-// channel, in request order, and patches the MSHR completion times. It
-// returns a resolver mapping any provisional completion time (plus
-// additive adjustment) to its real cycle — identity for real times —
-// for the engines to patch their own records; nil when nothing was
-// deferred this cycle.
-func (s *System) ResolveGrants() func(uint64) uint64 {
-	if len(s.deferredReqs) == 0 {
-		return nil
-	}
-	real := make([]uint64, len(s.deferredReqs))
-	for id, r := range s.deferredReqs {
-		start := s.dram.grant(r.at)
-		t := start + s.cfg.HitLatency + s.cfg.MissLatency
-		if r.write {
-			t = max64(t, r.at+s.cfg.WriteLatency)
-		}
-		real[id] = t
-	}
-	s.deferredReqs = s.deferredReqs[:0]
-	resolve := func(v uint64) uint64 {
-		if !IsProvisional(v) {
-			return v
-		}
-		v -= provisionalBase
-		id := v >> provisionalIDShift
-		delta := v & (1<<provisionalIDShift - 1)
-		return real[id] + delta
-	}
-	for i, t := range s.inflight {
-		s.inflight[i] = resolve(t)
-	}
-	return resolve
 }
 
 // NewSystem builds a memory system over a fresh Memory and a private
@@ -183,23 +115,14 @@ func (s *System) Request(now uint64, lineAddr uint64, write bool, bytes int) (re
 	if s.Cache != nil {
 		hit = s.Cache.Contains(lineAddr)
 	}
-	deferred := false
 	if !hit {
 		// A miss needs an MSHR and a DRAM bandwidth slot.
 		s.retire(now)
 		if len(s.inflight) >= s.cfg.MaxInflight {
 			return 0, false
 		}
-		if s.deferGrants {
-			// Acceptance (MSHR + accept port) is unit-local and decided
-			// now; the shared DRAM slot is granted at the epoch barrier.
-			ready = provisionalBase + uint64(len(s.deferredReqs))<<provisionalIDShift
-			s.deferredReqs = append(s.deferredReqs, deferredReq{at: now, write: write})
-			deferred = true
-		} else {
-			start := s.dram.grant(now)
-			ready = start + s.cfg.HitLatency + s.cfg.MissLatency
-		}
+		start := s.dram.grant(now)
+		ready = start + s.cfg.HitLatency + s.cfg.MissLatency
 		s.inflight = append(s.inflight, ready)
 		if s.Cache != nil {
 			s.Cache.Access(lineAddr) // allocate
@@ -211,9 +134,7 @@ func (s *System) Request(now uint64, lineAddr uint64, write bool, bytes int) (re
 		ready = now + s.cfg.HitLatency
 	}
 	if write {
-		if !deferred { // deferred writes take the write-latency max at resolve
-			ready = max64(ready, now+s.cfg.WriteLatency)
-		}
+		ready = max64(ready, now+s.cfg.WriteLatency)
 		s.Writes++
 		s.BytesWritten += uint64(bytes)
 	} else {
@@ -226,17 +147,12 @@ func (s *System) Request(now uint64, lineAddr uint64, write bool, bytes int) (re
 
 // NextMissAccept returns the earliest cycle at which a new miss could
 // claim an MSHR: now when one is free, otherwise the earliest
-// outstanding-miss completion. Unresolved provisional grants (deferred
-// mode) have unknown completion times, so they answer now — the
-// conservative direction for a wake hint.
+// outstanding-miss completion.
 func (s *System) NextMissAccept(now uint64) uint64 {
 	live, earliest := 0, uint64(0)
 	for _, t := range s.inflight {
 		if t <= now {
 			continue
-		}
-		if IsProvisional(t) {
-			return now
 		}
 		live++
 		if earliest == 0 || t < earliest {

@@ -400,15 +400,25 @@ func (s *Server) runFlight(f *flight) {
 	s.finishFlight(f, resp, aerr)
 }
 
+// refuse retires a flight the admission queue would not take. A
+// request that deduplicated onto it in the meantime gets the same
+// refusal instead of waiting on a flight that never runs.
+func (s *Server) refuse(f *flight, aerr *apiError) {
+	s.flights.forget(f.key)
+	s.forgetRun(f)
+	f.finish(nil, aerr)
+}
+
 // finishFlight publishes an outcome: cache deterministic results,
-// retire the singleflight entry, wake the waiters, bump counters.
+// retire the singleflight entry, bump counters, wake the waiters. The
+// counters move before the wake-up, so a client that reads Counters or
+// /statusz after its response sees its own run counted.
 func (s *Server) finishFlight(f *flight, resp *Response, aerr *apiError) {
 	if cacheable(aerr) && !f.req.bypassCache {
 		s.cache.put(f.key, resp, aerr)
 	}
 	s.flights.forget(f.key)
 	s.forgetRun(f)
-	f.finish(resp, aerr)
 	switch {
 	case aerr == nil:
 		s.completed.Add(1)
@@ -417,6 +427,7 @@ func (s *Server) finishFlight(f *flight, resp *Response, aerr *apiError) {
 	default:
 		s.failed.Add(1)
 	}
+	f.finish(resp, aerr)
 }
 
 // registerRun indexes an admitted flight by run ID for /statusz rows
@@ -511,9 +522,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		s.registerRun(f)
 		if qerr := s.enqueue(f); qerr != nil {
-			s.flights.forget(key)
-			s.forgetRun(f)
-			f.dropWaiter(errClientGone)
+			s.refuse(f, qerr)
 			s.writeError(w, r, qerr)
 			return
 		}

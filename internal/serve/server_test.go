@@ -373,6 +373,30 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 }
 
+// TestRefusedFlightWakesDedupWaiters: a request that deduplicated onto
+// a flight the admission queue then refused (429 or 503) gets the same
+// refusal instead of waiting forever on a flight that never runs.
+func TestRefusedFlightWakesDedupWaiters(t *testing.T) {
+	s, _, _ := newTestServer(t, Options{Workers: 1})
+	f := &flight{key: "k", done: make(chan struct{}), cancel: func(error) {}}
+	if s.flights.join("k", f) != nil {
+		t.Fatal("first submission joined an existing flight")
+	}
+	if got := s.flights.join("k", &flight{}); got != f {
+		t.Fatal("second submission did not deduplicate onto the first")
+	}
+	refusal := &apiError{Status: 503, Kind: KindDraining}
+	s.refuse(f, refusal)
+	select {
+	case <-f.done:
+	default:
+		t.Fatal("refused flight never woke its deduplicated waiter")
+	}
+	if f.err != refusal {
+		t.Fatalf("waiter sees %v, want the refusal", f.err)
+	}
+}
+
 func TestSelfTest(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SelfTest(&buf); err != nil {
