@@ -69,15 +69,18 @@ fuzz-smoke:
 	go test ./internal/fix -run '^TestIntervalSlide' -count=1 -v
 
 # Observability end-to-end check (docs/OBSERVABILITY.md): metrics +
-# Perfetto trace runs of two workloads, the trace validated against the
-# format contract and the stall attribution against the conservation
-# invariant (causes sum exactly to elapsed cycles per component).
+# Perfetto trace runs of two workloads and of a warm (second-run) gemm,
+# the trace validated against the format contract and the stall
+# attribution against the conservation invariant (causes sum exactly to
+# elapsed cycles per component).
 .PHONY: obs-check
 obs-check:
 	go run ./cmd/sdsim -w gemm -scale 2 -metrics /tmp/obs_gemm.json -trace-out /tmp/obs_gemm.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_gemm.trace.json -check /tmp/obs_gemm.json
 	go run ./cmd/sdsim -w stencil2d -scale 2 -metrics /tmp/obs_stencil2d.json -trace-out /tmp/obs_stencil2d.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_stencil2d.trace.json -check /tmp/obs_stencil2d.json
+	go run ./cmd/sdsim -w gemm -scale 2 -warm -metrics /tmp/obs_gemm_warm.json -trace-out /tmp/obs_gemm_warm.trace.json >/dev/null
+	go run ./cmd/sdobs -validate-trace /tmp/obs_gemm_warm.trace.json -check /tmp/obs_gemm_warm.json
 
 # sdserve self-test (docs/SERVE.md): start the service on a loopback
 # port, submit a workload, verify the cache hit on resubmission, the

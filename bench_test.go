@@ -9,6 +9,7 @@
 package softbrain_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"softbrain/internal/bench"
 	"softbrain/internal/core"
 	"softbrain/internal/power"
+	"softbrain/internal/workloads"
 	"softbrain/internal/workloads/dnn"
 	"softbrain/internal/workloads/machsuite"
 )
@@ -58,7 +60,7 @@ func BenchmarkFig11DNN(b *testing.B) {
 			}
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				stats, err := inst.RunWarm(cfg)
+				_, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{Warm: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,7 +88,7 @@ func BenchmarkFig12Perf(b *testing.B) {
 			}
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				stats, err := inst.RunWarm(cfg)
+				_, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{Warm: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -82,45 +82,53 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.Faults = &fc
-		runFaulted(ctx, inst, cfg, units, *warm)
-		return
 	}
-	if *metricsPath != "" || *traceOut != "" || *progress > 0 {
-		if err := runObserved(ctx, inst, cfg, units, *warm, *metricsPath, *traceOut, *progress); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *doTrace && units == 1 {
-		if err := runTraced(ctx, inst, cfg); err != nil {
-			fail(err)
-		}
-		return
-	}
-	run := inst.RunContext
-	if *warm {
-		run = inst.RunWarmContext
-	}
-	stats, err := run(ctx, cfg)
-	if err != nil {
+	// One run serves every mode; the flags pick what it carries and how
+	// it is reported. A fault profile takes precedence over the
+	// observability flags, and those over the timeline.
+	faulted := cfg.Faults != nil
+	observed := !faulted && (*metricsPath != "" || *traceOut != "" || *progress > 0)
+	timeline := !faulted && !observed && *doTrace && units == 1
+	cl, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{
+		Warm: *warm && !timeline, // the timeline shows the cold run
+		Prepare: func(cl *core.Cluster) {
+			switch {
+			case observed:
+				observe(cl, *traceOut != "", *progress)
+			case timeline:
+				cl.Units[0].EnableTrace(4096)
+			}
+		},
+	})
+	switch {
+	case faulted:
+		reportFaulted(inst, cfg, units, cl, stats, err)
+	case err != nil:
 		fail(err)
+	case observed:
+		if err := reportObserved(ctx, inst, cfg, units, *warm, cl, stats, *metricsPath, *traceOut); err != nil {
+			fail(err)
+		}
+	case timeline:
+		fmt.Printf("%s: verified OK, %d cycles\n\n", inst.Name, stats.Cycles)
+		fmt.Print(cl.Units[0].Trace().Gantt(100))
+	default:
+		model := power.NewModel(cfg)
+		fmt.Printf("%s: verified OK on %d unit(s)\n\n", inst.Name, units)
+		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintf(w, "cycles\t%d\n", stats.Cycles)
+		fmt.Fprintf(w, "dataflow instances\t%d\n", stats.Instances)
+		fmt.Fprintf(w, "functional-unit ops\t%d\n", stats.FUOps)
+		fmt.Fprintf(w, "stream commands\t%d\n", stats.Commands)
+		fmt.Fprintf(w, "control-core instructions\t%d\n", stats.CoreInstrs)
+		fmt.Fprintf(w, "memory read / written\t%d / %d bytes\n", stats.MemBytesRead, stats.MemBytesWritten)
+		fmt.Fprintf(w, "cache hits / misses\t%d / %d\n", stats.CacheHits, stats.CacheMisses)
+		fmt.Fprintf(w, "scratchpad read / written\t%d / %d bytes\n", stats.ScratchBytesRead, stats.ScratchBytesWrit)
+		fmt.Fprintf(w, "recurrence traffic\t%d bytes\n", stats.RecurrenceBytes)
+		fmt.Fprintf(w, "average power\t%.1f mW\n", model.AveragePower(stats, units))
+		fmt.Fprintf(w, "energy\t%.1f nJ\n", model.EnergyNJ(stats, units))
+		w.Flush()
 	}
-
-	model := power.NewModel(cfg)
-	fmt.Printf("%s: verified OK on %d unit(s)\n\n", inst.Name, units)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "cycles\t%d\n", stats.Cycles)
-	fmt.Fprintf(w, "dataflow instances\t%d\n", stats.Instances)
-	fmt.Fprintf(w, "functional-unit ops\t%d\n", stats.FUOps)
-	fmt.Fprintf(w, "stream commands\t%d\n", stats.Commands)
-	fmt.Fprintf(w, "control-core instructions\t%d\n", stats.CoreInstrs)
-	fmt.Fprintf(w, "memory read / written\t%d / %d bytes\n", stats.MemBytesRead, stats.MemBytesWritten)
-	fmt.Fprintf(w, "cache hits / misses\t%d / %d\n", stats.CacheHits, stats.CacheMisses)
-	fmt.Fprintf(w, "scratchpad read / written\t%d / %d bytes\n", stats.ScratchBytesRead, stats.ScratchBytesWrit)
-	fmt.Fprintf(w, "recurrence traffic\t%d bytes\n", stats.RecurrenceBytes)
-	fmt.Fprintf(w, "average power\t%.1f mW\n", model.AveragePower(stats, units))
-	fmt.Fprintf(w, "energy\t%.1f nJ\n", model.EnergyNJ(stats, units))
-	w.Flush()
 }
 
 // fail prints an execution error and exits. Hangs and recovered
@@ -143,58 +151,37 @@ func fail(err error) {
 	log.Fatal(err)
 }
 
-// runFaulted executes the instance under a fault profile, mirroring
-// Instance.Run but keeping the cluster so the delivered-fault counts
-// can be reported. Corrupting profiles may legitimately end in a
+// reportFaulted reports a run under a fault profile with the delivered
+// fault counts. Corrupting profiles may legitimately end in a
 // verification mismatch or a classified hang; both are reported as
 // structured errors, never a panic.
-func runFaulted(ctx context.Context, inst *workloads.Instance, cfg core.Config, units int, warm bool) {
-	cl, err := core.NewCluster(cfg, inst.Units())
-	if err != nil {
-		log.Fatal(err)
-	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	runs := 1
-	if warm {
-		runs = 2
-	}
-	var stats *core.Stats
-	for i := 0; i < runs; i++ {
-		if stats, err = cl.RunContext(ctx, inst.Progs); err != nil {
-			fmt.Fprintf(os.Stderr, "sdsim: faults delivered: %v\n", cl.FaultStats())
-			fail(err)
-		}
-	}
+func reportFaulted(inst *workloads.Instance, cfg core.Config, units int, cl *core.Cluster, stats *core.Stats, err error) {
 	verdict := "verified OK"
-	if inst.Check != nil {
-		if cerr := inst.Check(cl.Mem); cerr != nil {
-			if !cfg.Faults.Corrupting() {
-				fmt.Fprintf(os.Stderr, "sdsim: faults delivered: %v\n", cl.FaultStats())
-				log.Fatalf("non-corrupting faults changed the output: %v", cerr)
-			}
-			verdict = fmt.Sprintf("output corrupted (expected under bitflips): %v", cerr)
+	var mm *workloads.MismatchError
+	mismatch := errors.As(err, &mm)
+	switch {
+	case mismatch && cfg.Faults.Corrupting():
+		verdict = fmt.Sprintf("output corrupted (expected under bitflips): %v", mm.Err)
+	case err != nil:
+		if cl != nil {
+			fmt.Fprintf(os.Stderr, "sdsim: faults delivered: %v\n", cl.FaultStats())
 		}
+		if mismatch {
+			log.Fatalf("non-corrupting faults changed the output: %v", mm.Err)
+		}
+		fail(err)
 	}
 	fmt.Printf("%s: %s on %d unit(s) under faults\n", inst.Name, verdict, units)
 	fmt.Printf("cycles: %d\n", stats.Cycles)
 	fmt.Printf("faults delivered: %v\n", cl.FaultStats())
 }
 
-// runObserved executes the instance with the observability layer
-// attached: the metrics registry (stall attribution, counters, stream
-// bandwidth), optionally the span recorder feeding the Perfetto
-// export, and optionally the heartbeat. Mirrors Instance.Run but keeps
-// the cluster so the collected metrics can be exported.
-func runObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config, units int, warm bool,
-	metricsPath, tracePath string, progress time.Duration) error {
-	cl, err := core.NewCluster(cfg, inst.Units())
-	if err != nil {
-		return err
-	}
+// observe attaches the observability layer: the metrics registry
+// (stall attribution, counters, stream bandwidth), optionally the span
+// recorders feeding the Perfetto export, and optionally the heartbeat.
+func observe(cl *core.Cluster, traced bool, progress time.Duration) {
 	cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
-	if tracePath != "" {
+	if traced {
 		for _, u := range cl.Units {
 			u.EnableTrace(4096)
 		}
@@ -204,24 +191,13 @@ func runObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config,
 			fmt.Fprintf(os.Stderr, "sdsim: %s\n", r.Line())
 		})
 	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	runs := 1
-	if warm {
-		runs = 2
-	}
-	var stats *core.Stats
-	for i := 0; i < runs; i++ {
-		if stats, err = cl.RunContext(ctx, inst.Progs); err != nil {
-			return err
-		}
-	}
-	if inst.Check != nil {
-		if err := inst.Check(cl.Mem); err != nil {
-			return err
-		}
-	}
+}
+
+// reportObserved checks and exports what observe collected: the
+// bandwidth table, the scheduler counters and metrics dump (metricsPath),
+// and the Perfetto trace (tracePath).
+func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config, units int, warm bool,
+	cl *core.Cluster, stats *core.Stats, metricsPath, tracePath string) error {
 	dump := cl.MetricsDump()
 	if err := obs.CheckConservation(dump); err != nil {
 		return fmt.Errorf("stall attribution broke conservation: %w", err)
@@ -229,22 +205,21 @@ func runObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config,
 	fmt.Printf("%s: verified OK on %d unit(s), %d cycles\n\n", inst.Name, units, stats.Cycles)
 	peak := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
 	fmt.Print(obs.BandwidthTable(dump, peak))
-	// The wake-set scheduler's own counters come from a separate run:
-	// attaching the metrics registry forces per-cycle stall attribution,
-	// which disables span retirement, so the observed run above cannot
-	// show what the event-driven scheduler does by default. The extra
-	// run doubles as an equivalence check on its cycle count.
 	if metricsPath != "" {
-		sStats, sched, tickBy, err := inst.RunSchedContext(ctx, cfg)
+		// The wake-set scheduler's own counters come from a separate,
+		// identically warm run: attaching the metrics registry forces
+		// per-cycle stall attribution, which disables span retirement,
+		// so the observed run above cannot show what the event-driven
+		// scheduler does by default. The extra run doubles as an
+		// equivalence check on its cycle count.
+		sCl, sStats, err := inst.Run(ctx, cfg, workloads.RunOpts{Warm: warm})
 		if err != nil {
 			return err
 		}
-		if !warm && sStats.Cycles != stats.Cycles {
+		if sStats.Cycles != stats.Cycles {
 			return fmt.Errorf("event-driven run changed the cycle count (%d -> %d)", stats.Cycles, sStats.Cycles)
 		}
-		printSched(sched, tickBy, units)
-	}
-	if metricsPath != "" {
+		printSched(sCl.SchedStats(), sCl.SchedTickBy(), units)
 		data, err := dump.MarshalIndent()
 		if err != nil {
 			return err
@@ -310,31 +285,6 @@ func printSched(s sim.SchedStats, by map[string]uint64, units int) {
 		}
 		fmt.Println()
 	}
-}
-
-// runTraced executes a single-unit instance with the timeline recorder
-// attached and prints the Figure 4(b)-style Gantt chart.
-func runTraced(ctx context.Context, inst *workloads.Instance, cfg core.Config) error {
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return err
-	}
-	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
-	}
-	m.EnableTrace(4096)
-	stats, err := m.RunContext(ctx, inst.Progs[0])
-	if err != nil {
-		return err
-	}
-	if inst.Check != nil {
-		if err := inst.Check(m.Sys.Mem); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("%s: verified OK, %d cycles\n\n", inst.Name, stats.Cycles)
-	fmt.Print(m.Trace().Gantt(100))
-	return nil
 }
 
 func build(name string, scale int) (*workloads.Instance, core.Config, int, error) {

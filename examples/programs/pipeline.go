@@ -1,6 +1,7 @@
 package programs
 
 import (
+	"context"
 	"fmt"
 
 	"softbrain"
@@ -29,10 +30,10 @@ type PipelineExample struct {
 	Report func(m *softbrain.Memory, stats *softbrain.Stats)
 }
 
-// Run executes the pipeline on a fresh cluster under the strict
-// contract: the cluster linter (machine scope and cluster scope, with
-// the example's shared regions declared) must pass before anything
-// runs.
+// Run executes the pipeline on a fresh cluster with the cluster linter
+// installed as its Lint hook: the phase sequence must pass it (machine
+// scope and cluster scope, with the example's shared regions declared)
+// before anything runs.
 func (e PipelineExample) Run() (*softbrain.Memory, *softbrain.Stats, error) {
 	if len(e.Phases) == 0 {
 		return nil, nil, fmt.Errorf("pipeline %s has no phases", e.Name)
@@ -43,7 +44,7 @@ func (e PipelineExample) Run() (*softbrain.Memory, *softbrain.Stats, error) {
 	}
 	cl.Lint = softbrain.ClusterLintHook(e.Cfg, softbrain.ClusterLintOpts{Regions: e.Regions})
 	e.Init(cl.Mem)
-	stats, err := cl.RunPipelineStrict(e.Phases)
+	stats, err := cl.RunPipeline(context.Background(), e.Phases)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,15 +7,21 @@ import (
 )
 
 // TestPipelineStrictRun proves the shared-region pipeline example does
-// what docs/LINT.md promises: it passes the cluster linter (the strict
-// run refuses otherwise) and its golden-model check.
+// what docs/LINT.md promises: it passes the cluster linter (the hooked
+// RunPipeline refuses otherwise) and its golden-model check. Its totals
+// are the sum of its two phases, 65 instances and 8 commands each: a
+// phase does not count the phases before it again.
 func TestPipelineStrictRun(t *testing.T) {
 	e, err := programs.Pipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Run(); err != nil {
+	_, stats, err := e.Run()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.Instances != 130 || stats.Commands != 16 {
+		t.Fatalf("pipeline totals %d instances, %d commands; want 130 and 16", stats.Instances, stats.Commands)
 	}
 }
 

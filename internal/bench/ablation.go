@@ -123,11 +123,7 @@ func halfDepthFabric(f *cgra.Fabric) *cgra.Fabric {
 // runAblation runs warm and tolerates deadlocks (an ablated machine may
 // legitimately deadlock; report max cycles instead of failing).
 func runAblation(ctx context.Context, inst *workloads.Instance, cfg core.Config, warm bool) (*core.Stats, error) {
-	run := inst.RunContext
-	if warm {
-		run = inst.RunWarmContext
-	}
-	stats, err := run(ctx, cfg)
+	_, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{Warm: warm})
 	if err != nil {
 		var dl *core.DeadlockError
 		if errors.As(err, &dl) {

@@ -14,6 +14,7 @@ import (
 	"softbrain/internal/baseline/asic"
 	"softbrain/internal/core"
 	"softbrain/internal/power"
+	"softbrain/internal/workloads"
 	"softbrain/internal/workloads/dnn"
 	"softbrain/internal/workloads/machsuite"
 )
@@ -113,7 +114,7 @@ func Fig11Context(ctx context.Context) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, err := inst.RunWarmContext(ctx, cfg)
+		_, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{Warm: true})
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +227,7 @@ func MachSuiteStudyContext(ctx context.Context) ([]MachRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: building %s: %w", e.Name, err)
 		}
-		stats, err := inst.RunWarmContext(ctx, cfg)
+		_, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{Warm: true})
 		if err != nil {
 			return nil, fmt.Errorf("bench: running %s: %w", e.Name, err)
 		}

@@ -202,21 +202,9 @@ func serialize(p *core.Program) *core.Program {
 // the run's cycles. Runs are cold: some study workloads (backprop)
 // update their inputs in place, so a warm re-run would not verify.
 func runCycles(ctx context.Context, inst *workloads.Instance, cfg core.Config, progs []*core.Program) (uint64, error) {
-	cl, err := core.NewCluster(cfg, len(progs))
+	_, stats, err := withProgs(inst, progs).Run(ctx, cfg, workloads.RunOpts{})
 	if err != nil {
 		return 0, err
-	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	stats, err := cl.RunContext(ctx, progs)
-	if err != nil {
-		return 0, err
-	}
-	if inst.Check != nil {
-		if err := inst.Check(cl.Mem); err != nil {
-			return 0, err
-		}
 	}
 	return stats.Cycles, nil
 }
@@ -225,22 +213,19 @@ func runCycles(ctx context.Context, inst *workloads.Instance, cfg core.Config, p
 // full run stats and the merged dump (the barrier_drains sections feed
 // the cost-aware chooser).
 func runMetrics(ctx context.Context, inst *workloads.Instance, cfg core.Config, progs []*core.Program) (*core.Stats, obs.Dump, error) {
-	cl, err := core.NewCluster(cfg, len(progs))
+	cl, stats, err := withProgs(inst, progs).Run(ctx, cfg, workloads.RunOpts{
+		Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) },
+	})
 	if err != nil {
 		return nil, obs.Dump{}, err
-	}
-	cl.EnableMetrics(obs.Options{})
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	stats, err := cl.RunContext(ctx, progs)
-	if err != nil {
-		return nil, obs.Dump{}, err
-	}
-	if inst.Check != nil {
-		if err := inst.Check(cl.Mem); err != nil {
-			return nil, obs.Dump{}, err
-		}
 	}
 	return stats, cl.MetricsDump(), nil
+}
+
+// withProgs is a copy of inst that runs progs instead of its own
+// program set.
+func withProgs(inst *workloads.Instance, progs []*core.Program) *workloads.Instance {
+	v := *inst
+	v.Progs = progs
+	return &v
 }

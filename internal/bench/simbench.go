@@ -238,7 +238,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 			maxReps    = 25
 			minTotalNs = int64(50e6)
 		)
-		run := func(noSkip bool) (uint64, int64, error) {
+		run := func(sched core.SchedMode) (uint64, int64, error) {
 			var cycles uint64
 			var best, total int64
 			for rep := 0; rep < maxReps; rep++ {
@@ -249,9 +249,9 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 				if err != nil {
 					return 0, 0, err
 				}
-				cfg.NoSkipAhead = noSkip
+				cfg.Sched = sched
 				start := time.Now()
-				stats, err := inst.RunPreparedContext(ctx, cfg, prep)
+				_, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{Prepare: prep})
 				if err != nil {
 					return 0, 0, err
 				}
@@ -271,11 +271,11 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 			}
 			return cycles, best, nil
 		}
-		offCycles, offNs, err := run(true)
+		offCycles, offNs, err := run(core.SchedPerCycle)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (no skip): %w", e.name, err)
 		}
-		onCycles, onNs, err := run(false)
+		onCycles, onNs, err := run(core.SchedSpans)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.name, err)
 		}
@@ -311,7 +311,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 		if err != nil {
 			return nil, err
 		}
-		sStats, sched, tickBy, err := sInst.RunSchedContext(ctx, sCfg)
+		sCl, sStats, err := sInst.Run(ctx, sCfg, workloads.RunOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (sched): %w", e.name, err)
 		}
@@ -319,7 +319,7 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 			return nil, fmt.Errorf("bench: %s: sched-counter run changed the cycle count (%d -> %d)",
 				e.name, onCycles, sStats.Cycles)
 		}
-		row.Sched = newSchedSummary(sched, tickBy)
+		row.Sched = newSchedSummary(sCl.SchedStats(), sCl.SchedTickBy())
 		rows = append(rows, row)
 	}
 	if len(rows) > 0 {
@@ -335,10 +335,13 @@ func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Du
 // and the shared channel grants one per MissInterval cycles, so the
 // fraction is at most 1.
 func metricsColumns(ctx context.Context, row *SimRow, inst *workloads.Instance, cfg core.Config) error {
-	stats, dump, err := inst.RunMetricsContext(ctx, cfg, obs.Options{})
+	cl, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{
+		Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) },
+	})
 	if err != nil {
 		return fmt.Errorf("bench: %s (metrics): %w", row.Workload, err)
 	}
+	dump := cl.MetricsDump()
 	if stats.Cycles != row.Cycles {
 		return fmt.Errorf("bench: %s: enabling metrics changed the cycle count (%d -> %d)",
 			row.Workload, row.Cycles, stats.Cycles)

@@ -21,11 +21,11 @@ type Cluster struct {
 	Units []*Machine
 	Mem   *mem.Memory
 
-	// Lint is the optional cluster-scope static-analysis hook consulted
-	// by RunStrict and RunPipelineStrict before any unit loads: it sees
-	// the whole phased program set (phases[k][u] = unit u's program in
-	// phase k) because inter-unit hazards are a property of the set, not
-	// of any one program. Install it with
+	// Lint, when set, vets what RunContext and RunPipeline are given
+	// before any unit loads, and refuses it on a reported hazard. It
+	// sees the whole phased program set (phases[k][u] = unit u's
+	// program in phase k) because inter-unit hazards are a property of
+	// the set, not of any one program. Install it with
 	//
 	//	cl.Lint = lint.ClusterHook(cfg, opts)
 	//
@@ -164,8 +164,19 @@ func (c *Cluster) Run(progs []*Program) (*Stats, error) {
 // RunContext is Run bounded by a context: cancellation or deadline
 // expiry mid-run stops the run loop within one heartbeat stride and
 // returns a *CanceledError wrapping the context cause. See
-// Machine.RunContext.
+// Machine.RunContext. With a Lint hook installed the program set is
+// vetted first: per-unit hazards and inter-unit races (overlapping
+// DRAM footprints across units, unordered shared-region access) are
+// refused before any unit loads.
 func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (*Stats, error) {
+	if err := c.vet([][]*Program{progs}); err != nil {
+		return nil, err
+	}
+	return c.run(ctx, progs)
+}
+
+// run loads one program per unit and runs them to completion.
+func (c *Cluster) run(ctx context.Context, progs []*Program) (*Stats, error) {
 	if err := c.validateUnits(); err != nil {
 		return nil, err
 	}
@@ -189,12 +200,10 @@ func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (*Stats, err
 	return total, nil
 }
 
-// lintPhases vets a phased program set through the Lint hook. Like
-// Machine.LoadStrict, a cluster without a hook refuses every program
-// set — strict mode is an explicit opt-in, not a silent fallback.
-func (c *Cluster) lintPhases(phases [][]*Program) error {
+// vet runs a phased program set through the Lint hook, if any.
+func (c *Cluster) vet(phases [][]*Program) error {
 	if c.Lint == nil {
-		return fmt.Errorf("core: strict cluster execution requires a Lint hook (install internal/lint.ClusterHook)")
+		return nil
 	}
 	if err := c.Lint(phases); err != nil {
 		return fmt.Errorf("core: refusing to run: %w", err)
@@ -202,41 +211,29 @@ func (c *Cluster) lintPhases(phases [][]*Program) error {
 	return nil
 }
 
-// RunStrict is Run with the program set vetted by the Lint hook first:
-// per-unit hazards and inter-unit races (overlapping DRAM footprints
-// across units, unordered shared-region access) are refused before any
-// unit loads.
-func (c *Cluster) RunStrict(progs []*Program) (*Stats, error) {
-	if err := c.lintPhases([][]*Program{progs}); err != nil {
-		return nil, err
-	}
-	return c.Run(progs)
-}
-
 // RunPipeline executes a phased program set: phases[k] holds one
 // program per unit, phase k+1 starts only after every unit of phase k
-// fully completed (Run returns only when all units are done), so the
-// phase boundary is a cluster-wide barrier — the ordering primitive the
-// cluster linter's shared-region rules verify against. Statistics are
-// aggregated across phases with Cycles summed: phases are sequential,
-// so the pipeline's wall-clock is the sum of the phase wall-clocks.
-// UnitStats aggregates the same way per unit.
-func (c *Cluster) RunPipeline(phases [][]*Program) (*Stats, error) {
-	return c.RunPipelineContext(context.Background(), phases)
-}
-
-// RunPipelineContext is RunPipeline bounded by a context; cancellation
-// between or within phases returns a *CanceledError and runs no
-// further phase.
-func (c *Cluster) RunPipelineContext(ctx context.Context, phases [][]*Program) (*Stats, error) {
+// fully completed, so the phase boundary is a cluster-wide barrier —
+// the ordering primitive the cluster linter's shared-region rules
+// verify against. A Lint hook vets the whole phase sequence once,
+// before the first phase loads. Statistics are aggregated across
+// phases with Cycles summed: phases are sequential, so the pipeline's
+// wall-clock is the sum of the phase wall-clocks. UnitStats aggregates
+// the same way per unit; a metrics dump describes the last phase.
+// Cancellation between or within phases returns a *CanceledError and
+// runs no further phase.
+func (c *Cluster) RunPipeline(ctx context.Context, phases [][]*Program) (*Stats, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("core: pipeline has no phases")
+	}
+	if err := c.vet(phases); err != nil {
+		return nil, err
 	}
 	total := &Stats{}
 	var cycles uint64
 	var unitTotals []*Stats
 	for pi, progs := range phases {
-		s, err := c.RunContext(ctx, progs)
+		s, err := c.run(ctx, progs)
 		if err != nil {
 			return nil, fmt.Errorf("core: pipeline phase %d: %w", pi, err)
 		}
@@ -257,13 +254,4 @@ func (c *Cluster) RunPipelineContext(ctx context.Context, phases [][]*Program) (
 	total.Cycles = cycles
 	c.unitStats = unitTotals
 	return total, nil
-}
-
-// RunPipelineStrict is RunPipeline with the whole phase sequence vetted
-// by the Lint hook first.
-func (c *Cluster) RunPipelineStrict(phases [][]*Program) (*Stats, error) {
-	if err := c.lintPhases(phases); err != nil {
-		return nil, err
-	}
-	return c.RunPipeline(phases)
 }

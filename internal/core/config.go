@@ -48,24 +48,22 @@ type Config struct {
 	NoAllInFlight bool
 	InOrderIssue  bool
 
-	// NoSkipAhead disables the run loop's idle skip-ahead (see
-	// internal/sim and docs/SIMKERNEL.md): every cycle is ticked, as
-	// the pre-kernel simulator did. Results are cycle-identical either
-	// way — this is a host-performance switch kept for the equivalence
-	// tests and benchmarking, not a behavioral one. Skip-ahead also
-	// turns itself off under fault profiles with per-cycle draws.
-	NoSkipAhead bool
-
-	// NoSpanRetire disables batched span retirement (see
-	// Machine.retireSpan and sim.Kernel.RetireSpan) while keeping the
-	// wake-set scheduler. Like NoSkipAhead it is a host-performance
-	// switch, not a behavioral one: a retired span runs the same
-	// component ticks at the same cycles as per-cycle stepping, so
-	// results are cycle-identical either way. NoSkipAhead implies it
-	// (spans ride on the wake-set machinery). Kept for the equivalence
-	// tests and benchmarking.
-	NoSpanRetire bool
+	// Sched selects how the run loop schedules component ticks (see
+	// internal/sim and docs/SIMKERNEL.md). Every mode simulates the
+	// same cycles — this is a host-performance switch kept for the
+	// equivalence tests and benchmarking, not a behavioral one. Fault
+	// profiles with per-cycle draws force per-cycle stepping.
+	Sched SchedMode
 }
+
+// SchedMode is the run loop's scheduling mode (Config.Sched).
+type SchedMode uint8
+
+const (
+	SchedSpans    SchedMode = iota // the default: wake-set scheduler, idle skip-ahead, span retirement (Machine.retireSpan)
+	SchedWakeSet                   // wake-set scheduler and idle skip-ahead, no spans
+	SchedPerCycle                  // every component ticks every cycle: the reference the other modes reproduce
+)
 
 // DefaultConfig is the broadly provisioned Softbrain of Section 7.2.
 func DefaultConfig() Config {
@@ -105,6 +103,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: WatchdogCycles %d below the minimum %d (the watchdog must outlast the quiescence grace period and the issue of one %d-word command at IssueCost %d)",
 				c.WatchdogCycles, floor, maxCommandWords, c.IssueCost)
 		}
+	}
+	if c.Sched > SchedPerCycle {
+		return fmt.Errorf("core: unknown scheduler mode %d", c.Sched)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {

@@ -1,4 +1,4 @@
-// Cluster determinism: per-cycle stepping (NoSkipAhead) is the
+// Cluster determinism: per-cycle stepping (SchedPerCycle) is the
 // reference semantics of the lockstep run loop, and default scheduling
 // — each unit's wake set plus cluster-level frozen jumps — must be
 // indistinguishable from it on multi-unit clusters: byte-identical
@@ -36,7 +36,7 @@ type clusterRun struct {
 // stepping every cycle when noSkip is set.
 func runCluster(t *testing.T, cfg core.Config, progs []*core.Program, init func(*mem.Memory), noSkip bool) clusterRun {
 	t.Helper()
-	cfg.NoSkipAhead = noSkip
+	cfg.Sched = schedFor(noSkip)
 	cl, err := core.NewCluster(cfg, len(progs))
 	if err != nil {
 		t.Fatal(err)

@@ -257,7 +257,7 @@ func TestRunRecoversPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Ports.In = nil // corrupt the machine: the MSE will index a nil slice
-	_, err = m.run(context.Background())
+	_, err = runUnits(context.Background(), []*Machine{m}, &m.hb)
 	var me *MachineError
 	if !errors.As(err, &me) {
 		t.Fatalf("run over corrupted state = %v, want a MachineError", err)

@@ -54,8 +54,9 @@ type Stats struct {
 type Machine struct {
 	cfg Config
 
-	// Lint, when set, vets programs before LoadStrict accepts them.
-	// Install internal/lint's checker with
+	// Lint, when set, vets every program Load accepts: a program the
+	// hook reports a hazard in is refused before anything runs. Install
+	// internal/lint's checker with
 	//
 	//	m.Lint = lint.Hook(m.Config())
 	//
@@ -88,6 +89,7 @@ type Machine struct {
 	busyUntil uint64
 	coreInstr uint64
 	coreStall uint64
+	base      counters // activity counters when the current run loaded
 
 	configErr error // deferred error from the config-install callback
 
@@ -160,8 +162,8 @@ func NewMachineShared(cfg Config, sys *mem.System) (*Machine, error) {
 	m.exec = newCGRAExec(m.Ports)
 	// Per-cycle fault draws (stall, throttle) consume randomness every
 	// ticked cycle, so skipping would change the fault schedule.
-	m.noSkip = cfg.NoSkipAhead || (m.faults != nil && m.faults.PerCycleDraws())
-	m.spans = !m.noSkip && !cfg.NoSpanRetire
+	m.noSkip = cfg.Sched == SchedPerCycle || (m.faults != nil && m.faults.PerCycleDraws())
+	m.spans = !m.noSkip && cfg.Sched == SchedSpans
 	m.lastStepped = -1
 	m.kern.Register(cgraComp{m})
 	m.kern.Register(mseComp{m})
@@ -206,12 +208,18 @@ func (m *Machine) onConfig(addr uint64) {
 	}
 }
 
-// Load prepares the machine to run p. The command stream is round-
-// tripped through the binary ISA encoding, so the machine executes the
+// Load prepares the machine to run p, vetting it through the Lint hook
+// first when one is installed. The command stream is round-tripped
+// through the binary ISA encoding, so the machine executes the
 // architecturally encodable program, not arbitrary Go values.
 func (m *Machine) Load(p *Program) error {
 	if err := p.Err(); err != nil {
 		return err
+	}
+	if m.Lint != nil {
+		if err := m.Lint(p); err != nil {
+			return fmt.Errorf("core: refusing to load %s: %w", p.Name, err)
+		}
 	}
 	if err := p.roundTrip(); err != nil {
 		return err
@@ -227,29 +235,16 @@ func (m *Machine) Load(p *Program) error {
 	// new run to sleep before its first tick.
 	m.kern.Reset()
 	m.lastStepped = -1
+	// Everything a run reports covers that run alone: restart the
+	// per-run profiles and snapshot the counters its Stats are measured
+	// from.
+	m.disp.ResetProfile()
+	m.reg.Reset()
+	if m.tracer != nil {
+		m.EnableTrace(m.tracer.Limit)
+	}
+	m.base = m.counters()
 	return nil
-}
-
-// LoadStrict is Load behind the Lint hook: the program is statically
-// vetted first and refused when the hook reports a hazard. A machine
-// without a hook refuses every program — strict mode is an explicit
-// opt-in, not a silent fallback to Load.
-func (m *Machine) LoadStrict(p *Program) error {
-	if m.Lint == nil {
-		return fmt.Errorf("core: LoadStrict requires a Lint hook (install internal/lint.Hook)")
-	}
-	if err := m.Lint(p); err != nil {
-		return fmt.Errorf("core: refusing to load %s: %w", p.Name, err)
-	}
-	return m.Load(p)
-}
-
-// RunStrict is Run via LoadStrict.
-func (m *Machine) RunStrict(p *Program) (*Stats, error) {
-	if err := m.LoadStrict(p); err != nil {
-		return nil, err
-	}
-	return m.run(context.Background())
 }
 
 // Done reports whether the program has fully completed.
@@ -262,7 +257,7 @@ func (m *Machine) Done() bool {
 // signal says they could act this cycle (see sim.Kernel); a skipped
 // component's per-cycle bookkeeping is replayed lazily by BeforeTick
 // just before its next real tick. With wake scheduling disabled
-// (NoSkipAhead, or per-cycle fault draws) every component ticks every
+// (SchedPerCycle, or per-cycle fault draws) every component ticks every
 // cycle. Component errors come back wrapped in a MachineError naming
 // the component and cycle; a fault-injected stall freezes the affected
 // stream engine for the cycle (see components.go).
@@ -536,34 +531,66 @@ func (m *Machine) RunContext(ctx context.Context, p *Program) (*Stats, error) {
 	if err := m.Load(p); err != nil {
 		return nil, err
 	}
-	return m.run(ctx)
-}
-
-// run executes the loaded program to completion, through the run loop
-// as a one-unit cluster.
-func (m *Machine) run(ctx context.Context) (*Stats, error) {
-	stats, err := runUnits(ctx, []*Machine{m}, &m.hb)
+	stats, err := runUnits(ctx, []*Machine{m}, &m.hb) // a one-unit cluster
 	if err != nil {
 		return nil, err
 	}
 	return stats[0], nil
 }
 
-// sysCounters is the subset of memory-system statistics snapshotted to
-// attribute shared-system activity to one run.
-type sysCounters struct {
-	reads, writes, bytesRead, bytesWritten, hits, misses uint64
+// counters is a snapshot of a unit's monotone activity counters: the
+// Stats fields (Cycles aside) plus the engines' retired-byte totals
+// the metrics dump and heartbeat report. The counters accumulate over
+// the machine's lifetime; a run reports the difference between their
+// values at its end and at its Load.
+type counters struct {
+	Stats
+	memBytes, scratchBytes uint64
 }
 
-func snapshotSys(s *mem.System) sysCounters {
-	c := sysCounters{reads: s.Reads, writes: s.Writes, bytesRead: s.BytesRead, bytesWritten: s.BytesWritten}
-	if s.Cache != nil {
-		c.hits, c.misses = s.Cache.Hits, s.Cache.Misses
+func (m *Machine) counters() counters {
+	c := counters{
+		Stats: Stats{
+			CoreInstrs:       m.coreInstr,
+			CoreStallCycles:  m.coreStall,
+			Commands:         m.disp.Issued,
+			BarrierCycles:    m.disp.BarrierCycles,
+			ResourceStall:    m.disp.ResourceStall,
+			Instances:        m.exec.Instances,
+			FUOps:            m.exec.FUOps,
+			MemBytesRead:     m.Sys.BytesRead,
+			MemBytesWritten:  m.Sys.BytesWritten,
+			MemLines:         m.Sys.Reads + m.Sys.Writes,
+			ScratchBytesRead: m.Pad.BytesRead,
+			ScratchBytesWrit: m.Pad.BytesWritten,
+			RecurrenceBytes:  m.rse.BytesMoved,
+			MSEBusy:          m.mse.BusyCycles,
+			SSEBusy:          m.sse.BusyCycles,
+			RSEBusy:          m.rse.BusyCycles,
+		},
+		memBytes:     m.mse.BytesDelivered + m.mse.BytesStored,
+		scratchBytes: m.sse.BytesIn + m.sse.BytesOut,
+	}
+	if m.Sys.Cache != nil {
+		c.CacheHits, c.CacheMisses = m.Sys.Cache.Hits, m.Sys.Cache.Misses
 	}
 	return c
 }
 
-func (m *Machine) collect(cycles uint64, base sysCounters) *Stats {
+// since is the activity between snapshot base and c.
+func (c counters) since(base counters) counters {
+	cur, old := c.activity(), base.activity()
+	for i, p := range cur {
+		*p -= *old[i]
+	}
+	c.memBytes -= base.memBytes
+	c.scratchBytes -= base.scratchBytes
+	return c
+}
+
+// collect closes the current run at cycle cycles: its Stats, and the
+// metrics registry finalized from the same per-run counters.
+func (m *Machine) collect(cycles uint64) *Stats {
 	if !m.noSkip {
 		// Replay any still-outstanding slept spans so per-cycle stall
 		// counters are complete through the unit's last stepped cycle.
@@ -571,35 +598,19 @@ func (m *Machine) collect(cycles uint64, base sysCounters) *Stats {
 		// were never advanced, so flushing would double-count.)
 		m.kern.Flush(uint64(m.lastStepped + 1))
 	}
-	m.finishMetrics(cycles)
-	cur := snapshotSys(m.Sys)
-	s := m.localStats(cycles)
-	s.MemBytesRead = cur.bytesRead - base.bytesRead
-	s.MemBytesWritten = cur.bytesWritten - base.bytesWritten
-	s.MemLines = cur.reads - base.reads + cur.writes - base.writes
-	s.CacheHits = cur.hits - base.hits
-	s.CacheMisses = cur.misses - base.misses
-	return s
+	run := m.counters().since(m.base)
+	run.Cycles = cycles
+	m.finishMetrics(run)
+	return &run.Stats
 }
 
-// localStats gathers the unit-private counters (everything except the
-// possibly-shared memory system).
-func (m *Machine) localStats(cycles uint64) *Stats {
-	return &Stats{
-		Cycles:           cycles,
-		CoreInstrs:       m.coreInstr,
-		CoreStallCycles:  m.coreStall,
-		Commands:         m.disp.Issued,
-		BarrierCycles:    m.disp.BarrierCycles,
-		ResourceStall:    m.disp.ResourceStall,
-		Instances:        m.exec.Instances,
-		FUOps:            m.exec.FUOps,
-		ScratchBytesRead: m.Pad.BytesRead,
-		ScratchBytesWrit: m.Pad.BytesWritten,
-		RecurrenceBytes:  m.rse.BytesMoved,
-		MSEBusy:          m.mse.BusyCycles,
-		SSEBusy:          m.sse.BusyCycles,
-		RSEBusy:          m.rse.BusyCycles,
+// activity lists the additive counters of s: every field but Cycles.
+func (s *Stats) activity() []*uint64 {
+	return []*uint64{
+		&s.CoreInstrs, &s.CoreStallCycles, &s.Commands, &s.BarrierCycles, &s.ResourceStall,
+		&s.Instances, &s.FUOps, &s.MemBytesRead, &s.MemBytesWritten, &s.MemLines,
+		&s.CacheHits, &s.CacheMisses, &s.ScratchBytesRead, &s.ScratchBytesWrit,
+		&s.RecurrenceBytes, &s.MSEBusy, &s.SSEBusy, &s.RSEBusy,
 	}
 }
 
@@ -609,24 +620,10 @@ func (s *Stats) Add(other *Stats) {
 	if other.Cycles > s.Cycles {
 		s.Cycles = other.Cycles
 	}
-	s.CoreInstrs += other.CoreInstrs
-	s.CoreStallCycles += other.CoreStallCycles
-	s.Commands += other.Commands
-	s.BarrierCycles += other.BarrierCycles
-	s.ResourceStall += other.ResourceStall
-	s.Instances += other.Instances
-	s.FUOps += other.FUOps
-	s.MemBytesRead += other.MemBytesRead
-	s.MemBytesWritten += other.MemBytesWritten
-	s.MemLines += other.MemLines
-	s.CacheHits += other.CacheHits
-	s.CacheMisses += other.CacheMisses
-	s.ScratchBytesRead += other.ScratchBytesRead
-	s.ScratchBytesWrit += other.ScratchBytesWrit
-	s.RecurrenceBytes += other.RecurrenceBytes
-	s.MSEBusy += other.MSEBusy
-	s.SSEBusy += other.SSEBusy
-	s.RSEBusy += other.RSEBusy
+	sum, add := s.activity(), other.activity()
+	for i, p := range sum {
+		*p += *add[i]
+	}
 }
 
 // StallBreakdown exposes the dispatcher's per-command stall counters for

@@ -223,23 +223,23 @@ func (m *Machine) onSkip(from, to uint64) {
 // finishMetrics finalizes the registry at the end of a run: tops every
 // attribution up to the final cycle (a unit that retired early idles
 // until its cluster finishes), records the cycle count the
-// conservation invariant checks against, and snapshots the machine's
-// monotone counters.
-func (m *Machine) finishMetrics(cycles uint64) {
+// conservation invariant checks against, and records the run's
+// activity counters.
+func (m *Machine) finishMetrics(run counters) {
 	if m.reg == nil {
 		return
 	}
 	for _, a := range m.reg.Attributions() {
-		a.Finish(cycles)
+		a.Finish(run.Cycles)
 	}
-	m.reg.SetCycles(cycles)
-	m.reg.Counter("commands").Set(m.disp.Issued)
-	m.reg.Counter("core-instrs").Set(m.coreInstr)
-	m.reg.Counter("cgra-instances").Set(m.exec.Instances)
-	m.reg.Counter("cgra-fu-ops").Set(m.exec.FUOps)
-	m.reg.Counter("mem-bytes").Set(m.mse.BytesDelivered + m.mse.BytesStored)
-	m.reg.Counter("scratch-bytes").Set(m.sse.BytesIn + m.sse.BytesOut)
-	m.reg.Counter("recurrence-bytes").Set(m.rse.BytesMoved)
+	m.reg.SetCycles(run.Cycles)
+	m.reg.Counter("commands").Set(run.Commands)
+	m.reg.Counter("core-instrs").Set(run.CoreInstrs)
+	m.reg.Counter("cgra-instances").Set(run.Instances)
+	m.reg.Counter("cgra-fu-ops").Set(run.FUOps)
+	m.reg.Counter("mem-bytes").Set(run.memBytes)
+	m.reg.Counter("scratch-bytes").Set(run.scratchBytes)
+	m.reg.Counter("recurrence-bytes").Set(run.RecurrenceBytes)
 	ds := m.disp.BarrierDrains()
 	rows := make([]obs.BarrierDrainDump, len(ds))
 	for i, bd := range ds {
@@ -252,9 +252,9 @@ func (m *Machine) finishMetrics(cycles uint64) {
 // heartbeat (sdsim -progress, sdbench -progress, sdserve streaming).
 type ProgressReport struct {
 	Cycle        uint64
-	Commands     uint64 // stream commands issued so far
+	Commands     uint64 // stream commands issued so far this run
 	Progress     uint64 // the machine's monotone progress counter
-	RetiredBytes uint64 // bytes moved by the engines so far (mem + scratch + recurrence)
+	RetiredBytes uint64 // bytes moved by the engines so far this run (mem + scratch + recurrence)
 	StallMix     string // current attribution mix, "" when metrics are off
 }
 
@@ -266,21 +266,14 @@ func report(units []*Machine, now uint64) ProgressReport {
 	r := ProgressReport{Cycle: now}
 	var attrs []*obs.Attribution
 	for _, u := range units {
-		r.Commands += u.disp.Issued
+		run := u.counters().since(u.base)
+		r.Commands += run.Commands
 		r.Progress += u.kern.Progress()
-		r.RetiredBytes += u.retiredBytes()
+		r.RetiredBytes += run.memBytes + run.scratchBytes + run.RecurrenceBytes
 		attrs = append(attrs, u.reg.Attributions()...)
 	}
 	r.StallMix = stallMix(attrs)
 	return r
-}
-
-// retiredBytes sums the engines' monotone data-movement counters: the
-// "how much work has the machine actually completed" number behind the
-// heartbeat's retired-bytes field.
-func (m *Machine) retiredBytes() uint64 {
-	return m.mse.BytesDelivered + m.mse.BytesStored +
-		m.sse.BytesIn + m.sse.BytesOut + m.rse.BytesMoved
 }
 
 // Line renders the report as the one-line heartbeat shared by
@@ -336,8 +329,10 @@ func stallMix(attrs []*obs.Attribution) string {
 
 // SetHeartbeat installs a progress callback invoked from the run loop
 // roughly every interval of host time (checked every heartbeatStride
-// cycles, so a hot loop pays one counter increment). For long soaks
-// and sdsim -progress; purely observational.
+// run-loop iterations, so a hot loop pays one counter increment). The
+// first check only arms the clock, so no report fires before the
+// second one. For long soaks and sdsim -progress; purely
+// observational.
 func (m *Machine) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
 	m.hb.every, m.hb.fn = every, fn
 }
@@ -351,12 +346,15 @@ type heartbeat struct {
 }
 
 // heartbeatStride bounds how often the run loop consults the host
-// clock: every 4096 simulated cycles.
+// clock: every 4096 run-loop iterations. An iteration is one stepped
+// cycle, or one frozen jump or retired span covering many, so the
+// stride is at least 4096 simulated cycles.
 const heartbeatStride = 1 << 12
 
 // beat fires the callback with the units' aggregate report when the
 // interval elapsed; the run loop calls it every heartbeatStride
-// cycles.
+// iterations. The first call only arms the clock, so no report fires
+// before the second: a run of fewer than two strides reports nothing.
 func (h *heartbeat) beat(units []*Machine, now uint64) {
 	if h.fn == nil {
 		return

@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,15 +64,18 @@ func TestMetricsWorkloads(t *testing.T) {
 			t.Parallel()
 			run := func(noSkip bool) (*core.Stats, []byte) {
 				cfg := b.cfg
-				cfg.NoSkipAhead = noSkip
+				cfg.Sched = schedFor(noSkip)
 				inst, err := b.inst(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, dump, err := inst.RunMetrics(cfg, obs.Options{})
+				cl, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{
+					Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) },
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				dump := cl.MetricsDump()
 				if err := obs.CheckConservation(dump); err != nil {
 					t.Fatalf("noSkip=%v: %v", noSkip, err)
 				}
@@ -93,7 +97,7 @@ func TestMetricsWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := inst.Run(b.cfg)
+			_, plain, err := inst.Run(context.Background(), b.cfg, workloads.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +110,7 @@ func TestMetricsWorkloads(t *testing.T) {
 }
 
 // TestMetricsClusterParSeq runs the DNN layers on the 8-unit cluster
-// per-cycle (NoSkipAhead) and with default scheduling, metrics and
+// per-cycle (SchedPerCycle) and with default scheduling, metrics and
 // slice recording attached: the dumps must be byte-identical, per unit
 // and in total, and so must the Perfetto exports of every unit's stall
 // slices, so cluster-level frozen jumps replay the slice timeline
@@ -125,7 +129,7 @@ func TestMetricsClusterParSeq(t *testing.T) {
 			}
 			run := func(noSkip bool) (dump, trace []byte) {
 				c := cfg
-				c.NoSkipAhead = noSkip
+				c.Sched = schedFor(noSkip)
 				cl, err := core.NewCluster(c, len(inst.Progs))
 				if err != nil {
 					t.Fatal(err)
@@ -190,7 +194,7 @@ func TestMetricsProgen(t *testing.T) {
 		}
 		run := func(noSkip bool) []byte {
 			c := cfg
-			c.NoSkipAhead = noSkip
+			c.Sched = schedFor(noSkip)
 			m, err := core.NewMachine(c)
 			if err != nil {
 				t.Fatal(err)
@@ -261,7 +265,7 @@ func TestMetricsTraceExport(t *testing.T) {
 // run with a zero interval and report monotonically advancing cycles.
 func TestHeartbeat(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.NoSkipAhead = true // every cycle ticked, so the stride check runs often
+	cfg.Sched = core.SchedPerCycle // every cycle ticked, so the stride check runs often
 	e, err := machsuite.Find("gemm")
 	if err != nil {
 		t.Fatal(err)

@@ -20,10 +20,8 @@ const defaultWatchdog = 50_000
 // returns, it never takes the host process down. Step errors name
 // their unit the same way (0 for a machine).
 func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*Stats, err error) {
-	bases := make([]sysCounters, len(units))
 	anyFaults := false
-	for i, u := range units {
-		bases[i] = snapshotSys(u.Sys)
+	for _, u := range units {
 		anyFaults = anyFaults || u.faults != nil
 	}
 	// Clusters reject units whose configs differ, so unit 0 speaks for
@@ -143,7 +141,7 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 	}
 	stats = make([]*Stats, len(units))
 	for i, u := range units {
-		stats[i] = u.collect(now, bases[i])
+		stats[i] = u.collect(now)
 	}
 	return stats, nil
 }

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,12 +54,12 @@ func TestSkipAheadWorkloads(t *testing.T) {
 			t.Parallel()
 			run := func(noSkip bool) *core.Stats {
 				cfg := b.cfg
-				cfg.NoSkipAhead = noSkip
+				cfg.Sched = schedFor(noSkip)
 				inst, err := b.inst(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				stats, err := inst.Run(cfg)
+				_, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,7 +91,7 @@ func TestSkipAheadExamples(t *testing.T) {
 			stats *core.Stats
 		})
 		for _, e := range exs {
-			e.Cfg.NoSkipAhead = noSkip
+			e.Cfg.Sched = schedFor(noSkip)
 			m, s, err := e.Run()
 			if err != nil {
 				t.Fatalf("%s (noSkip=%v): %v", e.Name, noSkip, err)
@@ -181,7 +182,7 @@ func TestSkipAheadTraces(t *testing.T) {
 		}
 
 		offCfg, onCfg := cfg, cfg
-		offCfg.NoSkipAhead = true
+		offCfg.Sched = core.SchedPerCycle
 		mOff, sOff := runTraced(t, offCfg, fixed, seed)
 		mOn, sOn := runTraced(t, onCfg, fixed, seed)
 		skipped += mOn.SkippedCycles()
@@ -241,7 +242,7 @@ func TestSkipAheadUnderFaults(t *testing.T) {
 
 				run := func(noSkip bool) (*core.Machine, *core.Stats, faults.Stats) {
 					c := cfg
-					c.NoSkipAhead = noSkip
+					c.Sched = schedFor(noSkip)
 					c.Faults = &fc
 					m, s := runTraced(t, c, fixed, seed)
 					return m, s, m.FaultStats()

@@ -2,11 +2,11 @@
 // sim.Kernel.RetireSpan, docs/SIMKERNEL.md) is a host-performance
 // optimization with zero architectural effect, layered on top of the
 // wake-set scheduler. Every test here runs the same program in three
-// scheduling modes — per-cycle (NoSkipAhead), wake-set only
-// (NoSpanRetire), and wake-set with span retirement — and demands
-// identical results: statistics, memory images, fault schedules, and
-// observability dumps alike. FuzzSpanEquivalence extends the seeds
-// under `make fuzz-smoke`.
+// scheduling modes — per-cycle (SchedPerCycle), wake-set only
+// (SchedWakeSet), and wake-set with span retirement (SchedSpans) — and
+// demands identical results: statistics, memory images, fault
+// schedules, and observability dumps alike. FuzzSpanEquivalence extends
+// the seeds under `make fuzz-smoke`.
 package core_test
 
 import (
@@ -29,20 +29,27 @@ import (
 // schedModes are the three scheduling configurations under test, from
 // reference semantics to fully event-driven.
 var schedModes = []struct {
-	name         string
-	noSkip       bool
-	noSpanRetire bool
+	name  string
+	sched core.SchedMode
 }{
-	{"per-cycle", true, true},
-	{"wake-set", false, true},
-	{"spans", false, false},
+	{"per-cycle", core.SchedPerCycle},
+	{"wake-set", core.SchedWakeSet},
+	{"spans", core.SchedSpans},
 }
 
-// applyMode returns cfg with the mode's scheduling switches set.
+// applyMode returns cfg with the mode's scheduling set.
 func applyMode(cfg core.Config, mode int) core.Config {
-	cfg.NoSkipAhead = schedModes[mode].noSkip
-	cfg.NoSpanRetire = schedModes[mode].noSpanRetire
+	cfg.Sched = schedModes[mode].sched
 	return cfg
+}
+
+// schedFor is the mode the two-way equivalence tests run: per-cycle
+// stepping when perCycle is set, the default otherwise.
+func schedFor(perCycle bool) core.SchedMode {
+	if perCycle {
+		return core.SchedPerCycle
+	}
+	return core.SchedSpans
 }
 
 // TestSpanEquivalenceWorkloads runs every MachSuite workload, the

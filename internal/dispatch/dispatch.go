@@ -279,6 +279,13 @@ func (d *Dispatcher) BarrierDrains() []BarrierDrain {
 	return out
 }
 
+// ResetProfile clears the per-run profiles, barrier drains and stall
+// counts by command kind, for a dispatcher starting a new run.
+func (d *Dispatcher) ResetProfile() {
+	d.drainByPos, d.drainKind = nil, nil
+	clear(d.StallByKind)
+}
+
 // BlocksCore reports whether the core must stall: the queue is full or
 // an SD_Barrier_All is pending.
 func (d *Dispatcher) BlocksCore() bool {

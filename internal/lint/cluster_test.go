@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -397,5 +399,45 @@ func TestClusterHookRefuses(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "inter-unit") {
 		t.Fatalf("refusal does not name the inter-unit hazard: %v", err)
+	}
+}
+
+// TestClusterRunContextHooked installs the hook on a live cluster:
+// RunContext refuses an inter-unit race before any unit loads (no
+// configuration reaches the memory image) and runs a disjoint set.
+func TestClusterRunContextHooked(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cl, err := core.NewCluster(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Lint = lint.ClusterHook(cfg, lint.ClusterOpts{})
+
+	p0 := clusterProg(t, cfg, "u0")
+	stepRW(t, p0, 0x1_0000, 0x2_0000, 8)
+	racy := clusterProg(t, cfg, "racy")
+	stepRW(t, racy, 0x4_0000, 0x2_0020, 8) // write overlaps u0's write
+	_, err = cl.RunContext(context.Background(), []*core.Program{p0, racy})
+	if err == nil || !strings.Contains(err.Error(), "inter-unit") {
+		t.Fatalf("hooked RunContext(racy set) = %v, want the inter-unit refusal", err)
+	}
+	for _, p := range []*core.Program{p0, racy} {
+		for addr, blob := range p.Configs {
+			got := make([]byte, len(blob))
+			cl.Mem.Read(addr, got)
+			if !bytes.Equal(got, make([]byte, len(blob))) {
+				t.Fatalf("refused run loaded %s: its configuration is at %#x", p.Name, addr)
+			}
+		}
+	}
+
+	p1 := clusterProg(t, cfg, "u1")
+	stepRW(t, p1, 0x3_0000, 0x4_0000, 8)
+	stats, err := cl.RunContext(context.Background(), []*core.Program{p0, p1})
+	if err != nil {
+		t.Fatalf("hooked RunContext(disjoint set) = %v", err)
+	}
+	if stats.Instances != 16 {
+		t.Fatalf("instances = %d, want 16", stats.Instances)
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"softbrain/internal/lint"
 )
 
-// TestLoadStrict exercises the machine-side integration: a Lint-hooked
-// machine refuses hazardous programs, accepts and runs clean ones, and
-// an unhooked machine refuses LoadStrict outright.
-func TestLoadStrict(t *testing.T) {
+// TestHookedLoad exercises the machine-side integration: a machine with
+// the Lint hook installed refuses hazardous programs at Load, and so at
+// Run, and accepts and runs clean ones.
+func TestHookedLoad(t *testing.T) {
 	racy, cfg := newProg(t)
 	emit(t, racy, isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: racy.In("A")})
 	emit(t, racy, isa.MemPort{Src: isa.Linear(0x2000, 64), Dst: racy.In("B")})
@@ -23,17 +23,16 @@ func TestLoadStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadStrict(racy); err == nil || !strings.Contains(err.Error(), "Lint hook") {
-		t.Fatalf("LoadStrict without a hook = %v, want a hook-required error", err)
-	}
-
 	m.Lint = lint.Hook(m.Config())
-	err = m.LoadStrict(racy)
+	err = m.Load(racy)
 	if err == nil {
-		t.Fatal("LoadStrict accepted a racy program")
+		t.Fatal("hooked Load accepted a racy program")
 	}
 	if !strings.Contains(err.Error(), lint.CheckRace) {
-		t.Fatalf("LoadStrict error %q does not name the race check", err)
+		t.Fatalf("hooked Load error %q does not name the race check", err)
+	}
+	if _, err := m.Run(racy); err == nil || !strings.Contains(err.Error(), lint.CheckRace) {
+		t.Fatalf("hooked Run(racy) = %v, want the race refusal", err)
 	}
 
 	clean, _ := newProg(t)
@@ -45,9 +44,9 @@ func TestLoadStrict(t *testing.T) {
 		m.Sys.Mem.WriteU64(0x1000+8*i, i)
 		m.Sys.Mem.WriteU64(0x2000+8*i, 10*i)
 	}
-	stats, err := m.RunStrict(clean)
+	stats, err := m.Run(clean)
 	if err != nil {
-		t.Fatalf("RunStrict(clean) = %v", err)
+		t.Fatalf("hooked Run(clean) = %v", err)
 	}
 	if stats.Instances != 8 {
 		t.Fatalf("instances = %d, want 8", stats.Instances)

@@ -225,7 +225,7 @@ func Errors(fs []Finding) []Finding {
 //
 //	m.Lint = lint.Hook(m.Config())
 //
-// and load programs through Machine.LoadStrict.
+// and every Machine.Load (and so every Run) vets its program.
 func Hook(cfg core.Config) func(*core.Program) error {
 	return func(p *core.Program) error {
 		fs, err := Check(p, cfg)

@@ -242,6 +242,30 @@ func New(unit int, opts Options) *Registry {
 	return &Registry{unit: unit, opts: opts}
 }
 
+// Reset zeroes every registered metric in place for a new run on the
+// same unit: components keep the metrics they registered, and the next
+// dump covers that run alone.
+func (r *Registry) Reset() {
+	if r == nil {
+		return
+	}
+	r.cycles = 0
+	for _, a := range r.attrs {
+		*a = Attribution{name: a.name, sliceCap: a.sliceCap}
+	}
+	for _, c := range r.counters {
+		c.v = 0
+	}
+	for _, g := range r.gauges {
+		g.v = 0
+	}
+	for _, h := range r.hists {
+		clear(h.buckets)
+		h.count, h.sum, h.max = 0, 0, 0
+	}
+	r.streams, r.barriers = nil, nil
+}
+
 // Unit is the unit index the registry was built for.
 func (r *Registry) Unit() int {
 	if r == nil {

@@ -2,11 +2,13 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"softbrain/internal/core"
 	"softbrain/internal/obs"
+	"softbrain/internal/workloads"
 	"softbrain/internal/workloads/machsuite"
 )
 
@@ -23,10 +25,13 @@ func TestWritePrometheusRealDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dump, err := inst.RunMetrics(cfg, obs.Options{})
+	cl, _, err := inst.Run(context.Background(), cfg, workloads.RunOpts{
+		Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dump := cl.MetricsDump()
 
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf, dump); err != nil {

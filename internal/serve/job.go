@@ -136,8 +136,8 @@ var testHookExecute func(*runRequest)
 type runRequest struct {
 	name    string
 	scale   int                 // named-workload problem scale
-	inst    *workloads.Instance // named-workload path
-	prog    *core.Program       // raw-program path
+	inst    *workloads.Instance // what runs: a named workload or a raw program
+	raw     bool                // inst is a raw program: one unit, no Init or Check, keyed by content
 	cfg     core.Config
 	opts    RunOptions
 	timeout time.Duration
@@ -182,7 +182,8 @@ func (s *Server) decodeRequest(body []byte) (*runRequest, *apiError) {
 		if err != nil {
 			return nil, &apiError{Status: 400, Kind: KindInvalid, Msg: err.Error()}
 		}
-		rr.name, rr.prog, rr.cfg = prog.Name, prog, cfg
+		rr.name, rr.raw, rr.cfg = prog.Name, true, cfg
+		rr.inst = &workloads.Instance{Name: prog.Name, Progs: []*core.Program{prog}}
 		return rr, applyFaults(&req, rr)
 	}
 
@@ -205,7 +206,7 @@ func (s *Server) decodeRequest(body []byte) (*runRequest, *apiError) {
 			return nil, &apiError{Status: 400, Kind: KindInvalid, Msg: kerr.Error()}
 		}
 		cfg.WatchdogCycles = knobs.WatchdogCycles
-		cfg.NoSkipAhead = knobs.NoSkipAhead
+		cfg.Sched = knobs.Sched
 		cfg.Faults = knobs.Faults
 		if verr := cfg.Validate(); verr != nil {
 			return nil, &apiError{Status: 400, Kind: KindInvalid, Msg: verr.Error()}
@@ -293,8 +294,8 @@ func buildWorkload(name string, scale int) (*workloads.Instance, core.Config, er
 func (rr *runRequest) cacheKey() (string, error) {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
-	if rr.prog != nil {
-		wp, err := wire.FromProgram(rr.prog)
+	if rr.raw {
+		wp, err := wire.FromProgram(rr.inst.Progs[0])
 		if err != nil {
 			return "", err
 		}
@@ -305,7 +306,7 @@ func (rr *runRequest) cacheKey() (string, error) {
 		fmt.Fprintf(h, "workload=%s scale=%d\n", rr.name, rr.scale)
 	}
 	fmt.Fprintf(h, "watchdog=%d noskip=%v warm=%v metrics=%v trace=%v\n",
-		rr.cfg.WatchdogCycles, rr.cfg.NoSkipAhead, rr.opts.Warm, rr.opts.Metrics, rr.opts.Trace)
+		rr.cfg.WatchdogCycles, rr.cfg.Sched == core.SchedPerCycle, rr.opts.Warm, rr.opts.Metrics, rr.opts.Trace)
 	if rr.cfg.Faults != nil {
 		if err := enc.Encode(rr.cfg.Faults); err != nil {
 			return "", err
@@ -331,105 +332,57 @@ func cacheable(err *apiError) bool {
 // execute runs one validated submission under its flight context and
 // classifies the outcome. It never panics: simulation invariants are
 // recovered inside core, and the worker loop recovers anything else.
+// A named workload is verified against its golden model, except under
+// corrupting fault profiles, where a mismatch is the expected fault
+// effect, not an error; a raw program has no golden model, and its
+// deliverables are stats, metrics, and trace.
 func (s *Server) execute(ctx context.Context, f *flight) (*Response, *apiError) {
 	rr := f.req
 	if testHookExecute != nil {
 		testHookExecute(rr)
 	}
 	start := time.Now()
-	resp := &Response{Name: rr.name, Units: 1, FaultSeed: rr.faultSeed}
-
-	var stats *core.Stats
-	var err error
-	switch {
-	case rr.inst != nil:
-		resp.Units = rr.inst.Units()
-		stats, err = s.executeInstance(ctx, f, rr, resp)
-	default:
-		stats, err = s.executeProgram(ctx, f, rr, resp)
+	cl, stats, err := rr.inst.Run(ctx, rr.cfg, workloads.RunOpts{
+		Warm:    rr.opts.Warm,
+		Prepare: func(cl *core.Cluster) { s.instrument(cl, f, rr.opts) },
+	})
+	verified := err == nil && rr.inst.Check != nil
+	var mm *workloads.MismatchError
+	if errors.As(err, &mm) {
+		if rr.cfg.Faults == nil || !rr.cfg.Faults.Corrupting() {
+			return nil, &apiError{Status: 422, Kind: KindVerify, Msg: mm.Err.Error()}
+		}
+		err = nil
 	}
 	if err != nil {
 		return nil, classify(err)
 	}
-	resp.Cycles = stats.Cycles
-	resp.Stats = stats
+	s.recordRun(cl, stats)
+	resp := &Response{Name: rr.name, Units: rr.inst.Units(), Cycles: stats.Cycles, Verified: verified,
+		Stats: stats, FaultSeed: rr.faultSeed}
+	if err := s.attachObs(cl, stats, rr, resp); err != nil {
+		return nil, classify(err)
+	}
 	resp.SimMS = float64(time.Since(start).Microseconds()) / 1e3
 	return resp, nil
 }
 
-// executeInstance runs a named workload, verifying against the golden
-// model (except under corrupting fault profiles, where a mismatch is
-// the expected fault effect, not an error).
-func (s *Server) executeInstance(ctx context.Context, f *flight, rr *runRequest, resp *Response) (*core.Stats, error) {
-	inst := rr.inst
-	cl, err := core.NewCluster(rr.cfg, inst.Units())
-	if err != nil {
-		return nil, err
+// instrument attaches what the flight and its options ask for: the
+// progress heartbeat routed into the flight's telemetry (stream events,
+// /statusz snapshot, debug logs), and the metrics registry and trace
+// recorders behind the response's metrics and trace.
+func (s *Server) instrument(cl *core.Cluster, f *flight, opts RunOptions) {
+	if f.events != nil {
+		cl.SetHeartbeat(s.opts.ProgressEvery, func(r core.ProgressReport) { s.onProgress(f, r) })
 	}
-	s.installHeartbeat(cl, f)
-	if rr.opts.Metrics || rr.opts.Trace {
+	if opts.Metrics || opts.Trace {
 		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
 	}
-	if rr.opts.Trace {
+	if opts.Trace {
 		for _, u := range cl.Units {
 			u.EnableTrace(4096)
 		}
 	}
-	if inst.Init != nil {
-		inst.Init(cl.Mem)
-	}
-	runs := 1
-	if rr.opts.Warm {
-		runs = 2
-	}
-	var stats *core.Stats
-	for i := 0; i < runs; i++ {
-		if stats, err = cl.RunContext(ctx, inst.Progs); err != nil {
-			return nil, err
-		}
-	}
-	if inst.Check != nil {
-		if cerr := inst.Check(cl.Mem); cerr != nil {
-			if rr.cfg.Faults == nil || !rr.cfg.Faults.Corrupting() {
-				return nil, &apiError{Status: 422, Kind: KindVerify, Msg: cerr.Error()}
-			}
-		} else {
-			resp.Verified = true
-		}
-	}
-	s.recordRun(cl, stats)
-	return stats, s.attachObs(cl, stats, rr, resp)
-}
-
-// executeProgram runs a raw single-unit program submission. There is
-// no golden model; the deliverables are stats, metrics, and trace.
-func (s *Server) executeProgram(ctx context.Context, f *flight, rr *runRequest, resp *Response) (*core.Stats, error) {
-	cl, err := core.NewCluster(rr.cfg, 1)
-	if err != nil {
-		return nil, err
-	}
-	s.installHeartbeat(cl, f)
-	if rr.opts.Metrics || rr.opts.Trace {
-		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
-	}
-	if rr.opts.Trace {
-		cl.Units[0].EnableTrace(4096)
-	}
-	stats, err := cl.RunContext(ctx, []*core.Program{rr.prog})
-	if err != nil {
-		return nil, err
-	}
-	s.recordRun(cl, stats)
-	return stats, s.attachObs(cl, stats, rr, resp)
-}
-
-// installHeartbeat routes the cluster's progress heartbeat into the
-// flight's telemetry (stream events, /statusz snapshot, debug logs).
-func (s *Server) installHeartbeat(cl *core.Cluster, f *flight) {
-	if f == nil || f.events == nil {
-		return
-	}
-	cl.SetHeartbeat(s.opts.ProgressEvery, func(r core.ProgressReport) { s.onProgress(f, r) })
 }
 
 // recordRun folds a completed simulation into the /metrics aggregates.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"softbrain/internal/core"
 	"softbrain/internal/isa"
+	"softbrain/internal/obs"
 	"softbrain/internal/progen"
 	"softbrain/internal/wire"
 )
@@ -60,6 +62,52 @@ func TestRunAndCacheHit(t *testing.T) {
 	}
 	if third.Cached {
 		t.Fatal("scale=2 submission hit the scale=1 cache entry")
+	}
+}
+
+// TestWarmRuns checks the warm option on both request shapes: a warm
+// named run with metrics reports a dump that conserves against the warm
+// run's cycles, and a raw program honours warm (its cache-warm run is
+// faster than its cold one).
+func TestWarmRuns(t *testing.T) {
+	_, _, cl := newTestServer(t, Options{Workers: 1})
+	ctx := context.Background()
+
+	named, err := cl.Submit(ctx, Request{Workload: "gemm", Scale: 2, Options: RunOptions{Warm: true, Metrics: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump obs.Dump
+	if err := json.Unmarshal(named.Metrics, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckConservation(dump); err != nil || dump.Total.Cycles != named.Cycles {
+		t.Fatalf("warm dump over %d cycles for a %d-cycle run: %v", dump.Total.Cycles, named.Cycles, err)
+	}
+
+	cfg := core.DefaultConfig()
+	p, ports, err := progen.Addpair(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 512), Dst: ports.A})
+	p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 512), Dst: ports.B})
+	p.Emit(isa.PortMem{Src: ports.C, Dst: isa.Linear(0x3000, 512)})
+	p.Emit(isa.BarrierAll{})
+	wp, err := wire.FromProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := cl.Submit(ctx, Request{Program: &wp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := cl.Submit(ctx, Request{Program: &wp, Options: RunOptions{Warm: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cycles >= cold.Cycles || warm.Stats.CacheMisses != 0 {
+		t.Fatalf("raw warm run: %d cycles, %d misses; cold %d cycles", warm.Cycles, warm.Stats.CacheMisses, cold.Cycles)
 	}
 }
 

@@ -257,14 +257,15 @@ func (k *Kernel) Components() []Component { return k.comps }
 // Reset clears the cached wake state for a machine reused across runs:
 // every component starts the new run Ready (its first tick re-caches a
 // fresh hint and signature) and the lazy-replay cursors rewind to the
-// new run's cycle 0. Statistics persist; they accumulate across runs
-// like every other machine counter.
+// new run's cycle 0. Statistics restart too: they describe one run.
 func (k *Kernel) Reset() {
 	for i := range k.comps {
 		k.hints[i] = ReadyNow()
 		k.sigs[i] = 0
 		k.last[i] = -1
+		k.TickBy[i] = 0
 	}
+	k.Stats = SchedStats{}
 }
 
 // Progress sums the components' monotone progress counters.

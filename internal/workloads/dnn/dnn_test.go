@@ -1,9 +1,11 @@
 package dnn
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/baseline"
+	"softbrain/internal/workloads"
 )
 
 // TestAllLayersVerify runs every Figure 11 layer on the 8-unit DNN
@@ -20,7 +22,7 @@ func TestAllLayersVerify(t *testing.T) {
 			if inst.Units() != Units {
 				t.Fatalf("%d unit programs, want %d", inst.Units(), Units)
 			}
-			stats, err := inst.Run(cfg)
+			_, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

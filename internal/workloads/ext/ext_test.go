@@ -1,9 +1,11 @@
 package ext
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/core"
+	"softbrain/internal/workloads"
 )
 
 // TestExtensionWorkloadsVerify runs each footnote-3 workload and checks
@@ -17,7 +19,7 @@ func TestExtensionWorkloadsVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			stats, err := inst.Run(cfg)
+			_, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +48,7 @@ func TestExtensionScalesUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := inst.Run(cfg); err != nil {
+		if _, _, err := inst.Run(context.Background(), cfg, workloads.RunOpts{}); err != nil {
 			t.Errorf("%s scale 2: %v", name, err)
 		}
 	}

@@ -1,9 +1,11 @@
 package machsuite
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/core"
+	"softbrain/internal/workloads"
 )
 
 // TestAllWorkloadsVerify runs every implemented MachSuite workload on
@@ -18,7 +20,7 @@ func TestAllWorkloadsVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			stats, err := inst.Run(cfg)
+			_, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,8 +13,6 @@ import (
 	"softbrain/internal/baseline/asic"
 	"softbrain/internal/core"
 	"softbrain/internal/mem"
-	"softbrain/internal/obs"
-	"softbrain/internal/sim"
 )
 
 // Instance is one concrete, sized workload ready to run.
@@ -47,82 +45,47 @@ type Instance struct {
 // Units is the number of Softbrain units the instance runs on.
 func (i *Instance) Units() int { return len(i.Progs) }
 
-// Run executes the instance on a fresh machine (or cluster) with the
-// given per-unit configuration, verifies the result, and returns the
-// statistics.
-func (i *Instance) Run(cfg core.Config) (*core.Stats, error) {
-	return i.run(context.Background(), cfg, false)
+// RunOpts selects how Instance.Run executes.
+type RunOpts struct {
+	// Warm runs the instance twice on the same cluster and reports the
+	// second, cache-warm run — the standard steady-state measurement,
+	// and the regime the paper's accelerator comparisons operate in.
+	// Workload programs are idempotent, so verification still holds.
+	Warm bool
+
+	// Prepare, when set, runs after the cluster is built and before the
+	// memory image is initialized: the seam for attaching
+	// instrumentation (metrics, tracing, heartbeats, lint hooks).
+	Prepare func(*core.Cluster)
 }
 
-// RunContext is Run bounded by a context: cancellation or deadline
-// expiry mid-run returns a *core.CanceledError (the cycle watchdog
-// bounds simulated time; the context bounds host wall-clock time).
-func (i *Instance) RunContext(ctx context.Context, cfg core.Config) (*core.Stats, error) {
-	return i.run(ctx, cfg, false)
+// MismatchError reports a completed run whose memory image failed the
+// golden-model check. Err is the checker's error.
+type MismatchError struct {
+	Name string
+	Err  error
 }
 
-// RunWarm runs the instance twice on the same machine and reports the
-// second, cache-warm run — the standard steady-state measurement, and
-// the regime the paper's accelerator comparisons operate in. Workload
-// programs are idempotent, so verification still holds.
-func (i *Instance) RunWarm(cfg core.Config) (*core.Stats, error) {
-	return i.run(context.Background(), cfg, true)
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("workloads: verifying %s: %v", e.Name, e.Err)
 }
 
-// RunWarmContext is RunWarm bounded by a context; the deadline covers
-// both the cold and the measured warm run.
-func (i *Instance) RunWarmContext(ctx context.Context, cfg core.Config) (*core.Stats, error) {
-	return i.run(ctx, cfg, true)
-}
+func (e *MismatchError) Unwrap() error { return e.Err }
 
-// RunPreparedContext is RunContext with a caller hook that runs after
-// the cluster is built and before the memory image is initialized — the
-// seam for attaching instrumentation (heartbeats, metrics, tracing)
-// without reimplementing the build/run/verify sequence. A nil prepare
-// is identical to RunContext.
-func (i *Instance) RunPreparedContext(ctx context.Context, cfg core.Config, prepare func(*core.Cluster)) (*core.Stats, error) {
-	_, stats, err := i.runOn(ctx, cfg, false, prepare)
-	return stats, err
-}
-
-// RunMetrics is Run with the observability layer attached: it returns
-// the per-unit metrics dump (stall attribution, counters, per-stream
-// bandwidth — see internal/obs) alongside the statistics. Enabling
-// metrics never changes the simulated schedule, so Cycles matches Run.
-func (i *Instance) RunMetrics(cfg core.Config, opts obs.Options) (*core.Stats, obs.Dump, error) {
-	return i.RunMetricsContext(context.Background(), cfg, opts)
-}
-
-// RunMetricsContext is RunMetrics bounded by a context; see RunContext.
-func (i *Instance) RunMetricsContext(ctx context.Context, cfg core.Config, opts obs.Options) (*core.Stats, obs.Dump, error) {
-	cl, stats, err := i.runOn(ctx, cfg, false, func(cl *core.Cluster) { cl.EnableMetrics(opts) })
-	if err != nil {
-		return nil, obs.Dump{}, err
-	}
-	return stats, cl.MetricsDump(), nil
-}
-
-// RunSchedContext is RunContext returning the wake-set scheduler's
-// aggregate counters and per-component tick totals alongside the
-// statistics (see core.Cluster.SchedStats). The counters describe how
-// the simulator ran, not what it simulated, so unlike the obs dump
-// they legitimately differ across scheduling modes.
-func (i *Instance) RunSchedContext(ctx context.Context, cfg core.Config) (*core.Stats, sim.SchedStats, map[string]uint64, error) {
-	cl, stats, err := i.runOn(ctx, cfg, false, nil)
-	if err != nil {
-		return nil, sim.SchedStats{}, nil, err
-	}
-	return stats, cl.SchedStats(), cl.SchedTickBy(), nil
-}
-
-func (i *Instance) run(ctx context.Context, cfg core.Config, warm bool) (*core.Stats, error) {
-	_, stats, err := i.runOn(ctx, cfg, warm, nil)
-	return stats, err
-}
-
-// runOn builds the cluster, lets prepare instrument it, and executes
-// (twice when warm, reporting the cache-warm second run).
-func (i *Instance) runOn(ctx context.Context, cfg core.Config, warm bool, prepare func(*core.Cluster)) (*core.Cluster, *core.Stats, error) {
+// Run executes the instance on a fresh cluster of Units() units with
+// the given per-unit configuration, verifies the result, and returns
+// the cluster with the reported run's statistics; the cluster's
+// metrics dump and scheduler counters describe the same run.
+// Cancellation or deadline expiry of ctx mid-run returns an error
+// wrapping a *core.CanceledError (the cycle watchdog bounds simulated
+// time; the context bounds host wall-clock time, across both runs when
+// warm).
+//
+// The cluster is returned whenever it was built, failed runs included.
+// A golden-model mismatch returns a *MismatchError together with the
+// completed run's statistics, so a caller expecting corruption (a
+// bit-flip fault profile) can still report the run.
+func (i *Instance) Run(ctx context.Context, cfg core.Config, o RunOpts) (*core.Cluster, *core.Stats, error) {
 	if len(i.Progs) == 0 {
 		return nil, nil, fmt.Errorf("workloads: %s has no programs", i.Name)
 	}
@@ -130,25 +93,24 @@ func (i *Instance) runOn(ctx context.Context, cfg core.Config, warm bool, prepar
 	if err != nil {
 		return nil, nil, err
 	}
-	if prepare != nil {
-		prepare(cl)
+	if o.Prepare != nil {
+		o.Prepare(cl)
 	}
 	if i.Init != nil {
 		i.Init(cl.Mem)
 	}
 	stats, err := cl.RunContext(ctx, i.Progs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("workloads: running %s: %w", i.Name, err)
+		return cl, nil, fmt.Errorf("workloads: running %s: %w", i.Name, err)
 	}
-	if warm {
-		stats, err = cl.RunContext(ctx, i.Progs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workloads: warm-running %s: %w", i.Name, err)
+	if o.Warm {
+		if stats, err = cl.RunContext(ctx, i.Progs); err != nil {
+			return cl, nil, fmt.Errorf("workloads: warm-running %s: %w", i.Name, err)
 		}
 	}
 	if i.Check != nil {
 		if err := i.Check(cl.Mem); err != nil {
-			return nil, nil, fmt.Errorf("workloads: verifying %s: %w", i.Name, err)
+			return cl, stats, &MismatchError{Name: i.Name, Err: err}
 		}
 	}
 	return cl, stats, nil

@@ -31,11 +31,12 @@
 #                    ratchet measures wall time and transient host load
 #                    is not a regression (see docs/SIMKERNEL.md)
 #  11. obs           observability end-to-end (docs/OBSERVABILITY.md):
-#                    traced metrics runs of gemm and stencil2d, the
-#                    Perfetto trace validated against the format
-#                    contract, the stall attribution against the
-#                    conservation invariant, and the dump rendered as
-#                    Prometheus exposition through the scrape lint
+#                    traced metrics runs of gemm and stencil2d, plus a
+#                    warm (second-run) gemm, the Perfetto trace
+#                    validated against the format contract, the stall
+#                    attribution against the conservation invariant,
+#                    and the dump rendered as Prometheus exposition
+#                    through the scrape lint
 #  12. fuzz smoke    a short slice of `make fuzz-smoke`: the footprint-
 #                    algebra fuzz targets, the three-mode scheduling
 #                    equivalence fuzz (docs/SIMKERNEL.md), plus the
@@ -107,6 +108,9 @@ for w in gemm stencil2d; do
 	go run ./cmd/sdobs -validate-trace "/tmp/obs_$w.trace.json" -check "/tmp/obs_$w.json"
 	go run ./cmd/sdobs -prom "/tmp/obs_$w.json" >/dev/null
 done
+go run ./cmd/sdsim -w gemm -scale 2 -warm \
+	-metrics /tmp/obs_gemm_warm.json -trace-out /tmp/obs_gemm_warm.trace.json >/dev/null
+go run ./cmd/sdobs -validate-trace /tmp/obs_gemm_warm.trace.json -check /tmp/obs_gemm_warm.json
 
 echo "== fuzz smoke (short slice; make fuzz-smoke for full budget)"
 FUZZTIME=5s make fuzz-smoke

@@ -77,11 +77,19 @@ type (
 	MachineError = core.MachineError
 	// CanceledError is a run ended early by its context (caller cancel
 	// or wall-clock deadline): the machine was healthy, the host gave
-	// up. Returned by the RunContext family; unwraps to the context
+	// up. Returned by RunContext; unwraps to the context
 	// cause, so errors.Is(err, context.Canceled) works.
 	CanceledError = core.CanceledError
 	// Memory is the byte-addressable functional backing store.
 	Memory = mem.Memory
+)
+
+// Scheduling modes for Config.Sched (see docs/SIMKERNEL.md); every
+// mode simulates the same cycles.
+const (
+	SchedSpans    = core.SchedSpans
+	SchedWakeSet  = core.SchedWakeSet
+	SchedPerCycle = core.SchedPerCycle
 )
 
 // Hang classes a DeadlockError can carry.
@@ -195,8 +203,8 @@ type LintFinding = lint.Finding
 // that would run it; findings are returned in trace order.
 func LintProgram(p *Program, cfg Config) ([]LintFinding, error) { return lint.Check(p, cfg) }
 
-// LintHook adapts the linter to Machine.Lint, for use with
-// Machine.LoadStrict / RunStrict:
+// LintHook adapts the linter to Machine.Lint; once installed, every
+// Load (and so every Run) refuses a hazardous program:
 //
 //	m.Lint = softbrain.LintHook(m.Config())
 func LintHook(cfg Config) func(*Program) error { return lint.Hook(cfg) }
@@ -226,8 +234,9 @@ func LintPipeline(phases [][]*Program, cfg Config, o ClusterLintOpts) (LintResul
 	return lint.CheckPipeline(phases, cfg, o)
 }
 
-// ClusterLintHook adapts the cluster analysis to Cluster.Lint, for use
-// with Cluster.RunStrict / RunPipelineStrict:
+// ClusterLintHook adapts the cluster analysis to Cluster.Lint; once
+// installed, RunContext and RunPipeline refuse a racy program set
+// before any unit loads:
 //
 //	cl.Lint = softbrain.ClusterLintHook(cfg, softbrain.ClusterLintOpts{})
 func ClusterLintHook(cfg Config, o ClusterLintOpts) func([][]*Program) error {
