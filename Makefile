@@ -53,8 +53,11 @@ bench:
 # cross-check Extent/Overlaps/IndexFootprint against brute-force byte
 # enumeration; FuzzSpanEquivalence runs a seeded generated program —
 # optionally under a fault profile — in per-cycle, wake-set, and
-# span-retirement modes and demands identical statistics and memory
-# (docs/SIMKERNEL.md). Go runs one -fuzz pattern per invocation, so the
+# span-retirement modes and demands identical statistics and memory;
+# FuzzClusterEquivalence runs 2–8 units, each under its own generated
+# program, per-cycle and with default scheduling and demands identical
+# memory, per-unit statistics and metrics dumps (docs/SIMKERNEL.md).
+# Go runs one -fuzz pattern per invocation, so the
 # targets run sequentially. Override the budget with FUZZTIME=30s.
 # Ends with the barrier-interval slide check (docs/LINT.md): every
 # computed legal placement interval brute-force verified — analysis
@@ -66,11 +69,12 @@ fuzz-smoke:
 	go test ./internal/isa -run '^$$' -fuzz '^FuzzAffineOverlaps$$' -fuzztime $${FUZZTIME:-10s}
 	go test ./internal/isa -run '^$$' -fuzz '^FuzzIndexFootprint$$' -fuzztime $${FUZZTIME:-10s}
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSpanEquivalence$$' -fuzztime $${FUZZTIME:-10s}
+	go test ./internal/core -run '^$$' -fuzz '^FuzzClusterEquivalence$$' -fuzztime $${FUZZTIME:-10s}
 	go test ./internal/fix -run '^TestIntervalSlide' -count=1 -v
 
 # Observability end-to-end check (docs/OBSERVABILITY.md): metrics +
-# Perfetto trace runs of two workloads and of a warm (second-run) gemm,
-# the trace validated against the format contract and the stall
+# Perfetto trace runs of two workloads, of a warm (second-run) gemm and
+# of class1p on the 8-unit cluster, the trace validated against the format contract and the stall
 # attribution against the conservation invariant (causes sum exactly to
 # elapsed cycles per component).
 .PHONY: obs-check
@@ -81,6 +85,8 @@ obs-check:
 	go run ./cmd/sdobs -validate-trace /tmp/obs_stencil2d.trace.json -check /tmp/obs_stencil2d.json
 	go run ./cmd/sdsim -w gemm -scale 2 -warm -metrics /tmp/obs_gemm_warm.json -trace-out /tmp/obs_gemm_warm.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_gemm_warm.trace.json -check /tmp/obs_gemm_warm.json
+	go run ./cmd/sdsim -w class1p -metrics /tmp/obs_class1p.json -trace-out /tmp/obs_class1p.trace.json >/dev/null
+	go run ./cmd/sdobs -validate-trace /tmp/obs_class1p.trace.json -check /tmp/obs_class1p.json
 
 # sdserve self-test (docs/SERVE.md): start the service on a loopback
 # port, submit a workload, verify the cache hit on resubmission, the

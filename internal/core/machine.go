@@ -256,14 +256,19 @@ func (m *Machine) Done() bool {
 // the components whose cached wake hint, timed deadline, or watch
 // signal says they could act this cycle (see sim.Kernel); a skipped
 // component's per-cycle bookkeeping is replayed lazily by BeforeTick
-// just before its next real tick. With wake scheduling disabled
-// (SchedPerCycle, or per-cycle fault draws) every component ticks every
-// cycle. Component errors come back wrapped in a MachineError naming
-// the component and cycle; a fault-injected stall freezes the affected
-// stream engine for the cycle (see components.go).
+// just before its next real tick. Cycles the run loop did not step the
+// unit through since its last Step (a frozen window) are accounted
+// first, by onSkip. With wake scheduling disabled (SchedPerCycle, or
+// per-cycle fault draws) every component ticks every cycle. Component
+// errors come back wrapped in a MachineError naming the component and
+// cycle; a fault-injected stall freezes the affected stream engine for
+// the cycle (see components.go).
 func (m *Machine) Step(now uint64) error {
 	if m.noSkip {
 		return m.stepAll(now)
+	}
+	if from := uint64(m.lastStepped + 1); from < now {
+		m.onSkip(from, now)
 	}
 	// A deferred program error set by the core (the last component) on
 	// the previous cycle surfaces here — the same cycle the legacy

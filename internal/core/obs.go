@@ -211,8 +211,12 @@ func (m *Machine) classifySpan(from, to uint64) {
 
 // onSkip records an elided span [from, to) — the kernel only counts it
 // (slept components replay their own bookkeeping lazily, see
-// sim.Kernel) — and attributes its stall causes. The run loop calls
-// this for frozen jumps.
+// sim.Kernel) — and attributes its stall causes. Step calls it when a
+// unit resumes after a frozen window, so the window is attributed
+// lazily: a mid-run reader (the heartbeat's stall mix, a canceled run)
+// sees a frozen unit's attribution up to its last stepped cycle, never
+// past the current one. The unit's state is unchanged since then, so
+// the late classification is the one an eager replay would make.
 func (m *Machine) onSkip(from, to uint64) {
 	m.kern.Jump(from, to)
 	if m.attr != nil {

@@ -42,17 +42,26 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 	if ce := canceled(ctx, now); ce != nil {
 		return nil, ce
 	}
+	// Per-unit frozen jumps: wake[i] is the next cycle unit i steps at.
+	// While it lies ahead the unit is frozen — the loop skips its Step,
+	// progress read and wake probe — and Step replays the window when
+	// the unit resumes. prog[i] is the unit's progress counter as of its
+	// last step; a frozen unit's cannot move.
+	wake := make([]uint64, len(units))
+	prog := make([]uint64, len(units))
 	var lastProgress, lastChange, hbIter uint64
 	diagnosed := false
 	for running(units) {
+		var progSum uint64
 		for i, u := range units {
-			if u.Done() {
-				continue
+			if wake[i] <= now && !u.Done() {
+				cur = i
+				if err := u.Step(now); err != nil {
+					return nil, atUnit(err, i)
+				}
+				prog[i] = u.progress()
 			}
-			cur = i
-			if err := u.Step(now); err != nil {
-				return nil, atUnit(err, i)
-			}
+			progSum += prog[i]
 		}
 		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
 			if ce := canceled(ctx, now); ce != nil {
@@ -60,19 +69,17 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 			}
 			hb.beat(units, now)
 		}
-		var pr uint64
-		for _, u := range units {
-			pr += u.progress()
-		}
 		stillRunning := running(units) // a Step may have just finished its unit
-		if pr != lastProgress {
-			lastProgress, lastChange = pr, now
+		if progSum != lastProgress {
+			lastProgress, lastChange = progSum, now
 			diagnosed = false
 		} else if stillRunning {
 			idle := now - lastChange
 			// Quiescence: no progress for the grace period and no timed
 			// event pending in any running unit — provably stuck, so
 			// diagnose now rather than burning the full watchdog budget.
+			// A frozen unit has a timed event pending, so it is never
+			// quiescent and this check never needs its window replayed.
 			if idle >= quiesceGrace && !diagnosed && allQuiescent(units, now) {
 				de := diagnoseUnits(units, now)
 				if de.Class != HangUnknown || !anyFaults {
@@ -93,44 +100,48 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 		}
 		next := now + 1
 		if stillRunning {
-			// Frozen jump: when every running unit is asleep and the
-			// earliest wake is a known future cycle, jump there — the
-			// units are frozen (nothing Ready, no watch signal moved),
-			// so the elided cycles are provably no-ops and the kernels
-			// only record them; slept components replay their
-			// bookkeeping lazily before their next tick. A unit with
-			// wake scheduling disabled reports Ready and vetoes. The
-			// target is capped at the cycle the watchdog would fire, so
-			// a hung run diagnoses at exactly the cycle the unskipped
-			// run would; skipped spans contain no quiescent cycle (a
-			// timed event is pending throughout), so no quiescence
-			// check is bypassed.
-			h := sim.Idle()
-			for _, u := range units {
-				if !u.Done() {
-					h = h.Earliest(u.NextWake(now))
-				}
-			}
-			if h.Kind == sim.WakeTimed && h.At > next {
-				target := h.At
-				if deadline := lastChange + watchdog + 1; target > deadline {
-					target = deadline
-				}
-				if target > next {
-					for _, u := range units {
-						if !u.Done() {
-							u.onSkip(next, target)
-						}
+			// Freeze each unit stepped this cycle whose wake is a known
+			// future cycle: the loop skips it until then, capped at the
+			// cycle the watchdog would fire, so a hung run diagnoses at
+			// exactly the cycle the unskipped run would. Peers cannot
+			// thaw it early: a unit's wake hints, watch signatures and
+			// stall causes read only its own state (cache, MSHRs, accept
+			// port, ports, engines), and the backing memory and DRAM
+			// token bucket it shares are reached only through its own
+			// ticks. A unit with wake scheduling disabled reports Ready
+			// and never freezes; an Idle (hung) unit neither freezes nor
+			// holds back the jump below.
+			deadline := lastChange + watchdog + 1
+			target := ^uint64(0) // the earliest wake of a unit that is not idle
+			for i, u := range units {
+				if wake[i] <= now { // stepped this cycle, or done
+					if u.Done() {
+						continue
 					}
-					next = target
+					h := u.NextWake(now)
+					if h.Kind == sim.WakeIdle {
+						continue
+					}
+					wake[i] = next
+					if h.Kind == sim.WakeTimed && h.At > next {
+						wake[i] = min(h.At, deadline)
+					}
 				}
+				target = min(target, wake[i])
+			}
+			if target > next && target != ^uint64(0) {
+				// Every running unit is frozen or idle: jump to the
+				// earliest wake. Skipped spans contain no quiescent
+				// cycle (a timed event is pending throughout), so no
+				// quiescence check is bypassed.
+				next = target
 			} else if len(units) == 1 {
 				// Span retirement, for lone units only: peers share DRAM
 				// arbitration, which a batched unit could reorder. When
 				// one component is due and the rest sleep, its ticks
 				// batch in one call (see Machine.retireSpan), capped at
-				// the watchdog deadline like the jump above.
-				n, err := units[0].retireSpan(next, lastChange+watchdog+1)
+				// the watchdog deadline like a frozen unit.
+				n, err := units[0].retireSpan(next, deadline)
 				if err != nil {
 					return nil, atUnit(err, 0)
 				}

@@ -192,12 +192,12 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 		name, help string
 		v          uint64
 	}{
-		{"serve_sched_cycles_total", "scheduler cycles stepped (not jumped)", sched.Cycles},
+		{"serve_sched_cycles_total", "unit-cycles stepped (not jumped)", sched.Cycles},
 		{"serve_sched_comp_ticks_total", "component ticks executed", sched.CompTicks},
 		{"serve_sched_comp_sleeps_total", "component-cycles slept during stepped cycles", sched.CompSleeps},
 		{"serve_sched_sig_wakes_total", "wakes caused by watch-signature changes", sched.SigWakes},
-		{"serve_sched_jumps_total", "machine-level frozen jumps taken", sched.Jumps},
-		{"serve_sched_skipped_cycles_total", "cycles elided by frozen jumps", sched.Skipped},
+		{"serve_sched_jumps_total", "per-unit frozen jumps taken", sched.Jumps},
+		{"serve_sched_skipped_cycles_total", "unit-cycles elided by frozen jumps", sched.Skipped},
 		{"serve_sched_spans_total", "multi-cycle spans retired in one call", sched.Spans},
 		{"serve_sched_span_cycles_total", "cycles covered by retired spans", sched.SpanCycles},
 	} {

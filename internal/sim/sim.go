@@ -162,14 +162,16 @@ type Skipper interface {
 // event-driven win to be attributable rather than a wall-clock delta.
 // It is deliberately not part of the obs metrics dump: dumps are
 // byte-compared across scheduling modes, and these counters exist to
-// differ between modes.
+// differ between modes. The counters are per unit: in a cluster each
+// unit steps and freezes on its own, and every cycle up to a unit's
+// last step is counted in exactly one of Cycles and Skipped.
 type SchedStats struct {
-	Cycles     uint64 // cycles stepped by the run loop (not jumped)
+	Cycles     uint64 // cycles the run loop stepped this unit (not jumped)
 	CompTicks  uint64 // component ticks actually executed
 	CompSleeps uint64 // component-cycles slept during stepped cycles
 	SigWakes   uint64 // wakes caused by a watch-signature change
-	Jumps      uint64 // machine-level frozen jumps taken
-	Skipped    uint64 // cycles elided by frozen jumps
+	Jumps      uint64 // frozen jumps: runs of cycles the run loop did not step this unit
+	Skipped    uint64 // cycles elided by this unit's frozen jumps
 	Spans      uint64 // multi-cycle spans retired in one call
 	SpanCycles uint64 // cycles covered by retired spans
 
@@ -523,8 +525,8 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(int, uint64) 
 }
 
 // Jump records a frozen jump over cycles [from, to): every component
-// was asleep, so the span lands in each one's lazy replay span; only
-// the statistics move here.
+// of the unit was asleep, so the span lands in each one's lazy replay
+// span; only the statistics move here.
 func (k *Kernel) Jump(from, to uint64) {
 	if to <= from {
 		return

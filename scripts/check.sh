@@ -31,15 +31,17 @@
 #                    ratchet measures wall time and transient host load
 #                    is not a regression (see docs/SIMKERNEL.md)
 #  11. obs           observability end-to-end (docs/OBSERVABILITY.md):
-#                    traced metrics runs of gemm and stencil2d, plus a
-#                    warm (second-run) gemm, the Perfetto trace
+#                    traced metrics runs of gemm and stencil2d, a warm
+#                    (second-run) gemm, and class1p on the 8-unit
+#                    cluster, the Perfetto trace
 #                    validated against the format contract, the stall
 #                    attribution against the conservation invariant,
 #                    and the dump rendered as Prometheus exposition
 #                    through the scrape lint
 #  12. fuzz smoke    a short slice of `make fuzz-smoke`: the footprint-
 #                    algebra fuzz targets, the three-mode scheduling
-#                    equivalence fuzz (docs/SIMKERNEL.md), plus the
+#                    equivalence fuzz and the per-cycle vs default
+#                    cluster equivalence fuzz (docs/SIMKERNEL.md), plus the
 #                    barrier-interval slide verification (docs/LINT.md);
 #                    `make fuzz-smoke` runs the full budget
 #  13. serve smoke   sdserve's in-process self-test (docs/SERVE.md):
@@ -111,6 +113,9 @@ done
 go run ./cmd/sdsim -w gemm -scale 2 -warm \
 	-metrics /tmp/obs_gemm_warm.json -trace-out /tmp/obs_gemm_warm.trace.json >/dev/null
 go run ./cmd/sdobs -validate-trace /tmp/obs_gemm_warm.trace.json -check /tmp/obs_gemm_warm.json
+go run ./cmd/sdsim -w class1p \
+	-metrics /tmp/obs_class1p.json -trace-out /tmp/obs_class1p.trace.json >/dev/null
+go run ./cmd/sdobs -validate-trace /tmp/obs_class1p.trace.json -check /tmp/obs_class1p.json
 
 echo "== fuzz smoke (short slice; make fuzz-smoke for full budget)"
 FUZZTIME=5s make fuzz-smoke
