@@ -26,7 +26,7 @@ func main() {
 	validate := flag.String("validate-trace", "", "validate a Chrome/Perfetto trace-event JSON file")
 	check := flag.String("check", "", "check the conservation invariant on a metrics dump")
 	bw := flag.String("bw", "", "render the bandwidth table from a metrics dump")
-	peak := flag.Float64("peak", 16, "peak memory bandwidth in bytes/cycle for the -bw table")
+	peak := flag.Float64("peak", 16, "DRAM line rate in bytes/cycle (line bytes / miss interval) for the -bw table")
 	prom := flag.String("prom", "", "render a metrics dump as Prometheus text exposition")
 	flag.Parse()
 

@@ -203,8 +203,8 @@ func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 		return fmt.Errorf("stall attribution broke conservation: %w", err)
 	}
 	fmt.Printf("%s: verified OK on %d unit(s), %d cycles\n\n", inst.Name, units, stats.Cycles)
-	peak := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
-	fmt.Print(obs.BandwidthTable(dump, peak))
+	lineRate := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
+	fmt.Print(obs.BandwidthTable(dump, lineRate))
 	if metricsPath != "" {
 		// The wake-set scheduler's own counters come from a separate,
 		// identically warm run: attaching the metrics registry forces

@@ -134,8 +134,8 @@ func (c *Cluster) validateUnits() error {
 	return nil
 }
 
-// FaultStats sums the injected-fault counts across all units; zero when
-// faults are disabled.
+// FaultStats sums the faults injected during the last run across all
+// units (see Machine.FaultStats); zero when faults are disabled.
 func (c *Cluster) FaultStats() faults.Stats {
 	var total faults.Stats
 	for _, u := range c.Units {

@@ -488,18 +488,18 @@ func (d *diagnoser) whyQueued(i int) finding {
 	if err != nil {
 		return unknownFinding
 	}
-	for _, p := range inW {
-		if id := d.m.disp.Holder(p); id >= 0 {
+	if inW >= 0 {
+		if id := d.m.disp.Holder(inW); id >= 0 {
 			if s, ok := d.streamByID(id); ok {
-				d.push(fmt.Sprintf("%v waits for %s to release in%d", cmd.Kind(), s.Name(), p))
+				d.push(fmt.Sprintf("%v waits for %s to release in%d", cmd.Kind(), s.Name(), inW))
 				return d.whyStream(s)
 			}
 		}
 	}
-	for _, p := range inR {
+	if inR >= 0 {
 		for _, s := range d.streams {
-			if s.IdxIn == p {
-				d.push(fmt.Sprintf("%v waits for %s to release indices on in%d", cmd.Kind(), s.Name(), p))
+			if s.IdxIn == inR {
+				d.push(fmt.Sprintf("%v waits for %s to release indices on in%d", cmd.Kind(), s.Name(), inR))
 				return d.whyStream(s)
 			}
 		}
@@ -605,15 +605,7 @@ func isBarrier(k isa.Kind) bool {
 
 func writesInPort(cmd isa.Command, p int) bool {
 	inW, _, _, err := dispatch.CommandPorts(cmd)
-	if err != nil {
-		return false
-	}
-	for _, w := range inW {
-		if w == p {
-			return true
-		}
-	}
-	return false
+	return err == nil && inW == p
 }
 
 func readsOutPort(cmd isa.Command, o int) bool {

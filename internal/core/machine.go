@@ -9,7 +9,6 @@ import (
 	"softbrain/internal/dispatch"
 	"softbrain/internal/engine"
 	"softbrain/internal/faults"
-	"softbrain/internal/isa"
 	"softbrain/internal/mem"
 	"softbrain/internal/obs"
 	"softbrain/internal/port"
@@ -89,7 +88,8 @@ type Machine struct {
 	busyUntil uint64
 	coreInstr uint64
 	coreStall uint64
-	base      counters // activity counters when the current run loaded
+	base      counters     // activity counters when the current run loaded
+	faultBase faults.Stats // injected-fault counts when the current run loaded
 
 	configErr error // deferred error from the config-install callback
 
@@ -209,9 +209,11 @@ func (m *Machine) onConfig(addr uint64) {
 }
 
 // Load prepares the machine to run p, vetting it through the Lint hook
-// first when one is installed. The command stream is round-tripped
-// through the binary ISA encoding, so the machine executes the
-// architecturally encodable program, not arbitrary Go values.
+// first when one is installed. The program is sealed first: its command
+// stream round-trips through the binary ISA encoding once per program,
+// before its first run, so the machine executes the architecturally
+// encodable program, not arbitrary Go values. Load never modifies p
+// otherwise, so machines may load one program concurrently.
 func (m *Machine) Load(p *Program) error {
 	if err := p.Err(); err != nil {
 		return err
@@ -221,7 +223,7 @@ func (m *Machine) Load(p *Program) error {
 			return fmt.Errorf("core: refusing to load %s: %w", p.Name, err)
 		}
 	}
-	if err := p.roundTrip(); err != nil {
+	if err := p.seal(); err != nil {
 		return err
 	}
 	for addr, blob := range p.Configs {
@@ -244,6 +246,9 @@ func (m *Machine) Load(p *Program) error {
 		m.EnableTrace(m.tracer.Limit)
 	}
 	m.base = m.counters()
+	if m.faults != nil {
+		m.faultBase = m.faults.Stats()
+	}
 	return nil
 }
 
@@ -427,13 +432,14 @@ func (m *Machine) stalled(e faults.Engine, now uint64) bool {
 	return m.faults != nil && m.faults.Stalled(e, now)
 }
 
-// FaultStats returns the injected-fault counts, zero when faults are
-// disabled.
+// FaultStats returns the faults injected during the current run, zero
+// when faults are disabled. The injector's random stream spans the
+// machine's runs; only the counts restart at each Load.
 func (m *Machine) FaultStats() faults.Stats {
 	if m.faults == nil {
 		return faults.Stats{}
 	}
-	return m.faults.Stats()
+	return m.faults.Stats().Since(m.faultBase)
 }
 
 // mark records per-lane activity for the execution trace.
@@ -631,18 +637,7 @@ func (s *Stats) Add(other *Stats) {
 	}
 }
 
-// StallBreakdown exposes the dispatcher's per-command stall counters for
-// performance debugging.
-func (m *Machine) StallBreakdown() map[isa.Kind]uint64 { return m.disp.StallByKind }
-
 // BarrierDrains reports per-barrier drain cycles keyed by trace
 // position, sorted by position — the profile the fix pass's cost-aware
 // placement consumes (see internal/fix).
 func (m *Machine) BarrierDrains() []dispatch.BarrierDrain { return m.disp.BarrierDrains() }
-
-// DebugState renders a one-line snapshot of the dispatcher queue and
-// port occupancy for performance debugging.
-func (m *Machine) DebugState() string {
-	return fmt.Sprintf("q=%d %v | %s | %s", m.disp.QueueLen(), m.disp.QueueKinds(),
-		m.mse.DebugStreams(0), strings.ReplaceAll(m.snapshot(), "\n", " ; "))
-}

@@ -7,6 +7,7 @@ import (
 
 	"softbrain/internal/cgra"
 	"softbrain/internal/dfg"
+	"softbrain/internal/faults"
 	"softbrain/internal/isa"
 )
 
@@ -473,5 +474,82 @@ func TestControlInstructionReduction(t *testing.T) {
 		words, scalarInstrs, ratio)
 	if ratio < Ni/4 {
 		t.Errorf("instruction reduction only %.0fx; paper claims roughly Ni=%d", ratio, Ni)
+	}
+}
+
+// TestFaultStatsPerRun checks that FaultStats reports the current run
+// alone: a cold and a warm run of one machine each draw faults, and
+// their counts sum to the injector's lifetime count (the random stream
+// itself spans the runs).
+func TestFaultStatsPerRun(t *testing.T) {
+	cfg := DefaultConfig()
+	fc, err := faults.Profile("delay", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = &fc
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 480
+	p := NewProgram("dotprod")
+	p.CompileAndConfigure(m.Config().Fabric, dotProdGraph(t))
+	p.Emit(isa.MemPort{Src: isa.Linear(0x1000, n*8), Dst: p.In("A")})
+	p.Emit(isa.MemPort{Src: isa.Linear(0x8000, n*8), Dst: p.In("B")})
+	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x10000, n/3*8)})
+	p.Emit(isa.BarrierAll{})
+	var runs []faults.Stats
+	for i := 0; i < 2; i++ {
+		if _, err := m.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, m.FaultStats())
+	}
+	cold, warm := runs[0], runs[1]
+	if cold.MemDelays == 0 || warm.MemDelays == 0 {
+		t.Fatalf("want delays in both runs: cold %v, warm %v", cold, warm)
+	}
+	if life := m.faults.Stats(); life.Since(cold) != warm {
+		t.Errorf("cold %v + warm %v != lifetime %v", cold, warm, life)
+	}
+}
+
+// fakeCmd is a command the binary ISA cannot encode.
+type fakeCmd struct{}
+
+func (fakeCmd) Kind() isa.Kind { return isa.KindBarrierAll }
+func (fakeCmd) Words() int     { return 1 }
+func (fakeCmd) String() string { return "fake" }
+
+// TestProgramSeal checks the once-per-program ISA round trip: Load
+// seals the program, the emitters reopen the seal, and a program that
+// fails the round trip keeps failing on every Load.
+func TestProgramSeal(t *testing.T) {
+	m, err := NewMachine(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProgram("sealed")
+	p.Emit(isa.BarrierAll{})
+	if err := m.Load(p); err != nil {
+		t.Fatal(err)
+	}
+	if !p.sealed {
+		t.Error("Load left the program unsealed")
+	}
+	p.Delay(3)
+	if p.sealed {
+		t.Error("Delay did not reopen the seal")
+	}
+
+	bad := NewProgram("bad")
+	bad.Trace = append(bad.Trace, TraceOp{Cmd: fakeCmd{}})
+	first := m.Load(bad)
+	if first == nil {
+		t.Fatal("unencodable program loaded")
+	}
+	if again := m.Load(bad); again == nil || again.Error() != first.Error() {
+		t.Errorf("second Load = %v, want %v", again, first)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"softbrain/internal/cgra"
@@ -34,6 +35,13 @@ type TraceOp struct {
 // methods, which resolve DFG port names against the active configuration
 // exactly as the paper's wrapper API does; the first error sticks and is
 // reported by Err or at load time.
+//
+// The first Machine.Load seals the program: its trace round-trips
+// through the binary ISA once, and every later Load reuses the result,
+// so machines on several goroutines may load and run one program at
+// the same time. Emit, Delay and Configure reopen the seal. Assigning
+// to Trace directly after a Load is unsupported: clone the program and
+// edit the copy instead.
 type Program struct {
 	Name string
 	// Configs holds the encoded configuration bitstream per memory
@@ -44,6 +52,10 @@ type Program struct {
 
 	cur *cgra.Schedule
 	err error
+
+	sealMu  sync.Mutex
+	sealed  bool  // the trace has round-tripped since its last emitter edit
+	sealErr error // the round trip's outcome, returned by every Load
 }
 
 // NewProgram returns an empty program.
@@ -66,12 +78,14 @@ func (p *Program) Emit(cmd isa.Command) {
 		p.fail("%v", err)
 		return
 	}
+	p.unseal()
 	p.Trace = append(p.Trace, TraceOp{Cmd: cmd})
 }
 
 // Delay models host-side computation between commands.
 func (p *Program) Delay(cycles uint64) {
 	if cycles > 0 {
+		p.unseal()
 		p.Trace = append(p.Trace, TraceOp{Delay: cycles})
 	}
 }
@@ -162,9 +176,29 @@ func (p *Program) Assemble() ([]uint64, error) {
 	return isa.EncodeProgram(cmds)
 }
 
+// seal round-trips the trace once per program, before its first run
+// (see Program). A failed round trip keeps failing on every Load.
+func (p *Program) seal() error {
+	p.sealMu.Lock()
+	defer p.sealMu.Unlock()
+	if !p.sealed {
+		p.sealErr, p.sealed = p.roundTrip(), true
+	}
+	return p.sealErr
+}
+
+// unseal marks the trace edited: the next Load round-trips it again.
+func (p *Program) unseal() {
+	p.sealMu.Lock()
+	p.sealed = false
+	p.sealMu.Unlock()
+}
+
 // roundTrip re-encodes and decodes every command, so the machine
 // executes exactly what the binary ISA can express — any drift between
-// a command value and its encoding surfaces as a load-time error.
+// a command value and its encoding surfaces as a load-time error. Only
+// a command the round trip changed is written back, so a program whose
+// commands are already canonical is only read.
 func (p *Program) roundTrip() error {
 	words, err := p.Assemble()
 	if err != nil {
@@ -182,7 +216,9 @@ func (p *Program) roundTrip() error {
 		if i >= len(decoded) {
 			return fmt.Errorf("program %s: decode lost commands", p.Name)
 		}
-		p.Trace[t].Cmd = decoded[i]
+		if p.Trace[t].Cmd != decoded[i] {
+			p.Trace[t].Cmd = decoded[i]
+		}
 		i++
 	}
 	if i != len(decoded) {

@@ -28,22 +28,23 @@ const (
 	engBarrier
 )
 
-// resources lists the scoreboard entries a command needs. A port may be
+// resources lists the scoreboard entries a command needs: every command
+// touches at most one port per role, -1 when it has none. A port may be
 // held in the writer role (a stream producing into it) and the reader
 // role (a stream consuming from it) by different streams simultaneously —
 // that is how index streams feed indirect streams concurrently.
 type resources struct {
 	engine    engineKind
-	inWriters []int // input ports written
-	inReaders []int // input (indirect) ports consumed
-	outReader int   // output port consumed, -1 if none
+	inWriter  int // input port written
+	inReader  int // input (indirect) port consumed
+	outReader int // output port consumed
 }
 
 // classify derives the resource needs of a command.
 func classify(cmd isa.Command) (resources, error) {
-	r := resources{outReader: -1}
+	var r resources
 	var err error
-	r.inWriters, r.inReaders, r.outReader, err = CommandPorts(cmd)
+	r.inWriter, r.inReader, r.outReader, err = CommandPorts(cmd)
 	if err != nil {
 		return r, err
 	}
@@ -64,27 +65,27 @@ func classify(cmd isa.Command) (resources, error) {
 	return r, nil
 }
 
-// CommandPorts lists the vector ports cmd touches: input ports it
-// writes, input ports it consumes for indirect indices, and the output
-// port it reads (-1 when none). The core's hang diagnosis uses it to
-// find the future supplier of a starved port among queued and unfetched
-// commands.
-func CommandPorts(cmd isa.Command) (inWriters, inReaders []int, outReader int, err error) {
-	outReader = -1
+// CommandPorts names the vector ports cmd touches, -1 for a role it does
+// not have: the input port it writes, the input port it consumes for
+// indirect indices, and the output port it reads. The core's hang
+// diagnosis uses it to find the future supplier of a starved port among
+// queued and unfetched commands.
+func CommandPorts(cmd isa.Command) (inWriter, inReader, outReader int, err error) {
+	inWriter, inReader, outReader = -1, -1, -1
 	switch c := cmd.(type) {
 	case isa.Config, isa.MemScratch,
 		isa.BarrierScratchRd, isa.BarrierScratchWr, isa.BarrierAll:
 	case isa.MemPort:
-		inWriters = []int{int(c.Dst)}
+		inWriter = int(c.Dst)
 	case isa.IndPortPort:
-		inWriters = []int{int(c.Dst)}
-		inReaders = []int{int(c.Idx)}
+		inWriter = int(c.Dst)
+		inReader = int(c.Idx)
 	case isa.ScratchPort:
-		inWriters = []int{int(c.Dst)}
+		inWriter = int(c.Dst)
 	case isa.ConstPort:
-		inWriters = []int{int(c.Dst)}
+		inWriter = int(c.Dst)
 	case isa.PortPort:
-		inWriters = []int{int(c.Dst)}
+		inWriter = int(c.Dst)
 		outReader = int(c.Src)
 	case isa.CleanPort:
 		outReader = int(c.Src)
@@ -93,12 +94,12 @@ func CommandPorts(cmd isa.Command) (inWriters, inReaders []int, outReader int, e
 	case isa.PortMem:
 		outReader = int(c.Src)
 	case isa.IndPortMem:
-		inReaders = []int{int(c.Idx)}
+		inReader = int(c.Idx)
 		outReader = int(c.Src)
 	default:
 		err = fmt.Errorf("dispatch: unknown command %v", cmd)
 	}
-	return inWriters, inReaders, outReader, err
+	return inWriter, inReader, outReader, err
 }
 
 // holder is one stream occupying a scoreboard entry. A draining holder
@@ -108,6 +109,13 @@ func CommandPorts(cmd isa.Command) (inWriters, inReaders []int, outReader int, e
 type holder struct {
 	id       int
 	draining bool
+}
+
+// activeStream is one issued stream holding scoreboard entries.
+type activeStream struct {
+	id  int
+	res resources
+	at  uint64 // issue cycle, for the latency histogram
 }
 
 // Dispatcher owns the command queue and the scoreboards.
@@ -121,10 +129,13 @@ type Dispatcher struct {
 	queue         []queued
 	now           uint64
 
-	inWriter  map[int][]holder // port -> holding streams (youngest last)
-	inReader  map[int]int
-	outReader map[int]int
-	active    map[int]resources
+	// Scoreboards, indexed by port. Stream ids start at 1, so a free
+	// reader entry reads 0. active is the issued streams, a table small
+	// enough to scan.
+	inWriter  [][]holder // holding streams per input port (youngest last)
+	inReader  []int
+	outReader []int
+	active    []activeStream
 	nextID    int
 
 	configActive bool
@@ -138,16 +149,13 @@ type Dispatcher struct {
 	Tracer *trace.Recorder
 
 	// Lat, installed by EnableLatency, observes each stream's
-	// issue-to-retire latency. issuedAt exists only while enabled, so
-	// the tick path allocates nothing when metrics are off.
-	Lat      *obs.Histogram
-	issuedAt map[int]uint64
+	// issue-to-retire latency.
+	Lat *obs.Histogram
 
 	// Statistics.
 	Issued        uint64
 	BarrierCycles uint64 // cycles a barrier held the queue head
 	ResourceStall uint64 // cycles the head command waited on resources
-	StallByKind   map[isa.Kind]uint64
 
 	// Per-barrier drain accounting, keyed by the trace position the
 	// core passed to EnqueueAt (-1 entries are not tracked). A barrier
@@ -167,7 +175,6 @@ type Dispatcher struct {
 	repeatBarrier  bool
 	repeatPos      int
 	repeatResource bool
-	repeatKind     isa.Kind
 
 	// Wake signals (see sim.Signal). EnqSeq counts accepted enqueues —
 	// the dispatcher's own watch includes it so a command arriving from
@@ -198,23 +205,19 @@ func New(mse *engine.MSE, sse *engine.SSE, rse *engine.RSE, numIn, numOut, queue
 	return &Dispatcher{
 		mse: mse, sse: sse, rse: rse,
 		numIn: numIn, numOut: numOut, queueDepth: queueDepth,
-		inWriter:    map[int][]holder{},
-		inReader:    map[int]int{},
-		outReader:   map[int]int{},
-		active:      map[int]resources{},
-		nextID:      1,
-		StallByKind: map[isa.Kind]uint64{},
-		touchIn:     make([]uint64, numIn),
-		touchOut:    make([]uint64, numOut),
+		queue:     make([]queued, 0, queueDepth),
+		inWriter:  make([][]holder, numIn),
+		inReader:  make([]int, numIn),
+		outReader: make([]int, numOut),
+		nextID:    1,
+		touchIn:   make([]uint64, numIn),
+		touchOut:  make([]uint64, numOut),
 	}
 }
 
 // EnableLatency installs a histogram observing each stream's
 // issue-to-retire latency in cycles.
-func (d *Dispatcher) EnableLatency(h *obs.Histogram) {
-	d.Lat = h
-	d.issuedAt = map[int]uint64{}
-}
+func (d *Dispatcher) EnableLatency(h *obs.Histogram) { d.Lat = h }
 
 // CanEnqueue reports whether the command queue has room; when it does
 // not, the control core stalls.
@@ -238,13 +241,8 @@ func (d *Dispatcher) EnqueueAt(cmd isa.Command, pos int, now uint64) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range r.inWriters {
-		if p < 0 || p >= d.numIn {
-			return fmt.Errorf("dispatch: %v references input port %d of %d", cmd, p, d.numIn)
-		}
-	}
-	for _, p := range r.inReaders {
-		if p < 0 || p >= d.numIn {
+	for _, p := range [...]int{r.inWriter, r.inReader} {
+		if p >= d.numIn {
 			return fmt.Errorf("dispatch: %v references input port %d of %d", cmd, p, d.numIn)
 		}
 	}
@@ -279,11 +277,10 @@ func (d *Dispatcher) BarrierDrains() []BarrierDrain {
 	return out
 }
 
-// ResetProfile clears the per-run profiles, barrier drains and stall
-// counts by command kind, for a dispatcher starting a new run.
+// ResetProfile clears the per-run barrier-drain profile, for a
+// dispatcher starting a new run.
 func (d *Dispatcher) ResetProfile() {
 	d.drainByPos, d.drainKind = nil, nil
-	clear(d.StallByKind)
 }
 
 // BlocksCore reports whether the core must stall: the queue is full or
@@ -342,29 +339,25 @@ func (d *Dispatcher) Tick(now uint64) error {
 				if err := d.start(id, cmd, r.engine); err != nil {
 					return err
 				}
-				d.active[id] = r
+				d.active = append(d.active, activeStream{id: id, res: r, at: now})
 				d.configActive = true
 				d.configID = id
 				if d.Tracer != nil {
 					d.Tracer.Issued(id, cmd.String(), q.at, now)
 				}
-				if d.issuedAt != nil {
-					d.issuedAt[id] = now
-				}
-				d.queue = d.queue[1:]
+				d.dequeue(0)
 				d.Issued++
 				d.tickProgress = true
 				d.StateVer.Raise()
 			} else if i == 0 {
 				d.ResourceStall++
-				d.StallByKind[cmd.Kind()]++
-				d.repeatResource, d.repeatKind = true, cmd.Kind()
+				d.repeatResource = true
 			}
 			return nil
 		}
 		if r.engine == engBarrier {
 			if i == 0 && d.barrierMet(cmd.Kind()) {
-				d.queue = d.queue[1:]
+				d.dequeue(0)
 				d.tickProgress = true
 				d.StateVer.Raise()
 			} else if i == 0 {
@@ -378,13 +371,10 @@ func (d *Dispatcher) Tick(now uint64) error {
 			return nil
 		}
 		conflict := false
-		for _, p := range r.inWriters {
-			if d.touchIn[p] == gen {
-				conflict = true
+		for _, p := range [...]int{r.inWriter, r.inReader} {
+			if p < 0 {
+				continue
 			}
-			d.touchIn[p] = gen
-		}
-		for _, p := range r.inReaders {
 			if d.touchIn[p] == gen {
 				conflict = true
 			}
@@ -399,8 +389,7 @@ func (d *Dispatcher) Tick(now uint64) error {
 		if conflict || !d.resourcesFree(r) {
 			if i == 0 {
 				d.ResourceStall++
-				d.StallByKind[cmd.Kind()]++
-				d.repeatResource, d.repeatKind = true, cmd.Kind()
+				d.repeatResource = true
 				if d.InOrderIssue {
 					return nil
 				}
@@ -412,23 +401,20 @@ func (d *Dispatcher) Tick(now uint64) error {
 		if err := d.start(id, cmd, r.engine); err != nil {
 			return err
 		}
-		for _, p := range r.inWriters {
+		if p := r.inWriter; p >= 0 {
 			d.inWriter[p] = append(d.inWriter[p], holder{id: id})
 		}
-		for _, p := range r.inReaders {
+		if p := r.inReader; p >= 0 {
 			d.inReader[p] = id
 		}
 		if r.outReader >= 0 {
 			d.outReader[r.outReader] = id
 		}
-		d.active[id] = r
+		d.active = append(d.active, activeStream{id: id, res: r, at: now})
 		if d.Tracer != nil {
 			d.Tracer.Issued(id, cmd.String(), q.at, now)
 		}
-		if d.issuedAt != nil {
-			d.issuedAt[id] = now
-		}
-		d.queue = append(d.queue[:i], d.queue[i+1:]...)
+		d.dequeue(i)
 		d.Issued++
 		d.tickProgress = true
 		d.StateVer.Raise()
@@ -491,7 +477,6 @@ func (d *Dispatcher) OnSkip(from, to uint64) {
 	}
 	if d.repeatResource {
 		d.ResourceStall += dc
-		d.StallByKind[d.repeatKind] += dc
 	}
 }
 
@@ -501,6 +486,11 @@ type queued struct {
 	res resources // classified once at enqueue
 	at  uint64    // enqueue cycle
 	pos int       // trace position, -1 when unknown
+}
+
+// dequeue removes queue entry i in place, keeping the window's storage.
+func (d *Dispatcher) dequeue(i int) {
+	d.queue = append(d.queue[:i], d.queue[i+1:]...)
 }
 
 func (d *Dispatcher) start(id int, cmd isa.Command, k engineKind) error {
@@ -542,7 +532,7 @@ func (d *Dispatcher) resourcesFree(r resources) bool {
 			return false
 		}
 	}
-	for _, p := range r.inWriters {
+	if p := r.inWriter; p >= 0 {
 		for _, h := range d.inWriter[p] {
 			if !h.draining {
 				return false
@@ -554,17 +544,10 @@ func (d *Dispatcher) resourcesFree(r resources) bool {
 			return false
 		}
 	}
-	for _, p := range r.inReaders {
-		if _, held := d.inReader[p]; held {
-			return false
-		}
+	if r.inReader >= 0 && d.inReader[r.inReader] != 0 {
+		return false
 	}
-	if r.outReader >= 0 {
-		if _, held := d.outReader[r.outReader]; held {
-			return false
-		}
-	}
-	return true
+	return r.outReader < 0 || d.outReader[r.outReader] == 0
 }
 
 func (d *Dispatcher) barrierMet(k isa.Kind) bool {
@@ -582,74 +565,78 @@ func (d *Dispatcher) barrierMet(k isa.Kind) bool {
 // retire frees the scoreboard entries of completed streams and
 // downgrades drained memory streams to the all-requests-in-flight state.
 func (d *Dispatcher) retire(now uint64) {
-	free := func(ids []int) {
-		for _, id := range ids {
-			d.Tracer.Completed(id, now)
-			if d.issuedAt != nil {
-				if t, ok := d.issuedAt[id]; ok {
-					d.Lat.Observe(now - t)
-					delete(d.issuedAt, id)
-				}
-			}
-			r, ok := d.active[id]
-			if !ok {
-				continue
-			}
-			d.tickProgress = true
-			d.StateVer.Raise()
-			for _, p := range r.inWriters {
-				hs := d.inWriter[p][:0]
-				for _, h := range d.inWriter[p] {
-					if h.id != id {
-						hs = append(hs, h)
-					}
-				}
-				if len(hs) == 0 {
-					delete(d.inWriter, p)
-				} else {
-					d.inWriter[p] = hs
-				}
-			}
-			for _, p := range r.inReaders {
-				if d.inReader[p] == id {
-					delete(d.inReader, p)
-				}
-			}
-			if r.outReader >= 0 && d.outReader[r.outReader] == id {
-				delete(d.outReader, r.outReader)
-			}
-			if d.configActive && id == d.configID {
-				d.configActive = false
-			}
-			delete(d.active, id)
-		}
-	}
-	free(d.mse.Done())
-	free(d.sse.Done())
-	free(d.rse.Done())
+	d.free(d.mse.Done(), now)
+	d.free(d.sse.Done(), now)
+	d.free(d.rse.Done(), now)
 
 	// All-requests-in-flight: mark destination ports takeover-ready and
 	// release indirect-port reader holds (indices fully consumed).
 	for _, id := range d.mse.Drained() {
-		r, ok := d.active[id]
-		if !ok {
+		i := d.activeIndex(id)
+		if i < 0 {
 			continue
 		}
+		r := d.active[i].res
 		d.tickProgress = true
 		d.StateVer.Raise()
-		for _, p := range r.inWriters {
-			for i := range d.inWriter[p] {
-				if d.inWriter[p][i].id == id {
-					d.inWriter[p][i].draining = true
+		if p := r.inWriter; p >= 0 {
+			for j := range d.inWriter[p] {
+				if d.inWriter[p][j].id == id {
+					d.inWriter[p][j].draining = true
 				}
 			}
 		}
-		for _, p := range r.inReaders {
-			if d.inReader[p] == id {
-				delete(d.inReader, p)
-			}
+		if p := r.inReader; p >= 0 && d.inReader[p] == id {
+			d.inReader[p] = 0
 		}
 	}
+}
+
+// free releases the scoreboard entries of the completed streams ids.
+func (d *Dispatcher) free(ids []int, now uint64) {
+	for _, id := range ids {
+		d.Tracer.Completed(id, now)
+		i := d.activeIndex(id)
+		if i < 0 {
+			continue
+		}
+		a := d.active[i]
+		if d.Lat != nil {
+			d.Lat.Observe(now - a.at)
+		}
+		d.tickProgress = true
+		d.StateVer.Raise()
+		r := a.res
+		if p := r.inWriter; p >= 0 {
+			hs := d.inWriter[p][:0]
+			for _, h := range d.inWriter[p] {
+				if h.id != id {
+					hs = append(hs, h)
+				}
+			}
+			d.inWriter[p] = hs
+		}
+		if p := r.inReader; p >= 0 && d.inReader[p] == id {
+			d.inReader[p] = 0
+		}
+		if p := r.outReader; p >= 0 && d.outReader[p] == id {
+			d.outReader[p] = 0
+		}
+		if d.configActive && id == d.configID {
+			d.configActive = false
+		}
+		d.active = append(d.active[:i], d.active[i+1:]...)
+	}
+}
+
+// activeIndex is the position of stream id in the active table, or -1.
+func (d *Dispatcher) activeIndex(id int) int {
+	for i := range d.active {
+		if d.active[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Queue returns the queued commands, oldest first, for the core's hang
@@ -672,13 +659,4 @@ func (d *Dispatcher) Holder(p int) int {
 		}
 	}
 	return -1
-}
-
-// QueueKinds lists the queued commands' kinds, oldest first (debug aid).
-func (d *Dispatcher) QueueKinds() []isa.Kind {
-	out := make([]isa.Kind, len(d.queue))
-	for i, q := range d.queue {
-		out[i] = q.cmd.Kind()
-	}
-	return out
 }

@@ -79,8 +79,10 @@ func nextAffineLine(c *isa.AffineCursor, max int, scratch []uint8) (LineReq, boo
 // indirectAGU turns a stream of element addresses (derived from indices
 // popped off an indirect vector port) into line requests. It coalesces
 // up to CoalesceDegree elements into one request when they share a line.
+// The staging queue is head-indexed, so a stream reuses its storage.
 type indirectAGU struct {
-	queue []uint64 // pending byte addresses, stream order
+	queue []uint64 // staged byte addresses, stream order; queue[head:] is pending
+	head  int
 }
 
 // CoalesceDegree is how many indirect elements the AGU examines per
@@ -88,31 +90,41 @@ type indirectAGU struct {
 // addresses in the current 64-byte line").
 const CoalesceDegree = 4
 
-// pushElem appends the byte addresses of one element at addr.
+// reuse empties the AGU for a new stream, keeping its storage.
+func (g *indirectAGU) reuse() indirectAGU { return indirectAGU{queue: g.queue[:0]} }
+
+// pushElem appends the byte addresses of one element at addr. Consumed
+// entries are reclaimed before the queue would grow.
 func (g *indirectAGU) pushElem(addr uint64, size int) {
+	if g.head > 0 && len(g.queue)+size > cap(g.queue) {
+		g.queue = g.queue[:copy(g.queue, g.queue[g.head:])]
+		g.head = 0
+	}
 	for i := 0; i < size; i++ {
 		g.queue = append(g.queue, addr+uint64(i))
 	}
 }
 
 // pending is the number of buffered element bytes.
-func (g *indirectAGU) pending() int { return len(g.queue) }
+func (g *indirectAGU) pending() int { return len(g.queue) - g.head }
 
 // peekAddr returns the byte address the next line request starts at;
 // only valid when pending() > 0.
-func (g *indirectAGU) peekAddr() uint64 { return g.queue[0] }
+func (g *indirectAGU) peekAddr() uint64 { return g.queue[g.head] }
 
 // next forms one line request from the head of the queue: the longest
 // same-line prefix, capped at max bytes. Offsets append into scratch
-// (reset to length 0), like nextAffineLine.
+// (reset to length 0), like nextAffineLine. A caller rolls a rejected
+// request back by restoring head.
 func (g *indirectAGU) next(max int, scratch []uint8) (LineReq, bool) {
-	if len(g.queue) == 0 {
+	q := g.queue[g.head:]
+	if len(q) == 0 {
 		return LineReq{}, false
 	}
-	req := LineReq{Line: g.queue[0] &^ (LineBytes - 1), Offsets: scratch[:0], Contig: true}
+	req := LineReq{Line: q[0] &^ (LineBytes - 1), Offsets: scratch[:0], Contig: true}
 	n := 0
-	for n < len(g.queue) && n < max {
-		a := g.queue[n]
+	for n < len(q) && n < max {
+		a := q[n]
 		if a&^(LineBytes-1) != req.Line {
 			break
 		}
@@ -123,6 +135,6 @@ func (g *indirectAGU) next(max int, scratch []uint8) (LineReq, bool) {
 		req.Offsets = append(req.Offsets, off)
 		n++
 	}
-	g.queue = g.queue[n:]
+	g.head += n
 	return req, true
 }

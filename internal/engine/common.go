@@ -120,6 +120,25 @@ func (p *Ports) Deliver(i int, data []byte) {
 // the signal the balance unit watches.
 func (p *Ports) Reserved(i int) int { return p.resIn[i] }
 
+// entryPool recycles an engine's retired stream-table entries. The
+// table has a fixed number of slots, so the pool stops allocating once
+// the table has filled, and a recycled entry keeps its buffers.
+type entryPool[T any] struct{ free []*T }
+
+// get returns a retired entry, or a new one while the table is filling.
+func (p *entryPool[T]) get() *T {
+	n := len(p.free)
+	if n == 0 {
+		return new(T)
+	}
+	s := p.free[n-1]
+	p.free = p.free[:n-1]
+	return s
+}
+
+// put retires an entry for reuse.
+func (p *entryPool[T]) put(s *T) { p.free = append(p.free, s) }
+
 // readPending is one issued read request awaiting its data-ready time.
 // Responses are buffered per stream and delivered strictly in issue
 // order, preserving stream order into the destination port.
@@ -141,7 +160,8 @@ type PadWrite struct {
 // ("a buffer sits between the MSE and SSE... allocated on a request to
 // memory to ensure space exists").
 type PadWriteBuf struct {
-	entries  []PadWrite
+	entries  []PadWrite // entries[head:] are queued, oldest first
+	head     int
 	capacity int
 	reserved int // slots promised to issued-but-undelivered requests
 
@@ -180,7 +200,7 @@ func NewPadWriteBuf(capacity int) *PadWriteBuf {
 
 // CanReserve reports whether a slot can be promised to a new request.
 func (b *PadWriteBuf) CanReserve() bool {
-	return len(b.entries)+b.reserved < b.capacity
+	return b.Len()+b.reserved < b.capacity
 }
 
 // ReserveSlot promises one slot to an in-flight memory request.
@@ -201,29 +221,35 @@ func (b *PadWriteBuf) Fill(w PadWrite) {
 		panic(Invariant{Comp: "padbuf", Msg: "pad write buffer fill without reservation"})
 	}
 	b.reserved--
+	if b.head > 0 && len(b.entries) == cap(b.entries) {
+		b.entries = b.entries[:copy(b.entries, b.entries[b.head:])]
+		b.head = 0
+	}
 	b.entries = append(b.entries, w)
 	b.fillVer.Raise()
 }
 
 // Head returns the oldest queued write, if any.
 func (b *PadWriteBuf) Head() (PadWrite, bool) {
-	if len(b.entries) == 0 {
+	if b.Len() == 0 {
 		return PadWrite{}, false
 	}
-	return b.entries[0], true
+	return b.entries[b.head], true
 }
 
 // PopHead removes the oldest queued write and decrements its producer's
 // outstanding counter. The drained Data buffer moves to the freelist.
 func (b *PadWriteBuf) PopHead() {
-	w := b.entries[0]
-	b.entries = b.entries[1:]
+	w := b.entries[b.head]
+	b.entries[b.head] = PadWrite{}
+	b.head++
 	if w.notify != nil {
 		*w.notify--
 	}
 	b.free = append(b.free, w.Data[:0])
 	b.drainVer.Raise()
-	if len(b.entries) == 0 {
+	if b.Len() == 0 {
+		b.entries, b.head = b.entries[:0], 0
 		b.emptiedVer.Raise()
 	}
 }
@@ -240,4 +266,4 @@ func (b *PadWriteBuf) TakeFree() []byte {
 }
 
 // Len is the number of queued (filled) writes.
-func (b *PadWriteBuf) Len() int { return len(b.entries) }
+func (b *PadWriteBuf) Len() int { return len(b.entries) - b.head }

@@ -22,12 +22,17 @@ type MSE struct {
 	padBuf *PadWriteBuf
 	table  int
 
-	reads  []*memRead
-	writes []*memWrite
-	done   []int
-	doneFb []int // spare done buffer (Done double-buffers)
-	rr     int   // round-robin pointer for response delivery
-	joined int   // reads appended since the last Tick (see OnSkip)
+	reads   []*memRead
+	writes  []*memWrite
+	done    []int
+	doneFb  []int // spare done buffer (Done double-buffers)
+	drained []int // Drained's result, reused every call
+	rr      int   // round-robin pointer for response delivery
+	joined  int   // reads appended since the last Tick (see OnSkip)
+
+	// Retired table entries, recycled with their buffers.
+	readPool  entryPool[memRead]
+	writePool entryPool[memWrite]
 
 	// Hot-path scratch: line-offset buffer for the AGUs (one request is
 	// in flight at a time inside a tick) and a freelist of delivered
@@ -87,7 +92,8 @@ type memRead struct {
 	id   int
 	kind isa.Kind
 
-	cur *isa.AffineCursor // affine source (nil for indirect)
+	affine bool             // cur is the source; false for indirect
+	cur    isa.AffineCursor // affine source
 
 	// Indirect source state (SD_IndPort_Port).
 	idxPort      int
@@ -109,7 +115,7 @@ type memRead struct {
 }
 
 func (s *memRead) issuedAll() bool {
-	if s.cur != nil {
+	if s.affine {
 		return s.cur.Done()
 	}
 	return s.idxRemaining == 0 && s.agu.pending() == 0
@@ -124,7 +130,8 @@ type memWrite struct {
 	id   int
 	kind isa.Kind
 
-	cur *isa.AffineCursor // affine destination (nil for indirect)
+	affine bool             // cur is the destination; false for indirect
+	cur    isa.AffineCursor // affine destination
 
 	idxPort      int
 	idxElem      int
@@ -140,7 +147,7 @@ type memWrite struct {
 }
 
 func (s *memWrite) issuedAll() bool {
-	if s.cur != nil {
+	if s.affine {
 		return s.cur.Done()
 	}
 	return s.idxRemaining == 0 && s.agu.pending() == 0
@@ -158,17 +165,23 @@ func (e *MSE) StartRead(id int, cmd isa.Command) error {
 	if !e.CanAcceptRead() {
 		return fmt.Errorf("engine: MSE read table full")
 	}
-	s := &memRead{id: id, kind: cmd.Kind()}
+	// The pool only holds finished entries: no pad write still points
+	// at a recycled entry's padOutstanding.
+	s := e.readPool.get()
+	*s = memRead{id: id, kind: cmd.Kind(), pending: s.pending[:0], agu: s.agu.reuse()}
 	switch c := cmd.(type) {
 	case isa.MemPort:
-		s.cur = isa.NewAffineCursor(c.Src)
+		s.affine = true
+		s.cur.Reset(c.Src)
 		s.dstPort = int(c.Dst)
 	case isa.MemScratch:
-		s.cur = isa.NewAffineCursor(c.Src)
+		s.affine = true
+		s.cur.Reset(c.Src)
 		s.dstPort = dstScratch
 		s.padCur = c.ScratchAddr
 	case isa.Config:
-		s.cur = isa.NewAffineCursor(isa.Linear(c.Addr, c.Size))
+		s.affine = true
+		s.cur.Reset(isa.Linear(c.Addr, c.Size))
 		s.dstPort = dstDiscard
 		s.cfgAddr = c.Addr
 	case isa.IndPortPort:
@@ -180,6 +193,7 @@ func (e *MSE) StartRead(id int, cmd isa.Command) error {
 		s.dataElem = int(c.DataElem)
 		s.dstPort = int(c.Dst)
 	default:
+		e.readPool.put(s)
 		return fmt.Errorf("engine: MSE cannot read for %v", cmd)
 	}
 	e.reads = append(e.reads, s)
@@ -193,10 +207,12 @@ func (e *MSE) StartWrite(id int, cmd isa.Command) error {
 	if !e.CanAcceptWrite() {
 		return fmt.Errorf("engine: MSE write table full")
 	}
-	s := &memWrite{id: id, kind: cmd.Kind()}
+	s := e.writePool.get()
+	*s = memWrite{id: id, kind: cmd.Kind(), agu: s.agu.reuse()}
 	switch c := cmd.(type) {
 	case isa.PortMem:
-		s.cur = isa.NewAffineCursor(c.Dst)
+		s.affine = true
+		s.cur.Reset(c.Dst)
 		s.srcPort = int(c.Src)
 	case isa.IndPortMem:
 		s.idxPort = int(c.Idx)
@@ -207,6 +223,7 @@ func (e *MSE) StartWrite(id int, cmd isa.Command) error {
 		s.dataElem = int(c.DataElem)
 		s.srcPort = int(c.Src)
 	default:
+		e.writePool.put(s)
 		return fmt.Errorf("engine: MSE cannot write for %v", cmd)
 	}
 	e.writes = append(e.writes, s)
@@ -225,19 +242,20 @@ func (e *MSE) Done() []int {
 // Drained reports read streams that have just issued their last memory
 // request: the "all-requests-in-flight" state of Section 4.2, which
 // lets the dispatcher release their destination port to a successor
-// stream early. Each stream is reported once.
+// stream early. Each stream is reported once. The returned slice is
+// valid until the next call.
 func (e *MSE) Drained() []int {
 	if e.DisableDrain {
 		return nil
 	}
-	var out []int
+	e.drained = e.drained[:0]
 	for _, s := range e.reads {
 		if !s.announced && s.issuedAll() {
 			s.announced = true
-			out = append(out, s.id)
+			e.drained = append(e.drained, s.id)
 		}
 	}
-	return out
+	return e.drained
 }
 
 // Active is the number of live streams (both directions).
@@ -289,6 +307,9 @@ func (e *MSE) deliver(now uint64) bool {
 	n := len(e.reads)
 	for i := 0; i < n && budget > 0; i++ {
 		s := e.reads[(e.rr+i)%n]
+		if len(s.pending) == 0 || s.pending[0].ready > now {
+			continue // nothing deliverable: skip the order scan
+		}
 		if s.dstPort >= 0 && !e.oldestFor(s) {
 			continue
 		}
@@ -402,7 +423,7 @@ func (e *MSE) issueRead(now uint64) bool {
 		default:
 			score = len(s.pending)
 		}
-		if s.cur == nil && s.agu.pending() == 0 {
+		if !s.affine && s.agu.pending() == 0 {
 			continue // indirect stream waiting for indices
 		}
 		if e.DisableBalance {
@@ -428,19 +449,19 @@ func (e *MSE) issueRead(now uint64) bool {
 	// Generate tentatively; roll back if the memory system rejects.
 	var req LineReq
 	var ok bool
-	if best.cur != nil {
-		saved := *best.cur
-		req, ok = nextAffineLine(best.cur, maxBytes, e.offScratch[:])
+	if best.affine {
+		saved := best.cur
+		req, ok = nextAffineLine(&best.cur, maxBytes, e.offScratch[:])
 		if ok {
 			if ready, accepted := e.sys.Request(now, req.Line, false, req.Bytes()); accepted {
 				e.commitRead(best, req, ready)
 				return true
 			}
 		}
-		*best.cur = saved
+		best.cur = saved
 		return false
 	}
-	saved := best.agu.queue
+	saved := best.agu.head
 	req, ok = best.agu.next(maxBytes, e.offScratch[:])
 	if ok {
 		if ready, accepted := e.sys.Request(now, req.Line, false, req.Bytes()); accepted {
@@ -448,7 +469,7 @@ func (e *MSE) issueRead(now uint64) bool {
 			return true
 		}
 	}
-	best.agu.queue = saved
+	best.agu.head = saved
 	return false
 }
 
@@ -461,6 +482,8 @@ func (e *MSE) commitRead(s *memRead, req LineReq, ready uint64) {
 		data, e.freeData = e.freeData[n-1][:0], e.freeData[:n-1]
 	} else if d := e.padBuf.TakeFree(); d != nil {
 		data = d[:0]
+	} else {
+		data = make([]byte, 0, LineBytes)
 	}
 	if req.Contig {
 		o := int(req.Offsets[0])
@@ -504,7 +527,7 @@ func (e *MSE) issueWrite(now uint64, busy *bool) error {
 		if avail == 0 {
 			continue
 		}
-		if s.cur == nil && s.agu.pending() == 0 {
+		if !s.affine && s.agu.pending() == 0 {
 			continue
 		}
 		if best == nil || avail > bestAvail {
@@ -520,29 +543,29 @@ func (e *MSE) issueWrite(now uint64, busy *bool) error {
 	}
 	var req LineReq
 	var ok bool
-	if best.cur != nil {
-		saved := *best.cur
-		req, ok = nextAffineLine(best.cur, maxBytes, e.offScratch[:])
+	if best.affine {
+		saved := best.cur
+		req, ok = nextAffineLine(&best.cur, maxBytes, e.offScratch[:])
 		if !ok {
 			return nil
 		}
 		ready, accepted := e.sys.Request(now, req.Line, true, req.Bytes())
 		if !accepted {
-			*best.cur = saved
+			best.cur = saved
 			return nil
 		}
 		e.commitWrite(best, req, ready)
 		*busy = true
 		return nil
 	}
-	saved := best.agu.queue
+	saved := best.agu.head
 	req, ok = best.agu.next(maxBytes, e.offScratch[:])
 	if !ok {
 		return nil
 	}
 	ready, accepted := e.sys.Request(now, req.Line, true, req.Bytes())
 	if !accepted {
-		best.agu.queue = saved
+		best.agu.head = saved
 		return nil
 	}
 	e.commitWrite(best, req, ready)
@@ -585,6 +608,7 @@ func (e *MSE) retire(now uint64) {
 			}
 			e.done = append(e.done, s.id)
 			e.Lifecycle.Raise()
+			e.readPool.put(s)
 		} else {
 			reads = append(reads, s)
 		}
@@ -598,6 +622,7 @@ func (e *MSE) retire(now uint64) {
 			}
 			e.done = append(e.done, s.id)
 			e.Lifecycle.Raise()
+			e.writePool.put(s)
 		} else {
 			writes = append(writes, s)
 		}
@@ -624,7 +649,7 @@ func (e *MSE) Streams(now uint64) []StreamInfo {
 			si.Wait = WaitNone // head deliverable: space was reserved at issue
 		case !s.issuedAll():
 			switch {
-			case s.cur == nil && s.agu.pending() == 0 && s.idxRemaining > 0:
+			case !s.affine && s.agu.pending() == 0 && s.idxRemaining > 0:
 				si.Wait = WaitIndex
 			case s.dstPort >= 0 && e.ports.InAvail(s.dstPort) <= 0:
 				si.Wait = WaitInSpace
@@ -650,7 +675,7 @@ func (e *MSE) Streams(now uint64) []StreamInfo {
 			si.Wait = WaitTimed
 		case s.issuedAll():
 			si.Wait = WaitNone
-		case s.cur == nil && s.agu.pending() == 0 && s.idxRemaining > 0:
+		case !s.affine && s.agu.pending() == 0 && s.idxRemaining > 0:
 			si.Wait = WaitIndex
 		case e.ports.Out[s.srcPort].Len() == 0:
 			si.Wait = WaitOutData
@@ -676,7 +701,7 @@ func (e *MSE) StallCause(now uint64) obs.Cause {
 			c = obs.DRAMBW // response in flight
 		case !s.issuedAll():
 			switch {
-			case s.cur == nil && s.agu.pending() == 0:
+			case !s.affine && s.agu.pending() == 0:
 				c = obs.PortEmpty // indirect stream starved of indices
 			case s.dstPort >= 0 && e.ports.InAvail(s.dstPort) <= 0:
 				c = obs.PortFull // no credit for a response
@@ -700,7 +725,7 @@ func (e *MSE) StallCause(now uint64) obs.Cause {
 		switch {
 		case !s.issuedAll():
 			switch {
-			case s.cur == nil && s.agu.pending() == 0:
+			case !s.affine && s.agu.pending() == 0:
 				c = obs.PortEmpty
 			case e.ports.Out[s.srcPort].Len() == 0:
 				c = obs.PortEmpty // waiting for CGRA output data
@@ -815,13 +840,13 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 		if s.issuedAll() {
 			continue
 		}
-		if s.cur != nil || s.agu.pending() > 0 {
+		if s.affine || s.agu.pending() > 0 {
 			switch {
 			case s.dstPort == dstDiscard,
 				s.dstPort >= 0 && e.ports.InAvail(s.dstPort) > 0,
 				s.dstPort == dstScratch && e.padBuf.CanReserve():
 				var addr uint64
-				if s.cur != nil {
+				if s.affine {
 					addr = s.cur.Peek()
 				} else {
 					addr = s.agu.peekAddr()
@@ -839,9 +864,9 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 	}
 	for _, s := range e.writes {
 		if !s.issuedAll() {
-			if (s.cur != nil || s.agu.pending() > 0) && e.ports.Out[s.srcPort].Len() > 0 {
+			if (s.affine || s.agu.pending() > 0) && e.ports.Out[s.srcPort].Len() > 0 {
 				var addr uint64
-				if s.cur != nil {
+				if s.affine {
 					addr = s.cur.Peek()
 				} else {
 					addr = s.agu.peekAddr()
@@ -863,21 +888,4 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 		h = h.Earliest(sim.WakeAt(s.lastReady))
 	}
 	return h
-}
-
-// DebugStreams renders the read-stream table state (debug aid).
-func (e *MSE) DebugStreams(now uint64) string {
-	s := ""
-	for _, r := range e.reads {
-		head := "-"
-		if len(r.pending) > 0 {
-			head = fmt.Sprintf("%d@+%d", len(r.pending[0].data), int64(r.pending[0].ready)-int64(now))
-		}
-		s += fmt.Sprintf("[id%d %v dst%d pend%d head%s all%v idxRem%d aguPend%d] ",
-			r.id, r.kind, r.dstPort, len(r.pending), head, r.issuedAll(), r.idxRemaining, r.agu.pending())
-	}
-	for _, w := range e.writes {
-		s += fmt.Sprintf("[id%d %v src%d all%v idxRem%d] ", w.id, w.kind, w.srcPort, w.issuedAll(), w.idxRemaining)
-	}
-	return s
 }

@@ -25,6 +25,9 @@ type RSE struct {
 	rr      int
 	joined  int // streams appended since the last Tick (see OnSkip)
 
+	// Retired table entries, recycled.
+	pool entryPool[rseStream]
+
 	// Hot-path scratch for constant generation (Queue.Push copies).
 	constScratch [LineBytes]byte
 
@@ -58,8 +61,9 @@ type rseStream struct {
 	bytes     uint64 // data moved so far, for the bandwidth report
 
 	// Constant generation state.
-	pattern []byte // one element of the constant, little-endian
-	phase   int    // next byte of the pattern to emit
+	pattern [8]byte // one element of the constant, little-endian
+	elem    int     // pattern bytes in use
+	phase   int     // next byte of the pattern to emit
 }
 
 // CanAccept reports whether a stream-table entry is free.
@@ -70,7 +74,8 @@ func (e *RSE) Start(id int, cmd isa.Command) error {
 	if !e.CanAccept() {
 		return fmt.Errorf("engine: RSE table full")
 	}
-	s := &rseStream{id: id, kind: cmd.Kind()}
+	s := e.pool.get()
+	*s = rseStream{id: id, kind: cmd.Kind()}
 	switch c := cmd.(type) {
 	case isa.PortPort:
 		s.srcPort = int(c.Src)
@@ -79,13 +84,13 @@ func (e *RSE) Start(id int, cmd isa.Command) error {
 	case isa.ConstPort:
 		s.dstPort = int(c.Dst)
 		s.remaining = c.Count * uint64(c.Elem)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], c.Value)
-		s.pattern = buf[:c.Elem]
+		binary.LittleEndian.PutUint64(s.pattern[:], c.Value)
+		s.elem = int(c.Elem)
 	case isa.CleanPort:
 		s.srcPort = int(c.Src)
 		s.remaining = c.Count * uint64(c.Elem)
 	default:
+		e.pool.put(s)
 		return fmt.Errorf("engine: RSE cannot execute %v", cmd)
 	}
 	e.streams = append(e.streams, s)
@@ -162,7 +167,7 @@ func (e *RSE) step(s *rseStream, budget int) int {
 		data := e.constScratch[:n]
 		for i := range data {
 			data[i] = s.pattern[s.phase]
-			s.phase = (s.phase + 1) % len(s.pattern)
+			s.phase = (s.phase + 1) % s.elem
 		}
 		e.ports.In[s.dstPort].Push(data)
 	case isa.KindCleanPort:
@@ -300,6 +305,7 @@ func (e *RSE) retire() {
 			}
 			e.done = append(e.done, s.id)
 			e.Lifecycle.Raise()
+			e.pool.put(s)
 		} else {
 			live = append(live, s)
 		}

@@ -30,6 +30,10 @@ type SSE struct {
 	rr     int
 	joined int // reads appended since the last Tick (see OnSkip)
 
+	// Retired table entries, recycled with their buffers.
+	readPool  entryPool[sseRead]
+	writePool entryPool[sseWrite]
+
 	// Hot-path scratch: line-offset buffer for the AGU and a freelist of
 	// delivered response buffers (Queue.Push copies, so they recycle).
 	offScratch [LineBytes]uint8
@@ -62,7 +66,7 @@ func NewSSE(pad *scratch.Pad, ports *Ports, padBuf *PadWriteBuf, table int) *SSE
 
 type sseRead struct {
 	id      int
-	cur     *isa.AffineCursor
+	cur     isa.AffineCursor
 	dstPort int
 	pending []readPending
 	bytes   uint64 // data moved so far, for the bandwidth report
@@ -87,7 +91,10 @@ func (e *SSE) StartRead(id int, c isa.ScratchPort) error {
 	if !e.CanAcceptRead() {
 		return fmt.Errorf("engine: SSE read table full")
 	}
-	e.reads = append(e.reads, &sseRead{id: id, cur: isa.NewAffineCursor(c.Src), dstPort: int(c.Dst)})
+	s := e.readPool.get()
+	*s = sseRead{id: id, dstPort: int(c.Dst), pending: s.pending[:0]}
+	s.cur.Reset(c.Src)
+	e.reads = append(e.reads, s)
 	e.joined++
 	e.Kicks.Raise()
 	return nil
@@ -98,10 +105,12 @@ func (e *SSE) StartWrite(id int, c isa.PortScratch) error {
 	if !e.CanAcceptWrite() {
 		return fmt.Errorf("engine: SSE write table full")
 	}
-	e.writes = append(e.writes, &sseWrite{
+	s := e.writePool.get()
+	*s = sseWrite{
 		id: id, srcPort: int(c.Src), addr: c.ScratchAddr,
 		remaining: c.Count * uint64(c.Elem),
-	})
+	}
+	e.writes = append(e.writes, s)
 	e.Kicks.Raise()
 	return nil
 }
@@ -207,7 +216,7 @@ func (e *SSE) issueRead(now uint64) error {
 	if avail := e.ports.InAvail(best.dstPort); avail < maxBytes {
 		maxBytes = avail
 	}
-	req, ok := nextAffineLine(best.cur, maxBytes, e.offScratch[:])
+	req, ok := nextAffineLine(&best.cur, maxBytes, e.offScratch[:])
 	if !ok {
 		return nil
 	}
@@ -221,6 +230,8 @@ func (e *SSE) issueRead(now uint64) error {
 	var data []byte
 	if n := len(e.freeData); n > 0 {
 		data, e.freeData = e.freeData[n-1][:0], e.freeData[:n-1]
+	} else {
+		data = make([]byte, 0, LineBytes)
 	}
 	if req.Contig {
 		o := int(req.Offsets[0])
@@ -427,6 +438,7 @@ func (e *SSE) retire() {
 			}
 			e.done = append(e.done, s.id)
 			e.Lifecycle.Raise()
+			e.readPool.put(s)
 		} else {
 			reads = append(reads, s)
 		}
@@ -440,6 +452,7 @@ func (e *SSE) retire() {
 			}
 			e.done = append(e.done, s.id)
 			e.Lifecycle.Raise()
+			e.writePool.put(s)
 		} else {
 			writes = append(writes, s)
 		}

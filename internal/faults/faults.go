@@ -115,6 +115,18 @@ func (s Stats) Total() uint64 {
 	return s.MemDelays + s.Stalls + s.Throttles + s.BitFlips
 }
 
+// Since is the count of faults delivered after a snapshot base of the
+// same injector's running counts.
+func (s Stats) Since(base Stats) Stats {
+	return Stats{
+		MemDelays:   s.MemDelays - base.MemDelays,
+		Stalls:      s.Stalls - base.Stalls,
+		StallCycles: s.StallCycles - base.StallCycles,
+		Throttles:   s.Throttles - base.Throttles,
+		BitFlips:    s.BitFlips - base.BitFlips,
+	}
+}
+
 func (s Stats) String() string {
 	return fmt.Sprintf("mem-delays=%d stalls=%d (%d cycles) throttles=%d bitflips=%d",
 		s.MemDelays, s.Stalls, s.StallCycles, s.Throttles, s.BitFlips)

@@ -236,7 +236,8 @@ func (a Affine) EachByte(fn func(addr uint64)) {
 
 // AffineCursor walks an Affine pattern incrementally, one byte at a time,
 // mirroring the running state a hardware AGU keeps per stream-table entry.
-// The zero cursor is invalid; use NewAffineCursor.
+// The zero cursor is exhausted; position one with NewAffineCursor or
+// Reset.
 type AffineCursor struct {
 	pat    Affine
 	stride uint64 // current access index
@@ -245,11 +246,18 @@ type AffineCursor struct {
 
 // NewAffineCursor returns a cursor positioned at the first byte of p.
 func NewAffineCursor(p Affine) *AffineCursor {
-	c := &AffineCursor{pat: p}
+	c := new(AffineCursor)
+	c.Reset(p)
+	return c
+}
+
+// Reset positions the cursor at the first byte of p, so a stream-table
+// entry can hold its cursor by value and reuse it.
+func (c *AffineCursor) Reset(p Affine) {
+	*c = AffineCursor{pat: p}
 	if p.AccessSize == 0 {
 		c.stride = p.Strides // an empty access size exhausts the pattern
 	}
-	return c
 }
 
 // Done reports whether the pattern is exhausted.
