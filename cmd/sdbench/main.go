@@ -11,6 +11,7 @@
 //	sdbench -fix         # barrier-elimination study (docs/LINT.md)
 //	sdbench -json        # simulator host-performance study -> BENCH_sim.json
 //	sdbench -json -smoke # CI smoke slice, checked against the goldens
+//	sdbench -json -update-goldens # rewrite the cycle and work goldens
 //	sdbench -json -progress 2s # heartbeat lines to stderr while it runs
 //	sdbench -timeout 10m # bound the whole run by wall clock
 package main
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"text/tabwriter"
 	"time"
 
@@ -38,7 +40,7 @@ func main() {
 	smoke := flag.Bool("smoke", false, "with -json: only the CI smoke slice, checked against -goldens")
 	out := flag.String("out", "BENCH_sim.json", "with -json: output path")
 	goldens := flag.String("goldens", "scripts/bench_goldens.json", "with -json -smoke: golden cycle counts")
-	updateGoldens := flag.Bool("update-goldens", false, "with -json: rewrite the goldens from this run")
+	updateGoldens := flag.Bool("update-goldens", false, "with -json: rewrite the goldens from this run, and the work goldens (work_goldens.json beside them) from untimed runs")
 	ratchet := flag.String("ratchet", "", "with -json: committed BENCH_sim.json to ratchet ns/cycle against (fail on geomean regression past bench.PerfTolerance)")
 	progress := flag.Duration("progress", 0, "with -json: print a heartbeat line per workload to stderr every interval, e.g. 2s (0 = off; heartbeats ride the timed runs, so host timings include their cost)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run, e.g. 10m (0 = none; the cycle watchdog still applies)")
@@ -143,7 +145,15 @@ func runSimBench(ctx context.Context, smoke bool, out, goldens string, update bo
 		if err := bench.UpdateSimGoldens(rows, goldens); err != nil {
 			return err
 		}
-		fmt.Printf("updated %s\n", goldens)
+		work, err := bench.MeasureWork(ctx, smoke)
+		if err != nil {
+			return err
+		}
+		workGoldens := filepath.Join(filepath.Dir(goldens), "work_goldens.json")
+		if err := bench.UpdateWorkGoldens(work, workGoldens); err != nil {
+			return err
+		}
+		fmt.Printf("updated %s and %s\n", goldens, workGoldens)
 		return nil
 	}
 	if smoke {

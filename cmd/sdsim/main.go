@@ -9,6 +9,7 @@
 //	sdsim -w gemm -faults delay:7   # run under a seeded fault profile
 //	sdsim -w gemm -metrics out.json            # stall attribution + bandwidth table
 //	sdsim -w gemm -trace-out out.trace.json    # Chrome/Perfetto trace
+//	sdsim -w gemm -trace                       # Figure 4(b)-style text timeline
 //	sdsim -w gemm -progress 2s                 # heartbeat to stderr
 package main
 
@@ -39,7 +40,7 @@ func main() {
 	scale := flag.Int("scale", 1, "problem scale for MachSuite workloads")
 	warm := flag.Bool("warm", false, "measure a cache-warm (second) run")
 	list := flag.Bool("list", false, "list available workloads")
-	doTrace := flag.Bool("trace", false, "print an execution timeline (single-unit workloads)")
+	doTrace := flag.Bool("trace", false, "print an execution timeline of the cold run, one per unit")
 	metricsPath := flag.String("metrics", "", "write the metrics dump (stall attribution, counters, per-stream bandwidth) as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (load in ui.perfetto.dev)")
 	progress := flag.Duration("progress", 0, "print a heartbeat (cycle, commands, stall mix) to stderr every interval, e.g. 2s")
@@ -88,15 +89,12 @@ func main() {
 	// observability flags, and those over the timeline.
 	faulted := cfg.Faults != nil
 	observed := !faulted && (*metricsPath != "" || *traceOut != "" || *progress > 0)
-	timeline := !faulted && !observed && *doTrace && units == 1
+	timeline := !faulted && !observed && *doTrace
 	cl, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{
 		Warm: *warm && !timeline, // the timeline shows the cold run
 		Prepare: func(cl *core.Cluster) {
-			switch {
-			case observed:
-				observe(cl, *traceOut != "", *progress)
-			case timeline:
-				cl.Units[0].EnableTrace(4096)
+			if observed || timeline {
+				observe(cl, *traceOut != "" || timeline, *progress)
 			}
 		},
 	})
@@ -111,7 +109,15 @@ func main() {
 		}
 	case timeline:
 		fmt.Printf("%s: verified OK, %d cycles\n\n", inst.Name, stats.Cycles)
-		fmt.Print(cl.Units[0].Trace().Gantt(100))
+		for i, in := range cl.TraceInputs(stats.Cycles) {
+			if units > 1 {
+				fmt.Printf("unit %d:\n", i)
+			}
+			fmt.Print(obs.Gantt(in, 100))
+			if units > 1 {
+				fmt.Println()
+			}
+		}
 	default:
 		model := power.NewModel(cfg)
 		fmt.Printf("%s: verified OK on %d unit(s)\n\n", inst.Name, units)
@@ -177,15 +183,15 @@ func reportFaulted(inst *workloads.Instance, cfg core.Config, units int, cl *cor
 }
 
 // observe attaches the observability layer: the metrics registry
-// (stall attribution, counters, stream bandwidth), optionally the span
-// recorders feeding the Perfetto export, and optionally the heartbeat.
+// (stall attribution, counters, stream bandwidth), traced — stall
+// slices and stream lifetimes recorded — when the run feeds the
+// Perfetto export or the timeline, and optionally the heartbeat.
 func observe(cl *core.Cluster, traced bool, progress time.Duration) {
-	cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
+	var opts obs.Options
 	if traced {
-		for _, u := range cl.Units {
-			u.EnableTrace(4096)
-		}
+		opts.Slices = obs.DefaultSlices
 	}
+	cl.EnableMetrics(opts)
 	if progress > 0 {
 		cl.SetHeartbeat(progress, func(r core.ProgressReport) {
 			fmt.Fprintf(os.Stderr, "sdsim: %s\n", r.Line())

@@ -267,3 +267,49 @@ func TestSimRowDRAMUtilization(t *testing.T) {
 		})
 	}
 }
+
+// workAllocSlack is the allocation drift TestWorkGoldens tolerates: the
+// runtime adds a few allocations of noise to a run (a pool emptied by a
+// garbage collection refills), which the minimum of workReps runs
+// mostly, but not always, removes. Repeated runs spread by 2 at most.
+const workAllocSlack = 8
+
+// TestWorkGoldens gates every suite workload's host-independent work
+// against scripts/work_goldens.json: the scheduler counters must match
+// exactly, and the allocations of one run must land within
+// workAllocSlack of the golden, either way — a drop is committed by the
+// change that earns it, like a cycle golden (regenerate with
+// go run ./cmd/sdbench -json -update-goldens). Race-detector builds
+// allocate differently, so they check the counters only.
+func TestWorkGoldens(t *testing.T) {
+	data, err := os.ReadFile("../../scripts/work_goldens.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]Work
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := MeasureWork(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range simSuite() {
+		name := e.name
+		g := got[name]
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no work golden", name)
+			continue
+		}
+		t.Logf("%s: %+v", name, g)
+		gc, wc := g, w
+		gc.Mallocs, wc.Mallocs = 0, 0
+		if gc != wc {
+			t.Errorf("%s: scheduler counters drifted:\n  got    %+v\n  golden %+v", name, gc, wc)
+		}
+		if !raceEnabled && (g.Mallocs > w.Mallocs+workAllocSlack || g.Mallocs+workAllocSlack < w.Mallocs) {
+			t.Errorf("%s: %d allocations per run, golden %d (slack %d)", name, g.Mallocs, w.Mallocs, workAllocSlack)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -510,4 +511,78 @@ func UpdateSimGoldens(rows []SimRow, goldenPath string) error {
 		return err
 	}
 	return os.WriteFile(goldenPath, append(data, '\n'), 0o644)
+}
+
+// Work is one workload's host-independent cost, the work goldens
+// (scripts/work_goldens.json) that gate a change on any host: the
+// wake-set scheduler's counters from a default-scheduled cold run,
+// which are exact, and the heap allocations of one Instance.Run
+// (runtime.MemStats.Mallocs delta), the minimum over workReps runs,
+// which is exact up to a few allocations of runtime noise.
+type Work struct {
+	SteppedCycles uint64 `json:"stepped_cycles"`
+	SkippedCycles uint64 `json:"skipped_cycles"`
+	CompTicks     uint64 `json:"comp_ticks"`
+	SigWakes      uint64 `json:"sig_wakes"`
+	SpanCycles    uint64 `json:"span_cycles"`
+	Mallocs       uint64 `json:"mallocs"`
+}
+
+// workReps is the number of runs whose minimum allocation count the
+// work goldens record; the first run of an instance also seals its
+// programs.
+const workReps = 3
+
+// MeasureWork runs every suite workload (or the smoke slice) workReps
+// times, cold and default-scheduled, and reports its work keyed by
+// workload name, with the fewest allocations any run made.
+func MeasureWork(ctx context.Context, smokeOnly bool) (map[string]Work, error) {
+	out := map[string]Work{}
+	for _, e := range simSuite() {
+		if smokeOnly && !e.smoke {
+			continue
+		}
+		inst, cfg, err := e.build()
+		if err != nil {
+			return nil, err
+		}
+		var w Work
+		for rep := 0; rep < workReps; rep++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cl, _, err := inst.Run(ctx, cfg, workloads.RunOpts{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s (work): %w", e.name, err)
+			}
+			s := cl.SchedStats()
+			run := Work{
+				SteppedCycles: s.Cycles,
+				SkippedCycles: s.Skipped,
+				CompTicks:     s.CompTicks,
+				SigWakes:      s.SigWakes,
+				SpanCycles:    s.SpanCycles,
+			}
+			mallocs := after.Mallocs - before.Mallocs
+			if rep == 0 {
+				w, w.Mallocs = run, mallocs
+				continue
+			}
+			if run.Mallocs = w.Mallocs; run != w {
+				return nil, fmt.Errorf("bench: %s: nondeterministic scheduler counters (%+v then %+v)", e.name, w, run)
+			}
+			w.Mallocs = min(w.Mallocs, mallocs)
+		}
+		out[e.name] = w
+	}
+	return out, nil
+}
+
+// UpdateWorkGoldens rewrites the work goldens file from measured work.
+func UpdateWorkGoldens(work map[string]Work, path string) error {
+	data, err := json.MarshalIndent(work, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

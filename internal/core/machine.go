@@ -14,7 +14,6 @@ import (
 	"softbrain/internal/port"
 	"softbrain/internal/scratch"
 	"softbrain/internal/sim"
-	"softbrain/internal/trace"
 )
 
 // Stats aggregates the observable behavior of one run; the power model
@@ -92,11 +91,6 @@ type Machine struct {
 	faultBase faults.Stats // injected-fault counts when the current run loaded
 
 	configErr error // deferred error from the config-install callback
-
-	tracer    *trace.Recorder
-	prevBusy  [3]uint64 // MSE, SSE, RSE busy counters at last Step
-	prevInst  uint64
-	prevInstr uint64
 
 	// Observability (see obs.go in this package). All nil/zero unless
 	// EnableMetrics / SetHeartbeat are called; the tick path pays one
@@ -177,16 +171,6 @@ func NewMachineShared(cfg Config, sys *mem.System) (*Machine, error) {
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// EnableTrace records an execution timeline (Figure 4b style) covering
-// the first limit cycles; render it with Trace().Gantt.
-func (m *Machine) EnableTrace(limit uint64) {
-	m.tracer = trace.NewRecorder(limit)
-	m.disp.Tracer = m.tracer
-}
-
-// Trace returns the recorder installed by EnableTrace, or nil.
-func (m *Machine) Trace() *trace.Recorder { return m.tracer }
-
 // onConfig decodes the configuration bitstream the SD_Config stream
 // just finished loading — read back from the memory image, so the
 // machine runs exactly what was stored there.
@@ -242,9 +226,6 @@ func (m *Machine) Load(p *Program) error {
 	// from.
 	m.disp.ResetProfile()
 	m.reg.Reset()
-	if m.tracer != nil {
-		m.EnableTrace(m.tracer.Limit)
-	}
 	m.base = m.counters()
 	if m.faults != nil {
 		m.faultBase = m.faults.Stats()
@@ -307,7 +288,6 @@ func (m *Machine) Step(now uint64) error {
 	}
 	m.kern.Stats.TickHist[ticked]++
 	m.lastStepped = int64(now)
-	m.mark(now)
 	if m.attr != nil {
 		m.classifyCycle(now)
 	}
@@ -339,7 +319,6 @@ func (m *Machine) stepAll(now uint64) error {
 	}
 	m.kern.Stats.TickHist[b]++
 	m.lastStepped = int64(now)
-	m.mark(now)
 	if m.attr != nil {
 		m.classifyCycle(now)
 	}
@@ -358,11 +337,10 @@ func (m *Machine) stepAll(now uint64) error {
 // hang probes per cycle. It returns the number of cycles retired, 0
 // when no span is eligible.
 //
-// Spans are skipped entirely under per-cycle obligations the batch
-// loop does not replay: cycle attribution (m.attr) and the execution
-// tracer's per-cycle marks.
+// Spans are skipped entirely under the per-cycle obligation the batch
+// loop does not replay: cycle attribution (m.attr).
 func (m *Machine) retireSpan(now, deadline uint64) (uint64, error) {
-	if !m.spans || m.attr != nil || m.tracer != nil || m.configErr != nil || m.prog == nil {
+	if !m.spans || m.attr != nil || m.configErr != nil || m.prog == nil {
 		return 0, nil
 	}
 	sole, limit := m.kern.SoloReady(now)
@@ -440,33 +418,6 @@ func (m *Machine) FaultStats() faults.Stats {
 		return faults.Stats{}
 	}
 	return m.faults.Stats().Since(m.faultBase)
-}
-
-// mark records per-lane activity for the execution trace.
-func (m *Machine) mark(now uint64) {
-	if m.tracer == nil {
-		return
-	}
-	if b := m.mse.BusyCycles; b != m.prevBusy[0] {
-		m.prevBusy[0] = b
-		m.tracer.Mark("MSE", now)
-	}
-	if b := m.sse.BusyCycles; b != m.prevBusy[1] {
-		m.prevBusy[1] = b
-		m.tracer.Mark("SSE", now)
-	}
-	if b := m.rse.BusyCycles; b != m.prevBusy[2] {
-		m.prevBusy[2] = b
-		m.tracer.Mark("RSE", now)
-	}
-	if i := m.exec.Instances; i != m.prevInst {
-		m.prevInst = i
-		m.tracer.Mark("CGRA", now)
-	}
-	if c := m.coreInstr; c != m.prevInstr {
-		m.prevInstr = c
-		m.tracer.Mark("core", now)
-	}
 }
 
 // stepCore replays the command trace: a single-issue inorder core that

@@ -9,6 +9,7 @@ import (
 	"softbrain/internal/dfg"
 	"softbrain/internal/faults"
 	"softbrain/internal/isa"
+	"softbrain/internal/obs"
 )
 
 // mustBuild finalizes a graph that the test constructed to be valid.
@@ -401,43 +402,65 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-// TestExecutionTrace runs a traced program and checks the recorder saw
-// lanes and stream lifetimes (the Figure 4(b) rendering path).
+// TestExecutionTrace runs a traced program under every scheduling mode
+// and checks the registry recorded the stream lifetimes and the Busy
+// lanes of the Figure 4(b) rendering path, identically in every mode.
 func TestExecutionTrace(t *testing.T) {
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.EnableTrace(1 << 16)
 	const n = 24
-	for i := uint64(0); i < n; i++ {
-		m.Sys.Mem.WriteU64(0x1000+8*i, i)
-		m.Sys.Mem.WriteU64(0x2000+8*i, i)
-	}
 	p := NewProgram("traced")
-	p.CompileAndConfigure(m.Config().Fabric, dotProdGraph(t))
+	p.CompileAndConfigure(DefaultConfig().Fabric, dotProdGraph(t))
 	p.Emit(isa.MemPort{Src: isa.Linear(0x1000, n*8), Dst: p.In("A")})
 	p.Emit(isa.MemPort{Src: isa.Linear(0x2000, n*8), Dst: p.In("B")})
 	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x3000, n/3*8)})
 	p.Emit(isa.BarrierAll{})
-	if _, err := m.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	spans := m.Trace().Spans()
-	if len(spans) != 4 { // config + 2 loads + 1 store
-		t.Fatalf("%d spans, want 4", len(spans))
-	}
-	for _, s := range spans {
-		if !s.Done || s.Completed < s.Issued || s.Issued < s.Enqueued {
-			t.Errorf("inconsistent span %+v", s)
+	var ref string
+	for _, sched := range []SchedMode{SchedPerCycle, SchedWakeSet, SchedSpans} {
+		cfg := DefaultConfig()
+		cfg.Sched = sched
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
+		for i := uint64(0); i < n; i++ {
+			m.Sys.Mem.WriteU64(0x1000+8*i, i)
+			m.Sys.Mem.WriteU64(0x2000+8*i, i)
+		}
+		stats, err := m.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := m.TraceInput(stats.Cycles)
+		if len(in.Spans) != 4 { // config + 2 loads + 1 store
+			t.Fatalf("mode %d: %d spans, want 4", sched, len(in.Spans))
+		}
+		for _, s := range in.Spans {
+			if !s.Done || s.Completed < s.Issued || s.Issued < s.Enqueued {
+				t.Errorf("mode %d: inconsistent span %+v", sched, s)
+			}
+		}
+		g := obs.Gantt(in, 80)
+		for _, lane := range []string{"core", "mse", "cgra"} {
+			if !strings.Contains(laneRow(g, lane), "#") {
+				t.Errorf("mode %d: Gantt lane %s shows no activity:\n%s", sched, lane, g)
+			}
+		}
+		if ref == "" {
+			ref = g
+		} else if g != ref {
+			t.Errorf("mode %d: Gantt differs from per-cycle:\n%s\nper-cycle:\n%s", sched, g, ref)
 		}
 	}
-	g := m.Trace().Gantt(80)
-	for _, lane := range []string{"core", "MSE", "CGRA"} {
-		if !strings.Contains(g, lane) {
-			t.Errorf("Gantt missing lane %s:\n%s", lane, g)
+}
+
+// laneRow returns the Gantt row of the named lane, "" when absent.
+func laneRow(gantt, lane string) string {
+	for _, row := range strings.Split(gantt, "\n") {
+		if strings.HasPrefix(row, lane+" ") {
+			return row
 		}
 	}
+	return ""
 }
 
 // TestControlInstructionReduction checks the claim around Figure 6: the

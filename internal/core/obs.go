@@ -17,11 +17,12 @@ import (
 // cycle — and a machine without a registry pays one nil check per Step
 // and allocates nothing.
 //
-// Busy is attributed machine-side from monotone work-counter deltas
-// (the same counters the trace lanes and progress detection use);
+// Busy is attributed machine-side from monotone work-counter deltas;
 // components are asked for a StallCause only on cycles they did no
-// work. Skipped spans are classified once per span: a span is frozen
-// by construction (the skip target is the earliest timed wake), so the
+// work. A traced run's Busy slices are the activity lanes of its
+// timeline (obs.Gantt), so the lanes show Busy by construction.
+// Skipped spans are classified once per span: a span is frozen by
+// construction (the skip target is the earliest timed wake), so the
 // state-based StallCause of the first elided cycle holds for all of
 // them, which is what makes metrics byte-identical with skipping on
 // and off.
@@ -50,6 +51,7 @@ func (m *Machine) EnableMetrics(reg *obs.Registry) {
 		ports: reg.Attribution("ports"),
 	}
 	m.disp.EnableLatency(reg.Histogram("dispatch-latency", 64, 65))
+	m.disp.Life = reg.Lifetimes()
 	retired := func(id int, kind isa.Kind, bytes uint64) {
 		reg.Stream(id, kind.String(), bytes)
 	}
@@ -68,19 +70,11 @@ func (m *Machine) MetricsDump() obs.Dump {
 }
 
 // TraceInput assembles this unit's contribution to the Perfetto export
-// (obs.WriteTrace): the trace recorder's stream lifetimes plus the
-// registry's stall slices. endCycle closes still-open spans.
+// (obs.WriteTrace) and the timeline (obs.Gantt): the registry's stream
+// lifetimes and stall slices, both recorded only on traced runs.
+// endCycle closes still-open spans.
 func (m *Machine) TraceInput(endCycle uint64) obs.TraceInput {
-	in := obs.TraceInput{Unit: m.reg.Unit(), Attrs: m.reg.Attributions(), EndCycle: endCycle}
-	if m.tracer != nil {
-		for _, s := range m.tracer.Spans() {
-			in.Spans = append(in.Spans, obs.SpanEvent{
-				ID: s.ID, Label: s.Label,
-				Enqueued: s.Enqueued, Issued: s.Issued, Completed: s.Completed, Done: s.Done,
-			})
-		}
-	}
-	return in
+	return obs.TraceInput{Unit: m.reg.Unit(), Spans: m.reg.Lifetimes().Spans(), Attrs: m.reg.Attributions(), EndCycle: endCycle}
 }
 
 // TraceInputs assembles every unit's trace contribution, in unit order.

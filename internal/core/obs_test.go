@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"softbrain/internal/core"
@@ -244,7 +246,6 @@ func TestMetricsTraceExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
-	m.EnableTrace(4096)
 	if inst.Init != nil {
 		inst.Init(m.Sys.Mem)
 	}
@@ -258,6 +259,100 @@ func TestMetricsTraceExport(t *testing.T) {
 	}
 	if err := obs.ValidateTrace(buf.Bytes()); err != nil {
 		t.Fatalf("export failed its own validator: %v", err)
+	}
+}
+
+// TestUntracedRecordsNoSlices: a registry built with obs.Options{}
+// keeps counts only — no stall slices, no stream lifetimes — and its
+// dump is byte-identical to the same run traced with DefaultSlices.
+func TestUntracedRecordsNoSlices(t *testing.T) {
+	cfg := core.DefaultConfig()
+	e, err := machsuite.Find("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.Build(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts obs.Options) (obs.TraceInput, []byte) {
+		cl, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{
+			Prepare: func(cl *core.Cluster) { cl.EnableMetrics(opts) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := cl.MetricsDump().MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl.TraceInputs(stats.Cycles)[0], data
+	}
+	in, plain := run(obs.Options{})
+	if len(in.Spans) != 0 {
+		t.Errorf("untraced run recorded %d stream lifetimes", len(in.Spans))
+	}
+	for _, a := range in.Attrs {
+		if s, truncated := a.Slices(); len(s) != 0 || truncated {
+			t.Errorf("untraced run recorded %d %s slices", len(s), a.Name())
+		}
+	}
+	tin, traced := run(obs.Options{Slices: obs.DefaultSlices})
+	if len(tin.Spans) == 0 {
+		t.Error("traced run recorded no stream lifetimes")
+	}
+	if !bytes.Equal(plain, traced) {
+		t.Errorf("metrics dump depends on slice recording:\nuntraced:\n%s\ntraced:\n%s", plain, traced)
+	}
+}
+
+// TestWarmTraceLifetimes: a warm traced run reports only its own
+// streams — the cold run's commands, numbered by the second run — and
+// its Perfetto export passes the validator. Warm caches reorder issue,
+// so the commands are compared as a set.
+func TestWarmTraceLifetimes(t *testing.T) {
+	cfg := core.DefaultConfig()
+	e, err := machsuite.Find("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.Build(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(warm bool) obs.TraceInput {
+		cl, stats, err := inst.Run(context.Background(), cfg, workloads.RunOpts{
+			Warm:    warm,
+			Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices}) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl.TraceInputs(stats.Cycles)[0]
+	}
+	cold, warm := run(false).Spans, run(true)
+	n := len(cold)
+	if n == 0 || len(warm.Spans) != n {
+		t.Fatalf("warm run recorded %d stream lifetimes, cold run %d", len(warm.Spans), n)
+	}
+	var coldLabels, warmLabels []string
+	for i, s := range warm.Spans {
+		if s.ID != cold[i].ID+n {
+			t.Fatalf("warm stream %d is #%d, want #%d", i, s.ID, cold[i].ID+n)
+		}
+		coldLabels, warmLabels = append(coldLabels, cold[i].Label), append(warmLabels, s.Label)
+	}
+	sort.Strings(coldLabels)
+	sort.Strings(warmLabels)
+	if !reflect.DeepEqual(coldLabels, warmLabels) {
+		t.Error("warm run issued other commands than the cold run")
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf, []obs.TraceInput{warm}); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateTrace(buf.Bytes()); err != nil {
+		t.Fatalf("warm trace failed the validator: %v", err)
 	}
 }
 

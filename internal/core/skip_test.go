@@ -117,17 +117,16 @@ func TestSkipAheadExamples(t *testing.T) {
 	}
 }
 
-// runTraced runs p on a fresh machine with tracing and metrics
-// enabled and the memory pools seeded deterministically, returning the
-// machine and statistics.
+// runTraced runs p on a fresh machine with traced metrics (stall
+// slices and stream lifetimes recorded) and the memory pools seeded
+// deterministically, returning the machine and statistics.
 func runTraced(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
 	t.Helper()
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableTrace(1 << 20)
-	m.EnableMetrics(obs.New(0, obs.Options{}))
+	m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
 	line := make([]byte, 64)
 	irng := rand.New(rand.NewSource(seed + 1000))
 	for _, base := range progen.MemPools {
@@ -193,10 +192,11 @@ func TestSkipAheadTraces(t *testing.T) {
 		if addr, diff := mOn.Sys.Mem.FirstDiff(mOff.Sys.Mem); diff {
 			t.Errorf("seed %d: memory differs at %#x with skip-ahead", seed, addr)
 		}
-		if !reflect.DeepEqual(mOff.Trace().Spans(), mOn.Trace().Spans()) {
+		inOff, inOn := mOff.TraceInput(sOff.Cycles), mOn.TraceInput(sOn.Cycles)
+		if !reflect.DeepEqual(inOff.Spans, inOn.Spans) {
 			t.Errorf("seed %d: stream lifetime spans differ with skip-ahead", seed)
 		}
-		if off, on := mOff.Trace().Gantt(100), mOn.Trace().Gantt(100); off != on {
+		if off, on := obs.Gantt(inOff, 100), obs.Gantt(inOn, 100); off != on {
 			t.Errorf("seed %d: activity lanes differ with skip-ahead:\noff:\n%son:\n%s", seed, off, on)
 		}
 		if off, on := metricsDump(t, mOff), metricsDump(t, mOn); !bytes.Equal(off, on) {

@@ -13,7 +13,6 @@ import (
 	"softbrain/internal/isa"
 	"softbrain/internal/obs"
 	"softbrain/internal/sim"
-	"softbrain/internal/trace"
 )
 
 // engineKind selects which stream-engine pipeline executes a command.
@@ -145,8 +144,8 @@ type Dispatcher struct {
 	// dispatch window); an ablation switch.
 	InOrderIssue bool
 
-	// Tracer, when set, records stream lifetimes (see internal/trace).
-	Tracer *trace.Recorder
+	// Life, when set, records stream lifetimes (traced runs).
+	Life *obs.Lifetimes
 
 	// Lat, installed by EnableLatency, observes each stream's
 	// issue-to-retire latency.
@@ -342,8 +341,8 @@ func (d *Dispatcher) Tick(now uint64) error {
 				d.active = append(d.active, activeStream{id: id, res: r, at: now})
 				d.configActive = true
 				d.configID = id
-				if d.Tracer != nil {
-					d.Tracer.Issued(id, cmd.String(), q.at, now)
+				if d.Life != nil {
+					d.Life.Issued(id, cmd.String(), q.at, now)
 				}
 				d.dequeue(0)
 				d.Issued++
@@ -411,8 +410,8 @@ func (d *Dispatcher) Tick(now uint64) error {
 			d.outReader[r.outReader] = id
 		}
 		d.active = append(d.active, activeStream{id: id, res: r, at: now})
-		if d.Tracer != nil {
-			d.Tracer.Issued(id, cmd.String(), q.at, now)
+		if d.Life != nil {
+			d.Life.Issued(id, cmd.String(), q.at, now)
 		}
 		d.dequeue(i)
 		d.Issued++
@@ -595,7 +594,9 @@ func (d *Dispatcher) retire(now uint64) {
 // free releases the scoreboard entries of the completed streams ids.
 func (d *Dispatcher) free(ids []int, now uint64) {
 	for _, id := range ids {
-		d.Tracer.Completed(id, now)
+		if d.Life != nil {
+			d.Life.Completed(id, now)
+		}
 		i := d.activeIndex(id)
 		if i < 0 {
 			continue

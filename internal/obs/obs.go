@@ -211,8 +211,10 @@ type StreamBW struct {
 
 // Options parameterizes a Registry.
 type Options struct {
-	// Slices caps the recorded stall slices per component, for the
-	// Perfetto export. 0 disables slice recording (counts are always
+	// Slices caps the recorded stall slices per component. A positive
+	// cap makes the run traced: the registry records stall slices and
+	// stream lifetimes, which the Perfetto export (WriteTrace) and the
+	// text timeline (Gantt) render. 0 records neither (counts are always
 	// kept); DefaultSlices is a sensible cap for traced runs.
 	Slices int
 }
@@ -233,13 +235,18 @@ type Registry struct {
 	hists    []*Histogram
 	streams  []StreamBW
 	barriers []BarrierDrainDump
+	life     *Lifetimes // nil unless traced (opts.Slices > 0)
 
 	opts Options
 }
 
 // New builds an empty registry for the given unit index.
 func New(unit int, opts Options) *Registry {
-	return &Registry{unit: unit, opts: opts}
+	r := &Registry{unit: unit, opts: opts}
+	if opts.Slices > 0 {
+		r.life = &Lifetimes{index: map[int]int{}}
+	}
+	return r
 }
 
 // Reset zeroes every registered metric in place for a new run on the
@@ -264,6 +271,10 @@ func (r *Registry) Reset() {
 		h.count, h.sum, h.max = 0, 0, 0
 	}
 	r.streams, r.barriers = nil, nil
+	if r.life != nil {
+		r.life.spans = nil
+		clear(r.life.index)
+	}
 }
 
 // Unit is the unit index the registry was built for.
@@ -272,6 +283,15 @@ func (r *Registry) Unit() int {
 		return 0
 	}
 	return r.unit
+}
+
+// Lifetimes returns the stream-lifetime recorder of a traced registry,
+// nil otherwise (and for a nil registry).
+func (r *Registry) Lifetimes() *Lifetimes {
+	if r == nil {
+		return nil
+	}
+	return r.life
 }
 
 // Attribution registers (or returns the existing) per-component

@@ -23,6 +23,9 @@ func TestNilSafety(t *testing.T) {
 	if s, _ := r.Attribution("a").Slices(); s != nil {
 		t.Errorf("nil attribution slices: %v", s)
 	}
+	if s := r.Lifetimes().Spans(); s != nil {
+		t.Errorf("nil registry lifetimes: %v", s)
+	}
 }
 
 func TestRegistryIdempotentRegistration(t *testing.T) {
@@ -97,6 +100,44 @@ func TestAttributionSliceCap(t *testing.T) {
 	}
 	if got := a.Elapsed(); got != 10 {
 		t.Errorf("elapsed affected by cap: %d", got)
+	}
+}
+
+// TestSpanLifecycle: a traced registry records stream lifetimes in
+// issue order, and Reset clears them in place, so a holder of the
+// recorder (the dispatcher) sees only the next run's streams.
+func TestSpanLifecycle(t *testing.T) {
+	if New(0, Options{}).Lifetimes() != nil {
+		t.Fatal("untraced registry records lifetimes")
+	}
+	r := New(0, Options{Slices: 8})
+	l := r.Lifetimes()
+	l.Issued(1, "SD_Mem_Port", 2, 5)
+	l.Issued(2, "SD_Barrier_All", 3, 7)
+	l.Completed(1, 20)
+	l.Completed(9, 21) // never issued: ignored
+	spans := l.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("%d spans", len(spans))
+	}
+	if spans[0].Enqueued != 2 || spans[0].Issued != 5 || !spans[0].Done || spans[0].Completed != 20 {
+		t.Errorf("span 0 = %+v", spans[0])
+	}
+	if spans[1].Done {
+		t.Error("span 2 should be open")
+	}
+
+	r.Reset()
+	if r.Lifetimes() != l || len(l.Spans()) != 0 {
+		t.Fatalf("Reset did not clear the recorder in place: %v", l.Spans())
+	}
+	l.Issued(3, "SD_Port_Mem", 30, 31)
+	l.Completed(1, 40) // the previous run's stream is gone
+	if got := l.Spans(); len(got) != 1 || got[0].ID != 3 || got[0].Done {
+		t.Errorf("after Reset: %+v", got)
+	}
+	if len(spans) != 2 || !spans[0].Done {
+		t.Errorf("Reset clobbered the previous run's spans: %+v", spans)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Event is one Chrome trace-event (the JSON format Perfetto and
@@ -26,8 +27,9 @@ type traceFile struct {
 	DisplayUnit string  `json:"displayTimeUnit,omitempty"`
 }
 
-// SpanEvent is one stream command's lifetime for the trace export
-// (mirrors trace.Span; obs stays import-free of internal/trace).
+// SpanEvent is one stream command's lifetime: the cycles the control
+// core enqueued it, the dispatcher issued it and its engine completed
+// it (Done is false while it is still active).
 type SpanEvent struct {
 	ID        int
 	Label     string
@@ -35,6 +37,37 @@ type SpanEvent struct {
 	Issued    uint64
 	Completed uint64
 	Done      bool
+}
+
+// Lifetimes records a traced run's stream lifetimes in issue order. A
+// registry built with a positive Options.Slices owns one (see
+// Registry.Lifetimes) and the dispatcher feeds it; callers check for
+// nil, which also spares untraced runs the command labels.
+type Lifetimes struct {
+	spans []SpanEvent
+	index map[int]int // stream id -> position in spans
+}
+
+// Issued records a stream command's issue, with the cycle the control
+// core enqueued it.
+func (l *Lifetimes) Issued(id int, label string, enqueued, issued uint64) {
+	l.index[id] = len(l.spans)
+	l.spans = append(l.spans, SpanEvent{ID: id, Label: label, Enqueued: enqueued, Issued: issued})
+}
+
+// Completed records a stream command's completion.
+func (l *Lifetimes) Completed(id int, cycle uint64) {
+	if i, ok := l.index[id]; ok {
+		l.spans[i].Completed, l.spans[i].Done = cycle, true
+	}
+}
+
+// Spans returns the recorded lifetimes in issue order (nil for nil).
+func (l *Lifetimes) Spans() []SpanEvent {
+	if l == nil {
+		return nil
+	}
+	return l.spans
 }
 
 // TraceInput is one unit's contribution to the trace: its stream
@@ -111,6 +144,85 @@ func WriteTrace(w io.Writer, inputs []TraceInput) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(f)
+}
+
+// Gantt renders one unit's trace as a text timeline in the style of the
+// paper's Figures 4(b) and 6, one column per bucket of cycles: an
+// activity lane per attribution, in registration order, with '#' on
+// every column a Busy slice covers, then a bar per stream lifetime
+// ('.' enqueued, '=' issued and active, '>' completed). A lane whose
+// slices reached the cap is flagged slice-cap-reached, as in
+// WriteTrace; its later cycles are blank. Widths below 20 are raised
+// to 20.
+func Gantt(in TraceInput, width int) string {
+	var last uint64
+	seen := false
+	see := func(cycle uint64) { last, seen = max(last, cycle), true }
+	for _, s := range in.Spans {
+		see(s.Issued)
+		if s.Done {
+			see(s.Completed)
+		}
+	}
+	for _, a := range in.Attrs {
+		slices, _ := a.Slices()
+		for _, s := range slices {
+			if s.Cause == Busy {
+				see(s.End - 1)
+			}
+		}
+	}
+	if !seen {
+		return "(no trace recorded)\n"
+	}
+	width = max(width, 20)
+	span := last + 1
+	perCol := (span + uint64(width) - 1) / uint64(width)
+	col := func(cycle uint64) int { return int(cycle / perCol) }
+
+	const nameW = 10 // wider than every attribution name
+	var b strings.Builder
+	fmt.Fprintf(&b, "timeline: %d cycles, %d cycles/column\n\n", span, perCol)
+	for _, a := range in.Attrs {
+		row := []byte(strings.Repeat(" ", width))
+		slices, truncated := a.Slices()
+		for _, s := range slices {
+			if s.Cause != Busy {
+				continue
+			}
+			for c := col(s.Start); c <= col(s.End-1); c++ {
+				row[c] = '#'
+			}
+		}
+		fmt.Fprintf(&b, "%-*s |%s|", nameW, a.Name(), row)
+		if truncated {
+			b.WriteString(" slice-cap-reached")
+		}
+		b.WriteByte('\n')
+	}
+
+	if len(in.Spans) > 0 {
+		fmt.Fprintf(&b, "\nstreams (first %d):\n", len(in.Spans))
+	}
+	for _, s := range in.Spans {
+		row := []byte(strings.Repeat(" ", width))
+		end := last
+		if s.Done {
+			end = s.Completed
+		}
+		for c := s.Enqueued; c <= end && col(c) < width; c += perCol {
+			if c < s.Issued {
+				row[col(c)] = '.'
+			} else {
+				row[col(c)] = '='
+			}
+		}
+		if s.Done && col(s.Completed) < width {
+			row[col(s.Completed)] = '>'
+		}
+		fmt.Fprintf(&b, "%-*s |%s| %s\n", nameW, fmt.Sprintf("#%d", s.ID), row, s.Label)
+	}
+	return b.String()
 }
 
 // ValidateTrace checks data against the trace-event contract the

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -96,5 +97,132 @@ func TestValidateTraceRejects(t *testing.T) {
 	}
 	if err := ValidateTrace(mk(ok)); err != nil {
 		t.Errorf("valid trace rejected: %v", err)
+	}
+}
+
+// ganttInput is a one-unit trace input over the given registry and
+// stream lifetimes.
+func ganttInput(r *Registry, spans ...SpanEvent) TraceInput {
+	return TraceInput{Attrs: r.Attributions(), Spans: spans}
+}
+
+// ganttRow returns the rendered row named name, "" when absent.
+func ganttRow(gantt, name string) string {
+	for _, row := range strings.Split(gantt, "\n") {
+		if strings.HasPrefix(row, name+" ") {
+			return row
+		}
+	}
+	return ""
+}
+
+// TestGanttCycleZeroActivity: a trace whose every event lands on cycle
+// 0 must still render — "last cycle 0" is not "nothing recorded".
+func TestGanttCycleZeroActivity(t *testing.T) {
+	r := New(0, Options{Slices: 16})
+	r.Attribution("core").Account(Busy, 0, 1)
+	out := Gantt(ganttInput(r), 40)
+	if strings.Contains(out, "no trace") {
+		t.Fatalf("cycle-0 activity rendered as empty:\n%s", out)
+	}
+	if !strings.Contains(ganttRow(out, "core"), "#") {
+		t.Errorf("lane missing its mark:\n%s", out)
+	}
+
+	// Same for a span issued and completed at cycle 0.
+	span := SpanEvent{ID: 1, Label: "SD_Const_Port(...)", Done: true}
+	if out := Gantt(ganttInput(New(0, Options{Slices: 16}), span), 40); strings.Contains(out, "no trace") {
+		t.Fatalf("cycle-0 span rendered as empty:\n%s", out)
+	}
+
+	// A trace with nothing recorded, or with no Busy cycle and no
+	// stream, still reports that.
+	if out := Gantt(TraceInput{}, 40); out != "(no trace recorded)\n" {
+		t.Errorf("empty input rendered a timeline:\n%s", out)
+	}
+	idle := New(0, Options{Slices: 16})
+	idle.Attribution("core").Account(CauseIdle, 0, 50)
+	if out := Gantt(ganttInput(idle), 40); out != "(no trace recorded)\n" {
+		t.Errorf("idle-only input rendered a timeline:\n%s", out)
+	}
+}
+
+// TestGanttRendering checks marker placement: lanes in registration
+// order with '#' on Busy columns only, and a stream bar with '.' while
+// enqueued, '=' while active and '>' at completion.
+func TestGanttRendering(t *testing.T) {
+	r := New(0, Options{Slices: 16})
+	core, cgra := r.Attribution("core"), r.Attribution("cgra")
+	core.Account(Busy, 0, 40)
+	core.Account(PortFull, 40, 91)
+	cgra.Account(CauseIdle, 0, 90)
+	cgra.Account(Busy, 90, 91)
+	span := SpanEvent{ID: 1, Label: "SD_Mem_Port(...)", Enqueued: 0, Issued: 2, Completed: 80, Done: true}
+	out := Gantt(ganttInput(r, span), 40)
+	// 91 cycles over 40 columns: 3 cycles per column.
+	if !strings.HasPrefix(out, "timeline: 91 cycles, 3 cycles/column\n\n") {
+		t.Errorf("header:\n%s", out)
+	}
+	pad := func(s string) string { return s + strings.Repeat(" ", 40-len(s)) }
+	want := []string{
+		"core       |" + pad(strings.Repeat("#", 14)) + "|",
+		"cgra       |" + pad(strings.Repeat(" ", 30)+"#") + "|",
+		"",
+		"streams (first 1):",
+		"#1         |" + pad("."+strings.Repeat("=", 25)+">") + "| SD_Mem_Port(...)",
+	}
+	if got := strings.Split(out, "\n")[2:7]; strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Tiny widths are clamped to 20 columns rather than crashing.
+	if row := ganttRow(Gantt(ganttInput(r, span), 1), "core"); len(row) != len("core       |")+20+1 {
+		t.Errorf("narrow Gantt row %q not 20 columns wide", row)
+	}
+}
+
+// TestGanttBucketScaling: a long trace buckets many cycles per column.
+func TestGanttBucketScaling(t *testing.T) {
+	r := New(0, Options{Slices: 16})
+	r.Attribution("x").Account(Busy, 999_999, 1_000_000)
+	out := Gantt(ganttInput(r), 50)
+	if !strings.HasPrefix(out, "timeline: 1000000 cycles, 20000 cycles/column\n") {
+		t.Errorf("header:\n%s", out)
+	}
+	if row := ganttRow(out, "x"); !strings.HasSuffix(row, "#|") || strings.Count(row, "#") != 1 {
+		t.Errorf("last-cycle mark not in the last column: %q", row)
+	}
+}
+
+// TestGanttSliceCrossesColumns: a Busy slice spanning a column boundary
+// marks every column it covers, and nothing beyond.
+func TestGanttSliceCrossesColumns(t *testing.T) {
+	r := New(0, Options{Slices: 16})
+	a := r.Attribution("mse")
+	a.Account(CauseIdle, 0, 8)
+	a.Account(Busy, 8, 12) // columns 0 and 1 at 10 cycles per column
+	a.Account(CauseIdle, 12, 199)
+	a.Account(Busy, 199, 200)
+	out := Gantt(ganttInput(r), 20)
+	if want := "mse        |##" + strings.Repeat(" ", 17) + "#|"; ganttRow(out, "mse") != want {
+		t.Errorf("row %q, want %q", ganttRow(out, "mse"), want)
+	}
+}
+
+// TestGanttSliceCap: a lane whose slices reached the cap is flagged, as
+// the Perfetto export's slice-cap-reached event does; others are not.
+func TestGanttSliceCap(t *testing.T) {
+	r := New(0, Options{Slices: 2})
+	capped, whole := r.Attribution("capped"), r.Attribution("whole")
+	for i := uint64(0); i < 10; i++ {
+		capped.Account(Cause(i%2), i, i+1) // alternates every cycle
+	}
+	whole.Account(Busy, 0, 10)
+	out := Gantt(ganttInput(r), 20)
+	if row := ganttRow(out, "capped"); !strings.HasSuffix(row, "| slice-cap-reached") {
+		t.Errorf("capped lane not flagged: %q", row)
+	}
+	if row := ganttRow(out, "whole"); strings.Contains(row, "slice-cap-reached") {
+		t.Errorf("uncapped lane flagged: %q", row)
 	}
 }

@@ -369,19 +369,17 @@ func (s *Server) execute(ctx context.Context, f *flight) (*Response, *apiError) 
 
 // instrument attaches what the flight and its options ask for: the
 // progress heartbeat routed into the flight's telemetry (stream events,
-// /statusz snapshot, debug logs), and the metrics registry and trace
-// recorders behind the response's metrics and trace.
+// /statusz snapshot, debug logs), and the metrics registry behind the
+// response's metrics and trace. Only a trace records slices and
+// stream lifetimes.
 func (s *Server) instrument(cl *core.Cluster, f *flight, opts RunOptions) {
 	if f.events != nil {
 		cl.SetHeartbeat(s.opts.ProgressEvery, func(r core.ProgressReport) { s.onProgress(f, r) })
 	}
-	if opts.Metrics || opts.Trace {
-		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
-	}
 	if opts.Trace {
-		for _, u := range cl.Units {
-			u.EnableTrace(4096)
-		}
+		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
+	} else if opts.Metrics {
+		cl.EnableMetrics(obs.Options{})
 	}
 }
 
