@@ -109,7 +109,7 @@ var (
 )
 
 func study(b *testing.B) []bench.MachRow {
-	studyOnce.Do(func() { studyRows, studyErr = bench.MachSuiteStudy() })
+	studyOnce.Do(func() { studyRows, studyErr = bench.MachSuiteStudy(context.Background()) })
 	if studyErr != nil {
 		b.Fatal(studyErr)
 	}

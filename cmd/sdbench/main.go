@@ -116,7 +116,7 @@ func runSimBench(ctx context.Context, smoke bool, out, goldens string, update bo
 			fmt.Fprintf(os.Stderr, "sdbench: %s: %s\n", workload, r.Line())
 		}
 	}
-	rows, err := bench.SimBenchHeartbeatContext(ctx, smoke, progress, hb)
+	rows, err := bench.SimBench(ctx, smoke, progress, hb)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func runSimBench(ctx context.Context, smoke bool, out, goldens string, update bo
 
 func printAblations(ctx context.Context) error {
 	fmt.Println("Ablation study: warm-run cycles with features disabled")
-	rows, err := bench.AblationsContext(ctx)
+	rows, err := bench.Ablations(ctx)
 	if err != nil {
 		return err
 	}
@@ -191,7 +191,7 @@ func printAblations(ctx context.Context) error {
 func printFixStudy(ctx context.Context) error {
 	fmt.Println("Barrier study: cycles as shipped, fully serialized, and after sdfix;")
 	fmt.Println("then placement: latest-legal baseline vs profile-guided cost-aware hoisting")
-	rows, err := bench.FixStudyContext(ctx)
+	rows, err := bench.FixStudy(ctx)
 	if err != nil {
 		return err
 	}
@@ -235,7 +235,7 @@ func printTable3() {
 
 func printFig11(ctx context.Context) error {
 	fmt.Println("Figure 11: Performance on DNN Workloads (speedup vs 1-thread CPU)")
-	rows, err := bench.Fig11Context(ctx)
+	rows, err := bench.Fig11(ctx)
 	if err != nil {
 		return err
 	}
@@ -277,7 +277,7 @@ func printTable4() {
 }
 
 func printMachSuite(ctx context.Context, fig int) error {
-	rows, err := bench.MachSuiteStudyContext(ctx)
+	rows, err := bench.MachSuiteStudy(ctx)
 	if err != nil {
 		return err
 	}

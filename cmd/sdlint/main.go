@@ -76,30 +76,29 @@ import (
 	"softbrain/internal/fix"
 	"softbrain/internal/lint"
 	"softbrain/internal/obs"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
-// target is one program to lint, paired with the machine configuration
-// its suite runs it under.
+// target is one built-in program set: phases[k][u] is the program
+// unit u runs in phase k, under the machine configuration its suite
+// runs it on, with the set's declared shared regions. Cluster scope
+// checks each set whole; machine scope checks each of its programs.
 type target struct {
-	suite string
-	name  string
-	unit  int // unit index within the program's instance
-	prog  *core.Program
-	cfg   core.Config
-}
-
-// clusterTarget is one whole program set to check at cluster scope:
-// phases[k][u] is the program unit u runs in phase k, with the
-// instance's declared shared regions.
-type clusterTarget struct {
 	suite   string
 	name    string
 	phases  [][]*core.Program
 	cfg     core.Config
 	regions []lint.Region
+	lone    bool // a lone example program, checked at machine scope only
+}
+
+// unitProg is one program of a target, checked at machine scope.
+type unitProg struct {
+	suite string
+	name  string
+	unit  int // unit index within the target
+	prog  *core.Program
+	cfg   core.Config
 }
 
 // jsonFinding is the stable machine-readable rendering of one finding.
@@ -166,49 +165,35 @@ func main() {
 		os.Exit(1)
 	}
 
+	targets, err := collect()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdlint: %v\n", err)
+		os.Exit(1)
+	}
 	var fail bool
-	switch {
-	case *clusterMode:
-		cts, err := collectClusters()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdlint: %v\n", err)
-			os.Exit(1)
-		}
-		cts = filterClusters(cts, flag.Args())
-		if len(cts) == 0 {
+	if *clusterMode {
+		sets := filter(clusterScope(targets), flag.Args(), func(t target) (string, string) { return t.suite, t.name })
+		if len(sets) == 0 {
 			fmt.Fprintf(os.Stderr, "sdlint: no program sets match %v\n", flag.Args())
 			os.Exit(1)
 		}
-		fail = runCluster(cts, *verbose, *jsonOut)
-	case *fixMode:
-		targets, err := collect()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdlint: %v\n", err)
-			os.Exit(1)
-		}
-		targets = filter(targets, flag.Args())
-		if len(targets) == 0 {
+		fail = runCluster(sets, *verbose, *jsonOut)
+	} else {
+		progs := filter(machineScope(targets), flag.Args(), func(p unitProg) (string, string) { return p.suite, p.name })
+		if len(progs) == 0 {
 			fmt.Fprintf(os.Stderr, "sdlint: no programs match %v\n", flag.Args())
 			os.Exit(1)
 		}
-		profiles, err := loadProfiles(*fixProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdlint: %v\n", err)
-			os.Exit(1)
+		if *fixMode {
+			profiles, err := loadProfiles(*fixProfile)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "sdlint: %v\n", err)
+				os.Exit(1)
+			}
+			fail = runFix(progs, *verbose, *jsonOut, profiles)
+		} else {
+			fail = runLint(progs, *verbose, *jsonOut)
 		}
-		fail = runFix(targets, *verbose, *jsonOut, profiles)
-	default:
-		targets, err := collect()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdlint: %v\n", err)
-			os.Exit(1)
-		}
-		targets = filter(targets, flag.Args())
-		if len(targets) == 0 {
-			fmt.Fprintf(os.Stderr, "sdlint: no programs match %v\n", flag.Args())
-			os.Exit(1)
-		}
-		fail = runLint(targets, *verbose, *jsonOut)
 	}
 	if fail {
 		os.Exit(1)
@@ -225,10 +210,10 @@ func emitJSON(rep jsonReport) bool {
 	return false
 }
 
-func runLint(targets []target, verbose, jsonOut bool) bool {
+func runLint(progs []unitProg, verbose, jsonOut bool) bool {
 	fail := false
 	rep := jsonReport{Scope: "machine", BytesChecked: map[string]uint64{}, Findings: []jsonFinding{}}
-	for _, t := range targets {
+	for _, t := range progs {
 		r, err := lint.Analyze(t.prog, t.cfg, lint.Opts{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdlint: %s/%s: %v\n", t.suite, t.name, err)
@@ -256,10 +241,10 @@ func runLint(targets []target, verbose, jsonOut bool) bool {
 	return fail
 }
 
-func runCluster(cts []clusterTarget, verbose, jsonOut bool) bool {
+func runCluster(sets []target, verbose, jsonOut bool) bool {
 	fail := false
 	rep := jsonReport{Scope: "cluster", BytesChecked: map[string]uint64{}, Findings: []jsonFinding{}}
-	for _, t := range cts {
+	for _, t := range sets {
 		r, err := lint.CheckPipeline(t.phases, t.cfg, lint.ClusterOpts{Regions: t.regions})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdlint: %s/%s: %v\n", t.suite, t.name, err)
@@ -322,7 +307,7 @@ type jsonFixReport struct {
 // toFixJSON renders one program's fix report: edits first (inserts,
 // then removes, trace order), then every barrier of the final program
 // with its legal placement interval.
-func toFixJSON(t target, rep *fix.Report) jsonFixProg {
+func toFixJSON(t unitProg, rep *fix.Report) jsonFixProg {
 	p := jsonFixProg{
 		Suite: t.suite, Prog: t.name,
 		BarriersBefore: rep.BarriersBefore, BarriersAfter: rep.BarriersAfter,
@@ -372,10 +357,10 @@ func loadProfiles(path string) (map[int]fix.Profile, error) {
 	return out, nil
 }
 
-func runFix(targets []target, verbose, jsonOut bool, profiles map[int]fix.Profile) bool {
+func runFix(progs []unitProg, verbose, jsonOut bool, profiles map[int]fix.Profile) bool {
 	fail := false
 	rep := jsonFixReport{Scope: "fix", Programs: []jsonFixProg{}}
-	for _, t := range targets {
+	for _, t := range progs {
 		_, r, err := fix.FixWithOpts(t.prog, t.cfg, fix.HoistOpts{Profile: profiles[t.unit]})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdlint: %s/%s: %v\n", t.suite, t.name, err)
@@ -418,139 +403,78 @@ func emitFixJSON(rep jsonFixReport) bool {
 	return false
 }
 
-// collect builds every built-in program under the configuration its
-// suite uses: MachSuite and the extended workloads at test scale under
-// the default machine, the DNN layers partitioned across the standard
-// eight units under the DNN machine, and the examples under their own
-// configurations.
+// collect builds every built-in program set: each catalog workload at
+// test scale on its own machine, one phase of one program per unit;
+// the lone example programs under their own configurations; and the
+// phased pipeline example with its declared shared regions.
 func collect() ([]target, error) {
 	var out []target
-
-	cfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
+	for _, e := range catalog.All() {
+		cfg := e.Config()
 		inst, err := e.Build(cfg, 1)
 		if err != nil {
-			return nil, fmt.Errorf("building machsuite/%s: %w", e.Name, err)
+			return nil, fmt.Errorf("building %s/%s: %w", e.Suite, e.Name, err)
 		}
-		out = append(out, instanceTargets("machsuite", e.Name, inst.Progs, cfg)...)
+		out = append(out, target{suite: e.Suite, name: e.Name, phases: [][]*core.Program{inst.Progs}, cfg: cfg})
 	}
-	for _, e := range ext.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			return nil, fmt.Errorf("building ext/%s: %w", e.Name, err)
-		}
-		out = append(out, instanceTargets("ext", e.Name, inst.Progs, cfg)...)
-	}
-
-	dnnCfg := dnn.Config()
-	for _, l := range dnn.Layers() {
-		inst, err := l.Build(dnnCfg, dnn.Units)
-		if err != nil {
-			return nil, fmt.Errorf("building dnn/%s: %w", l.Name, err)
-		}
-		out = append(out, instanceTargets("dnn", l.Name, inst.Progs, dnnCfg)...)
-	}
-
 	exs, err := programs.All()
 	if err != nil {
 		return nil, fmt.Errorf("building examples: %w", err)
 	}
 	for _, ex := range exs {
-		out = append(out, target{suite: "examples", name: ex.Name, prog: ex.Prog, cfg: ex.Cfg})
+		out = append(out, target{suite: "examples", name: ex.Name, phases: [][]*core.Program{{ex.Prog}}, cfg: ex.Cfg, lone: true})
 	}
 	pl, err := programs.Pipeline()
 	if err != nil {
 		return nil, fmt.Errorf("building examples/pipeline: %w", err)
 	}
-	for pi, ph := range pl.Phases {
-		for u, p := range ph {
-			out = append(out, target{
-				suite: "examples",
-				name:  fmt.Sprintf("%s.phase%d#%d", pl.Name, pi, u),
-				prog:  p, cfg: pl.Cfg,
-			})
-		}
-	}
-	return out, nil
+	return append(out, target{suite: "examples", name: pl.Name, phases: pl.Phases, cfg: pl.Cfg, regions: pl.Regions}), nil
 }
 
-// collectClusters builds every built-in program set as one cluster
-// target: each workload instance runs its programs concurrently in a
-// single phase, and the pipeline example contributes its phased set
-// with its declared shared regions.
-func collectClusters() ([]clusterTarget, error) {
-	var out []clusterTarget
-
-	cfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			return nil, fmt.Errorf("building machsuite/%s: %w", e.Name, err)
-		}
-		out = append(out, clusterTarget{suite: "machsuite", name: e.Name, phases: [][]*core.Program{inst.Progs}, cfg: cfg})
-	}
-	for _, e := range ext.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			return nil, fmt.Errorf("building ext/%s: %w", e.Name, err)
-		}
-		out = append(out, clusterTarget{suite: "ext", name: e.Name, phases: [][]*core.Program{inst.Progs}, cfg: cfg})
-	}
-
-	dnnCfg := dnn.Config()
-	for _, l := range dnn.Layers() {
-		inst, err := l.Build(dnnCfg, dnn.Units)
-		if err != nil {
-			return nil, fmt.Errorf("building dnn/%s: %w", l.Name, err)
-		}
-		out = append(out, clusterTarget{suite: "dnn", name: l.Name, phases: [][]*core.Program{inst.Progs}, cfg: dnnCfg})
-	}
-
-	pl, err := programs.Pipeline()
-	if err != nil {
-		return nil, fmt.Errorf("building examples/pipeline: %w", err)
-	}
-	out = append(out, clusterTarget{suite: "examples", name: pl.Name, phases: pl.Phases, cfg: pl.Cfg, regions: pl.Regions})
-	return out, nil
-}
-
-// instanceTargets names one target per Softbrain unit of the instance.
-func instanceTargets(suite, name string, progs []*core.Program, cfg core.Config) []target {
+// clusterScope drops the lone example programs: the program sets
+// -cluster checks.
+func clusterScope(ts []target) []target {
 	var out []target
-	for i, p := range progs {
-		n := name
-		if len(progs) > 1 {
-			n = fmt.Sprintf("%s#%d", name, i)
+	for _, t := range ts {
+		if !t.lone {
+			out = append(out, t)
 		}
-		out = append(out, target{suite: suite, name: n, unit: i, prog: p, cfg: cfg})
 	}
 	return out
 }
 
-func filter(ts []target, args []string) []target {
-	if len(args) == 0 {
-		return ts
-	}
-	var out []target
+// machineScope lists the targets' programs, named name[.phaseK][#unit]
+// when the target has several phases or units.
+func machineScope(ts []target) []unitProg {
+	var out []unitProg
 	for _, t := range ts {
-		for _, a := range args {
-			if strings.Contains(t.suite, a) || strings.Contains(t.name, a) {
-				out = append(out, t)
-				break
+		for k, ph := range t.phases {
+			for u, p := range ph {
+				n := t.name
+				if len(t.phases) > 1 {
+					n = fmt.Sprintf("%s.phase%d", n, k)
+				}
+				if len(ph) > 1 {
+					n = fmt.Sprintf("%s#%d", n, u)
+				}
+				out = append(out, unitProg{suite: t.suite, name: n, unit: u, prog: p, cfg: t.cfg})
 			}
 		}
 	}
 	return out
 }
 
-func filterClusters(ts []clusterTarget, args []string) []clusterTarget {
+// filter keeps the items whose suite or name contains one of args,
+// or all of them when there are no args.
+func filter[T any](ts []T, args []string, label func(T) (suite, name string)) []T {
 	if len(args) == 0 {
 		return ts
 	}
-	var out []clusterTarget
+	var out []T
 	for _, t := range ts {
+		suite, name := label(t)
 		for _, a := range args {
-			if strings.Contains(t.suite, a) || strings.Contains(t.name, a) {
+			if strings.Contains(suite, a) || strings.Contains(name, a) {
 				out = append(out, t)
 				break
 			}

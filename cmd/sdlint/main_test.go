@@ -99,7 +99,7 @@ func TestBuiltinsMachineClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := map[string]uint64{}
-	for _, tg := range targets {
+	for _, tg := range machineScope(targets) {
 		r, err := lint.Analyze(tg.prog, tg.cfg, lint.Opts{})
 		if err != nil {
 			t.Errorf("%s/%s: %v", tg.suite, tg.name, err)
@@ -122,13 +122,13 @@ func TestBuiltinsMachineClean(t *testing.T) {
 // layers, and the phased pipeline example with its declared region —
 // passes the cluster analysis with zero findings.
 func TestBuiltinsClusterClean(t *testing.T) {
-	cts, err := collectClusters()
+	targets, err := collect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sawMultiUnit, sawPhased bool
 	bytes := map[string]uint64{}
-	for _, ct := range cts {
+	for _, ct := range clusterScope(targets) {
 		if len(ct.phases[0]) > 1 {
 			sawMultiUnit = true
 		}
@@ -155,17 +155,17 @@ func TestBuiltinsClusterClean(t *testing.T) {
 
 // TestFilterClusters checks the name filter applies to cluster targets.
 func TestFilterClusters(t *testing.T) {
-	cts, err := collectClusters()
+	targets, err := collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := filterClusters(cts, []string{"pipeline"})
+	got := filter(clusterScope(targets), []string{"pipeline"}, func(t target) (string, string) { return t.suite, t.name })
 	if len(got) != 1 || got[0].name != "pipeline" {
 		names := make([]string, 0, len(got))
 		for _, ct := range got {
 			names = append(names, ct.suite+"/"+ct.name)
 		}
-		t.Fatalf("filterClusters(pipeline) = %v, want exactly examples/pipeline", strings.Join(names, ", "))
+		t.Fatalf("filter(pipeline) = %v, want exactly examples/pipeline", strings.Join(names, ", "))
 	}
 }
 
@@ -264,7 +264,7 @@ func TestBuiltinsFixKeepRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	keeps := 0
-	for _, tg := range targets {
+	for _, tg := range machineScope(targets) {
 		_, r, err := fix.FixWithOpts(tg.prog, tg.cfg, fix.HoistOpts{})
 		if err != nil {
 			t.Errorf("%s/%s: %v", tg.suite, tg.name, err)

@@ -30,9 +30,7 @@ import (
 	"softbrain/internal/power"
 	"softbrain/internal/sim"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 func main() {
@@ -57,26 +55,37 @@ func main() {
 	}
 
 	if *list || *name == "" {
-		fmt.Println("MachSuite workloads (single unit, broadly provisioned):")
-		for _, e := range machsuite.All() {
-			fmt.Printf("  %-14s %s / %s\n", e.Name, e.Patterns, e.Datapath)
+		headers := map[string]string{
+			"machsuite": "MachSuite workloads (single unit, broadly provisioned):",
+			"ext":       "Extension workloads (the paper's footnote-3 codes):",
+			"dnn":       "DNN layers (8-unit DNN-provisioned cluster):",
 		}
-		fmt.Println("Extension workloads (the paper's footnote-3 codes):")
-		for _, e := range ext.All() {
-			fmt.Printf("  %-14s %s / %s\n", e.Name, e.Patterns, e.Datapath)
-		}
-		fmt.Println("DNN layers (8-unit DNN-provisioned cluster):")
-		for _, l := range dnn.Layers() {
-			fmt.Printf("  %s", l.Name)
+		suite := ""
+		for _, e := range catalog.All() {
+			if e.Suite != suite {
+				suite = e.Suite
+				fmt.Println(headers[suite])
+			}
+			if suite == "dnn" {
+				fmt.Printf("  %s", e.Name)
+			} else {
+				fmt.Printf("  %-14s %s / %s\n", e.Name, e.Patterns, e.Datapath)
+			}
 		}
 		fmt.Println()
 		return
 	}
 
-	inst, cfg, units, err := build(*name, *scale)
+	e, err := catalog.Find(*name)
+	if err != nil {
+		log.Fatalf("%v (see -list)", err)
+	}
+	cfg := e.Config()
+	inst, err := e.Build(cfg, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
+	units := inst.Units()
 	if *faultSpec != "" {
 		fc, err := faults.ParseProfile(*faultSpec)
 		if err != nil {
@@ -291,23 +300,4 @@ func printSched(s sim.SchedStats, by map[string]uint64, units int) {
 		}
 		fmt.Println()
 	}
-}
-
-func build(name string, scale int) (*workloads.Instance, core.Config, int, error) {
-	if l, err := dnn.Find(name); err == nil {
-		cfg := dnn.Config()
-		inst, err := l.Build(cfg, dnn.Units)
-		return inst, cfg, dnn.Units, err
-	}
-	cfg := core.DefaultConfig()
-	if e, err := machsuite.Find(name); err == nil {
-		inst, err := e.Build(cfg, scale)
-		return inst, cfg, 1, err
-	}
-	e, err := ext.Find(name)
-	if err != nil {
-		return nil, core.Config{}, 0, fmt.Errorf("unknown workload %q (see -list)", name)
-	}
-	inst, err := e.Build(cfg, scale)
-	return inst, cfg, 1, err
 }

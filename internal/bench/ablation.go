@@ -8,7 +8,7 @@ import (
 	"softbrain/internal/cgra"
 	"softbrain/internal/core"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // AblationRow reports one workload's cycle counts with individual
@@ -38,22 +38,18 @@ var ablationWorkloads = []string{"spmv-crs", "stencil2d", "gemm", "md-knn"}
 
 // Ablations measures each feature's contribution on the sensitive
 // MachSuite kernels. Rows report warm-run cycles; higher than Baseline
-// means the feature was load-bearing.
-func Ablations() ([]AblationRow, error) {
-	return AblationsContext(context.Background())
-}
-
-// AblationsContext is Ablations bounded by a context (sdbench -timeout).
-func AblationsContext(ctx context.Context) ([]AblationRow, error) {
+// means the feature was load-bearing. The context bounds the whole
+// study (sdbench -timeout).
+func Ablations(ctx context.Context) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, name := range ablationWorkloads {
-		e, err := machsuite.Find(name)
+		e, err := catalog.Find(name)
 		if err != nil {
 			return nil, err
 		}
 		row := AblationRow{Workload: name}
 		measureMode := func(mutate func(*core.Config), warm bool) (uint64, error) {
-			cfg := core.DefaultConfig()
+			cfg := e.Config()
 			if mutate != nil {
 				mutate(&cfg)
 			}

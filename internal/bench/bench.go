@@ -94,13 +94,8 @@ type Fig11Row struct {
 
 // Fig11 runs all ten DNN layers on the 8-unit cluster and compares
 // against the analytic CPU, GPU and DianNao models. The final row is the
-// geometric mean.
-func Fig11() ([]Fig11Row, error) {
-	return Fig11Context(context.Background())
-}
-
-// Fig11Context is Fig11 bounded by a context (sdbench -timeout).
-func Fig11Context(ctx context.Context) ([]Fig11Row, error) {
+// geometric mean. The context bounds the whole study (sdbench -timeout).
+func Fig11(ctx context.Context) ([]Fig11Row, error) {
 	cfg := dnn.Config()
 	cpu := baseline.SingleThreadCPU()
 	gpu := baseline.KeplerGPU()
@@ -201,16 +196,19 @@ var machScale = map[string]int{
 	"spmv-ellpack": 4, "stencil2d": 3, "stencil3d": 3, "viterbi": 4,
 }
 
-// MachSuiteStudy runs every implemented workload on the broadly
-// provisioned Softbrain, generates its iso-performance ASIC, and
-// produces the rows behind Figures 12-15, ending with the GM row.
-func MachSuiteStudy() ([]MachRow, error) {
-	return MachSuiteStudyContext(context.Background())
+// benchScale is a MachSuite workload's problem scale in the studies.
+func benchScale(name string) int {
+	if scale := machScale[name]; scale > 0 {
+		return scale
+	}
+	return 2
 }
 
-// MachSuiteStudyContext is MachSuiteStudy bounded by a context
-// (sdbench -timeout).
-func MachSuiteStudyContext(ctx context.Context) ([]MachRow, error) {
+// MachSuiteStudy runs every implemented workload on the broadly
+// provisioned Softbrain, generates its iso-performance ASIC, and
+// produces the rows behind Figures 12-15, ending with the GM row. The
+// context bounds the whole study (sdbench -timeout).
+func MachSuiteStudy(ctx context.Context) ([]MachRow, error) {
 	cfg := core.DefaultConfig()
 	model := power.NewModel(cfg)
 	ooo := baseline.OOO4()
@@ -219,11 +217,7 @@ func MachSuiteStudyContext(ctx context.Context) ([]MachRow, error) {
 	var rows []MachRow
 	var gm [7][]float64
 	for _, e := range machsuite.All() {
-		scale := machScale[e.Name]
-		if scale == 0 {
-			scale = 2
-		}
-		inst, err := e.Build(cfg, scale)
+		inst, err := e.Build(cfg, benchScale(e.Name))
 		if err != nil {
 			return nil, fmt.Errorf("bench: building %s: %w", e.Name, err)
 		}

@@ -67,7 +67,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full DNN study")
 	}
-	rows, err := Fig11()
+	rows, err := Fig11(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMachSuiteStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full MachSuite study")
 	}
-	rows, err := MachSuiteStudy()
+	rows, err := MachSuiteStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation study")
 	}
-	rows, err := Ablations()
+	rows, err := Ablations(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestAblations(t *testing.T) {
 // improvements), and must actually win — fewer total cycles and fewer
 // barrier-drain stall cycles — on at least two workloads.
 func TestFixStudyPlacement(t *testing.T) {
-	rows, err := FixStudy()
+	rows, err := FixStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

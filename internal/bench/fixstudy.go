@@ -10,8 +10,7 @@ import (
 	"softbrain/internal/lint"
 	"softbrain/internal/obs"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // FixRow reports one workload's barrier count and warm-run cycles in
@@ -37,61 +36,32 @@ type FixRow struct {
 
 // fixStudyWorkloads are the kernels of the study: stream-heavy kernels
 // whose traces serialize badly, plus the indirect workloads where the
-// fix pass must keep the load-bearing barriers.
-var fixStudyWorkloads = []struct{ suite, name string }{
-	{"machsuite", "spmv-crs"},
-	{"machsuite", "stencil2d"},
-	{"machsuite", "gemm"},
-	{"machsuite", "bfs"},
-	{"machsuite", "spmv-ellpack"},
-	{"machsuite", "md-knn"},
-	{"machsuite", "stencil3d"},
-	{"machsuite", "viterbi"},
-	{"ext", "nw"},
-	{"ext", "backprop"},
-	{"ext", "fft"},
-	{"ext", "lut"}, // scratch round-trip: bounded only by value tracking
+// fix pass must keep the load-bearing barriers. The last, lut, is the
+// scratch round-trip, bounded only by value tracking.
+var fixStudyWorkloads = []string{
+	"spmv-crs", "stencil2d", "gemm", "bfs", "spmv-ellpack", "md-knn", "stencil3d", "viterbi",
+	"nw", "backprop", "fft", "lut",
 }
 
 // FixStudy measures the cost of over-serialization and how much of it
-// the barrier-elimination pass recovers.
-func FixStudy() ([]FixRow, error) {
-	return FixStudyContext(context.Background())
-}
-
-// FixStudyContext is FixStudy bounded by a context (sdbench -timeout).
-func FixStudyContext(ctx context.Context) ([]FixRow, error) {
+// the barrier-elimination pass recovers. The context bounds the whole
+// study (sdbench -timeout).
+func FixStudy(ctx context.Context) ([]FixRow, error) {
 	var rows []FixRow
-	for _, w := range fixStudyWorkloads {
-		cfg := core.DefaultConfig()
-		var (
-			inst *workloads.Instance
-			err  error
-		)
-		switch w.suite {
-		case "machsuite":
-			var e machsuite.Entry
-			if e, err = machsuite.Find(w.name); err == nil {
-				inst, err = e.Build(cfg, 1)
-			}
-		case "ext":
-			var e ext.Entry
-			if e, err = ext.Find(w.name); err == nil {
-				inst, err = e.Build(cfg, 1)
-			}
-		}
+	for _, name := range fixStudyWorkloads {
+		inst, cfg, err := catalog.Build(name, 1)
 		if err != nil {
-			return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
+			return nil, fmt.Errorf("bench: fix study %s: %w", name, err)
 		}
 
 		serialized := make([]*core.Program, len(inst.Progs))
 		fixed := make([]*core.Program, len(inst.Progs))
-		row := FixRow{Workload: w.name}
+		row := FixRow{Workload: name}
 		for i, p := range inst.Progs {
 			serialized[i] = serialize(p)
 			q, rep, err := fix.Fix(serialized[i], cfg)
 			if err != nil {
-				return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
+				return nil, fmt.Errorf("bench: fix study %s: %w", name, err)
 			}
 			fixed[i] = q
 			row.Shipped += fix.CountBarriers(p)
@@ -108,12 +78,12 @@ func FixStudyContext(ctx context.Context) ([]FixRow, error) {
 		} {
 			cy, err := runCycles(ctx, inst, cfg, m.progs)
 			if err != nil {
-				return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
+				return nil, fmt.Errorf("bench: fix study %s: %w", name, err)
 			}
 			*m.out = cy
 		}
 		if err := placementStudy(ctx, inst, cfg, fixed, &row); err != nil {
-			return nil, fmt.Errorf("bench: fix study %s: %w", w.name, err)
+			return nil, fmt.Errorf("bench: fix study %s: %w", name, err)
 		}
 		rows = append(rows, row)
 	}

@@ -14,9 +14,7 @@ import (
 	"softbrain/internal/obs"
 	"softbrain/internal/sim"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // SimRow is one workload's simulator host-performance measurement: the
@@ -115,107 +113,64 @@ type simEntry struct {
 	smoke bool // part of the CI smoke slice
 }
 
-// simSuite lists the measured workloads: the full MachSuite set plus a
-// DNN layer on the 8-unit cluster. The smoke slice is the small subset
-// make bench-smoke pins against scripts/bench_goldens.json.
+// simSuite lists the measured workloads: the full MachSuite set and
+// the first two DNN layers on the 8-unit cluster, gemm over four units,
+// and lut. The smoke slice is the small subset make bench-smoke pins
+// against scripts/bench_goldens.json.
 func simSuite() []simEntry {
+	smoke := map[string]bool{"bfs": true, "spmv-crs": true, "gemm": true, "lut": true}
+	named := func(name string, scale int) simEntry {
+		return simEntry{name: name, smoke: smoke[name], build: func() (*workloads.Instance, core.Config, error) {
+			return catalog.Build(name, scale)
+		}}
+	}
 	var entries []simEntry
-	smoke := map[string]bool{"bfs": true, "spmv-crs": true, "gemm": true}
-	for _, e := range machsuite.All() {
-		e := e
-		scale := machScale[e.Name]
-		if scale == 0 {
-			scale = 2
+	for _, e := range catalog.All() {
+		if e.Suite == "machsuite" {
+			entries = append(entries, named(e.Name, benchScale(e.Name)))
 		}
-		entries = append(entries, simEntry{
-			name: e.Name,
-			build: func() (*workloads.Instance, core.Config, error) {
-				cfg := core.DefaultConfig()
-				inst, err := e.Build(cfg, scale)
-				return inst, cfg, err
-			},
-			smoke: smoke[e.Name],
-		})
 	}
-	for _, l := range dnn.Layers()[:2] {
-		l := l
-		entries = append(entries, simEntry{
-			name: l.Name,
-			build: func() (*workloads.Instance, core.Config, error) {
-				cfg := dnn.Config()
-				inst, err := l.Build(cfg, dnn.Units)
-				return inst, cfg, err
-			},
-		})
-	}
+	entries = append(entries, named("class1p", 1), named("class3p", 1))
 	// A MachSuite kernel replicated over a four-unit cluster: the
 	// multi-unit host-performance point outside the DNN configuration.
 	// The units run identical programs against one shared image (the
 	// writes are idempotent, so verification holds) and contend for the
 	// shared DRAM channel, granted in unit order each cycle.
-	for _, g := range machsuite.All() {
-		if g.Name != "gemm" {
-			continue
+	entries = append(entries, simEntry{name: "gemm-x4", build: func() (*workloads.Instance, core.Config, error) {
+		var x4 *workloads.Instance
+		var cfg core.Config
+		for k := 0; k < 4; k++ {
+			inst, c, err := catalog.Build("gemm", benchScale("gemm"))
+			if err != nil {
+				return nil, c, err
+			}
+			if x4 == nil {
+				x4, cfg = inst, c
+			} else {
+				x4.Progs = append(x4.Progs, inst.Progs...)
+			}
 		}
-		g := g
-		entries = append(entries, simEntry{
-			name: "gemm-x4",
-			build: func() (*workloads.Instance, core.Config, error) {
-				cfg := core.DefaultConfig()
-				var first *workloads.Instance
-				for k := 0; k < 4; k++ {
-					inst, err := g.Build(cfg, machScale[g.Name])
-					if err != nil {
-						return nil, cfg, err
-					}
-					if first == nil {
-						first = inst
-					} else {
-						first.Progs = append(first.Progs, inst.Progs...)
-					}
-				}
-				first.Name = "gemm-x4"
-				return first, cfg, nil
-			},
-		})
-	}
+		x4.Name = "gemm-x4"
+		return x4, cfg, nil
+	}})
 	// The scratch round-trip gather rides in the smoke slice: its cycle
 	// golden pins the barrier-minimal shipped program, which depends on
 	// the linter's round-trip value tracking staying sound.
-	lut, _ := ext.Find("lut")
-	entries = append(entries, simEntry{
-		name: lut.Name,
-		build: func() (*workloads.Instance, core.Config, error) {
-			cfg := core.DefaultConfig()
-			inst, err := lut.Build(cfg, 2)
-			return inst, cfg, err
-		},
-		smoke: true,
-	})
-	return entries
+	return append(entries, named("lut", 2))
 }
 
 // SimBench measures simulator host performance over the suite (or just
 // the smoke slice): each workload runs once with skip-ahead disabled
 // and once enabled, wall-clocked. The simulated cycle counts must agree
 // or the row is an error — this doubles as an end-to-end equivalence
-// check on every benchmarked workload.
-func SimBench(smokeOnly bool) ([]SimRow, error) {
-	return SimBenchContext(context.Background(), smokeOnly)
-}
-
-// SimBenchContext is SimBench bounded by a context (sdbench -timeout).
-func SimBenchContext(ctx context.Context, smokeOnly bool) ([]SimRow, error) {
-	return SimBenchHeartbeatContext(ctx, smokeOnly, 0, nil)
-}
-
-// SimBenchHeartbeatContext is SimBenchContext with a progress heartbeat
-// (sdbench -progress): when hb is non-nil it is attached to every timed
-// simulation and fires from inside the run loop at most every `every`,
-// carrying the workload's name. The callback executes on the
-// simulator's critical path, so the measured host timings include its
-// (small) cost; simulated cycle counts are unaffected by contract.
-func SimBenchHeartbeatContext(ctx context.Context, smokeOnly bool, every time.Duration, hb func(workload string, r core.ProgressReport)) ([]SimRow, error) {
+// check on every benchmarked workload. The context bounds the whole
+// run (sdbench -timeout). When hb is non-nil it is attached to every
+// timed simulation as a progress heartbeat (sdbench -progress) and
+// fires from inside the run loop at most every `every`, carrying the
+// workload's name. The callback executes on the simulator's critical
+// path, so the measured host timings include its (small) cost;
+// simulated cycle counts are unaffected by contract.
+func SimBench(ctx context.Context, smokeOnly bool, every time.Duration, hb func(workload string, r core.ProgressReport)) ([]SimRow, error) {
 	var rows []SimRow
 	for _, e := range simSuite() {
 		if smokeOnly && !e.smoke {
@@ -368,7 +323,7 @@ func metricsColumns(ctx context.Context, row *SimRow, inst *workloads.Instance, 
 	return nil
 }
 
-// GeomeanWorkload names the aggregate row SimBenchContext appends: the
+// GeomeanWorkload names the aggregate row SimBench appends: the
 // geometric mean of the per-workload host-performance figures. Its
 // Cycles field is zero, which excludes it from the cycle goldens.
 const GeomeanWorkload = "geomean"

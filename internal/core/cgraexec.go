@@ -102,9 +102,10 @@ func (x *cgraExec) PendingTimed(now uint64) bool {
 }
 
 // WatchSig sums the external signals the fabric's wake hint depends on
-// (see sim.Watcher): every mapped port's traffic counters plus the
-// configuration generation. The port map changes only in Install, which
-// raises cfgGen, so the sum stays monotone between snapshots.
+// (see sim.Component.WatchSig): every mapped port's traffic counters
+// plus the configuration generation. The port map changes only in
+// Install, which raises cfgGen, so the sum stays monotone between
+// snapshots.
 func (x *cgraExec) WatchSig() uint64 {
 	sig := x.cfgGen.Value()
 	for _, hw := range x.inHW {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -183,6 +184,9 @@ func (c *Cluster) run(ctx context.Context, progs []*Program) (*Stats, error) {
 	if len(progs) != len(c.Units) {
 		return nil, fmt.Errorf("core: %d programs for %d units", len(progs), len(c.Units))
 	}
+	if err := configClash(progs); err != nil {
+		return nil, err
+	}
 	for i, u := range c.Units {
 		if err := u.Load(progs[i]); err != nil {
 			return nil, err
@@ -198,6 +202,22 @@ func (c *Cluster) run(ctx context.Context, progs []*Program) (*Stats, error) {
 	}
 	c.unitStats = units
 	return total, nil
+}
+
+// configClash refuses a program set that holds two different
+// configuration bitstreams at one address: the units share one memory
+// image, so the later Load would overwrite the earlier bitstream.
+func configClash(progs []*Program) error {
+	for i, p := range progs {
+		for _, q := range progs[:i] {
+			for addr, blob := range p.Configs {
+				if other, ok := q.Configs[addr]; ok && !bytes.Equal(blob, other) {
+					return fmt.Errorf("core: %s and %s hold different configuration bitstreams at %#x", q.Name, p.Name, addr)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // vet runs a phased program set through the Lint hook, if any.

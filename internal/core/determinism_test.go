@@ -194,3 +194,29 @@ func TestClusterConfigMismatch(t *testing.T) {
 		t.Fatalf("mismatched cluster ran anyway: err=%v", err)
 	}
 }
+
+// TestClusterConfigClash: the units of a cluster share one memory
+// image, so a program set holding two different bitstreams at one
+// address is refused before any Load overwrites one with the other.
+// Equal bitstreams at one address share the slot and run.
+func TestClusterConfigClash(t *testing.T) {
+	cfg := core.DefaultConfig()
+	pa, _, err := progen.Addpair(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := core.NewProgram("clash")
+	for addr, blob := range pa.Configs {
+		pb.Configs[addr] = append([]byte{^blob[0]}, blob[1:]...)
+	}
+	cl, err := core.NewCluster(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run([]*core.Program{pa, pb}); err == nil || !strings.Contains(err.Error(), "different configuration bitstreams") {
+		t.Fatalf("clashing program set ran anyway: err=%v", err)
+	}
+	if _, err := cl.Run([]*core.Program{pa, pa}); err != nil {
+		t.Fatalf("equal bitstreams at one address: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -574,5 +575,34 @@ func TestProgramSeal(t *testing.T) {
 	}
 	if again := m.Load(bad); again == nil || again.Error() != first.Error() {
 		t.Errorf("second Load = %v, want %v", again, first)
+	}
+}
+
+// TestConfigureContentAddress checks that a bitstream's slot is a
+// content address: configuring the same schedule twice in one program
+// reuses its slot, and a slot the program already fills with other
+// bytes is probed past to the next one.
+func TestConfigureContentAddress(t *testing.T) {
+	f := DefaultConfig().Fabric
+	p := NewProgram("twice")
+	p.CompileAndConfigure(f, dotProdGraph(t))
+	p.CompileAndConfigure(f, dotProdGraph(t))
+	if len(p.Configs) != 1 {
+		t.Fatalf("equal bitstreams took %d slots, want 1", len(p.Configs))
+	}
+	home := p.Trace[0].Cmd.(isa.Config).Addr
+	if again := p.Trace[1].Cmd.(isa.Config).Addr; again != home {
+		t.Errorf("second SD_Config at %#x, want %#x", again, home)
+	}
+
+	q := NewProgram("probed")
+	q.Configs[home] = []byte{0}
+	q.CompileAndConfigure(f, dotProdGraph(t))
+	next := ConfigSpace + (home-ConfigSpace+ConfigSlotBytes)%(configSlots*ConfigSlotBytes)
+	if got := q.Trace[0].Cmd.(isa.Config).Addr; got != next {
+		t.Errorf("SD_Config at %#x past a taken slot, want %#x", got, next)
+	}
+	if !bytes.Equal(q.Configs[next], p.Configs[home]) {
+		t.Error("the probed slot does not hold the bitstream")
 	}
 }

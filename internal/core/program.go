@@ -1,9 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"softbrain/internal/cgra"
 	"softbrain/internal/dfg"
@@ -12,15 +13,19 @@ import (
 )
 
 // ConfigSpace is the memory region where configuration bitstreams live;
-// workload data must stay below it. Every Configure call in the process
-// claims a fresh 4 KB slot, so programs sharing one memory image (the
-// multi-unit cluster) never collide.
+// workload data must stay below it. A bitstream's address is a content
+// address: a hash of its bytes picks one of the configSlots 4 KiB
+// slots from ConfigSpace up to 4 GiB, so rebuilding a program
+// reproduces it byte for byte and equal bitstreams share a slot.
+// Programs sharing one memory image (the multi-unit cluster) must not
+// hold different bitstreams at one address; Cluster runs refuse such a
+// program set.
 const ConfigSpace uint64 = 0xC000_0000
 
 // ConfigSlotBytes is the space reserved per configuration bitstream.
 const ConfigSlotBytes = 0x1000
 
-var configSlot atomic.Uint64
+const configSlots = (1<<32 - ConfigSpace) / ConfigSlotBytes
 
 // TraceOp is one step of the control program: either a stream command or
 // a span of host computation (address arithmetic, loop control) measured
@@ -91,15 +96,24 @@ func (p *Program) Delay(cycles uint64) {
 }
 
 // Configure serializes the schedule into its configuration bitstream,
-// registers it at a fresh address, emits the SD_Config command for it,
-// and makes it the active configuration for port-name resolution.
+// registers it at its content address (probing past slots this program
+// fills with other bytes), emits the SD_Config command for it, and
+// makes it the active configuration for port-name resolution.
 func (p *Program) Configure(s *cgra.Schedule) {
 	blob := cgra.EncodeConfig(s)
 	if len(blob) > ConfigSlotBytes {
 		p.fail("configuration bitstream of %s is %d bytes; slot is %d", s.Graph.Name, len(blob), ConfigSlotBytes)
 		return
 	}
-	addr := ConfigSpace + configSlot.Add(1)*ConfigSlotBytes
+	h := fnv.New64a()
+	h.Write(blob)
+	var addr uint64
+	for slot := h.Sum64() % configSlots; ; slot = (slot + 1) % configSlots {
+		addr = ConfigSpace + slot*ConfigSlotBytes
+		if old, taken := p.Configs[addr]; !taken || bytes.Equal(old, blob) {
+			break
+		}
+	}
 	p.Configs[addr] = blob
 	p.cur = s
 	p.Emit(isa.Config{Addr: addr, Size: uint64(len(blob))})

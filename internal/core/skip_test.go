@@ -109,9 +109,7 @@ func TestSkipAheadExamples(t *testing.T) {
 		if !reflect.DeepEqual(o.stats, n.stats) {
 			t.Errorf("%s: stats differ with skip-ahead:\n  off: %+v\n  on:  %+v", name, o.stats, n.stats)
 		}
-		// Diffs at/above ConfigSpace are the per-process configuration
-		// slots, which differ between the two builds by design.
-		if addr, diff := n.mem.FirstDiff(o.mem); diff && addr < core.ConfigSpace {
+		if addr, diff := n.mem.FirstDiff(o.mem); diff {
 			t.Errorf("%s: memory differs at %#x with skip-ahead", name, addr)
 		}
 	}

@@ -21,9 +21,7 @@ import (
 	"softbrain/internal/fix"
 	"softbrain/internal/progen"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // schedModes are the three scheduling configurations under test, from
@@ -65,25 +63,17 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 		cfg  core.Config
 	}
 	var builds []build
-	mcfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
-		e := e
+	layers := 0
+	for _, e := range catalog.All() {
+		if e.Suite == "dnn" {
+			if layers == 2 {
+				continue
+			}
+			layers++
+		}
 		builds = append(builds, build{e.Name, func(cfg core.Config) (*workloads.Instance, error) {
 			return e.Build(cfg, 2)
-		}, mcfg})
-	}
-	for _, e := range ext.All() {
-		e := e
-		builds = append(builds, build{e.Name, func(cfg core.Config) (*workloads.Instance, error) {
-			return e.Build(cfg, 2)
-		}, mcfg})
-	}
-	dcfg := dnn.Config()
-	for _, l := range dnn.Layers()[:2] {
-		l := l
-		builds = append(builds, build{l.Name, func(cfg core.Config) (*workloads.Instance, error) {
-			return l.Build(cfg, dnn.Units)
-		}, dcfg})
+		}, e.Config()})
 	}
 	var spansRetired atomic.Uint64
 	t.Run("suite", func(t *testing.T) {
@@ -127,10 +117,7 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 							schedModes[0].name, schedModes[mode].name,
 							schedModes[0].name, ref.stats, schedModes[mode].name, got.stats)
 					}
-					// Diffs at/above ConfigSpace are the per-process
-					// configuration slots, which differ between the
-					// per-mode builds by design.
-					if addr, diff := got.cl.Mem.FirstDiff(ref.cl.Mem); diff && addr < core.ConfigSpace {
+					if addr, diff := got.cl.Mem.FirstDiff(ref.cl.Mem); diff {
 						t.Errorf("memory differs at %#x between %s and %s",
 							addr, schedModes[0].name, schedModes[mode].name)
 					}

@@ -171,9 +171,9 @@ type PadWriteBuf struct {
 
 	// The buffer's state changes split into three wake signals so each
 	// watcher subscribes only to the transitions that can unblock it
-	// (see sim.Watcher). A reservation raises nothing: taking capacity
-	// cannot unblock anyone, and the reserving MSE's own snapshot is
-	// refreshed after its tick.
+	// (see sim.Component.WatchSig). A reservation raises nothing:
+	// taking capacity cannot unblock anyone, and the reserving MSE's
+	// own snapshot is refreshed after its tick.
 	fillVer    sim.Signal // Fill: a queued write the SSE can drain
 	drainVer   sim.Signal // PopHead: a slot the MSE can re-reserve
 	emptiedVer sim.Signal // entries hit zero: a scratch-write barrier can clear

@@ -791,10 +791,10 @@ func (e *MSE) nextLineAccept(now, addr uint64) uint64 {
 }
 
 // WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Watcher): the ports its active streams read or write, the
-// pad write buffer, and the stream-kick counter. The stream set itself
-// changes only inside the engine's own tick or under a Kicks raise, so
-// between two snapshots every term is monotone.
+// (see sim.Component.WatchSig): the ports its active streams read or
+// write, the pad write buffer, and the stream-kick counter. The stream
+// set itself changes only inside the engine's own tick or under a
+// Kicks raise, so between two snapshots every term is monotone.
 func (e *MSE) WatchSig() uint64 {
 	sig := e.Kicks.Value() + e.padBuf.DrainVer()
 	for _, s := range e.reads {

@@ -254,7 +254,7 @@ func (e *RSE) OnSkip(from, to uint64) {
 }
 
 // WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Watcher and MSE.WatchSig).
+// (see sim.Component.WatchSig and MSE.WatchSig).
 func (e *RSE) WatchSig() uint64 {
 	sig := e.Kicks.Value()
 	for _, s := range e.streams {

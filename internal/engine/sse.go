@@ -373,7 +373,7 @@ func (e *SSE) OnSkip(from, to uint64) {
 }
 
 // WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Watcher and MSE.WatchSig).
+// (see sim.Component.WatchSig and MSE.WatchSig).
 func (e *SSE) WatchSig() uint64 {
 	sig := e.Kicks.Value() + e.padBuf.FillVer()
 	for _, s := range e.reads {

@@ -10,9 +10,7 @@ import (
 	"softbrain/internal/lint"
 	"softbrain/internal/mem"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // fixProgs runs the fix pass over each program and asserts the shipped
@@ -71,29 +69,13 @@ func TestFixPreservesWorkloads(t *testing.T) {
 		cfg  core.Config
 	}
 	var entries []entry
-
-	cfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
+	for _, e := range catalog.All() {
+		cfg := e.Config()
 		inst, err := e.Build(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, entry{"machsuite/" + e.Name, inst, cfg})
-	}
-	for _, e := range ext.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, entry{"ext/" + e.Name, inst, cfg})
-	}
-	dnnCfg := dnn.Config()
-	for _, l := range dnn.Layers() {
-		inst, err := l.Build(dnnCfg, dnn.Units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, entry{"dnn/" + l.Name, inst, dnnCfg})
+		entries = append(entries, entry{e.Suite + "/" + e.Name, inst, cfg})
 	}
 
 	for _, e := range entries {

@@ -10,9 +10,7 @@ import (
 	"softbrain/internal/fix"
 	"softbrain/internal/lint"
 	"softbrain/internal/progen"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // Brute-force verification of the legal placement intervals: for every
@@ -138,33 +136,14 @@ func TestIntervalSlideWorkloads(t *testing.T) {
 		cfg  core.Config
 	}
 	var targets []target
-	cfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
+	for _, e := range catalog.All() {
+		cfg := e.Config()
 		inst, err := e.Build(cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, p := range inst.Progs {
-			targets = append(targets, target{fmt.Sprintf("machsuite/%s#%d", e.Name, i), p, cfg})
-		}
-	}
-	for _, e := range ext.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range inst.Progs {
-			targets = append(targets, target{fmt.Sprintf("ext/%s#%d", e.Name, i), p, cfg})
-		}
-	}
-	dnnCfg := dnn.Config()
-	for _, l := range dnn.Layers() {
-		inst, err := l.Build(dnnCfg, dnn.Units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range inst.Progs {
-			targets = append(targets, target{fmt.Sprintf("dnn/%s#%d", l.Name, i), p, dnnCfg})
+			targets = append(targets, target{fmt.Sprintf("%s/%s#%d", e.Suite, e.Name, i), p, cfg})
 		}
 	}
 	exs, err := programs.All()

@@ -70,10 +70,7 @@ func TestFixMatchesSerialized(t *testing.T) {
 		want := run(ser)
 		irng.Seed(seed + 1000)
 		got := run(q)
-		// FirstDiff scans ascending, so any data divergence surfaces
-		// before the configuration space, where the two programs'
-		// bitstreams legitimately occupy different slots.
-		if addr, diff := got.FirstDiff(want); diff && addr < core.ConfigSpace {
+		if addr, diff := got.FirstDiff(want); diff {
 			t.Fatalf("seed %d: fixed program diverges from serialized reference at %#x", seed, addr)
 		}
 	}

@@ -7,9 +7,7 @@ import (
 	"softbrain/examples/programs"
 	"softbrain/internal/core"
 	"softbrain/internal/lint"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // assertClean lints p and fails the test on any finding at all —
@@ -29,33 +27,14 @@ func assertClean(t *testing.T, name string, p *core.Program, cfg core.Config) {
 // TestWorkloadsLintClean is the regression gate: every shipped workload
 // program passes the linter with zero findings.
 func TestWorkloadsLintClean(t *testing.T) {
-	cfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
+	for _, e := range catalog.All() {
+		cfg := e.Config()
 		inst, err := e.Build(cfg, 1)
 		if err != nil {
-			t.Fatalf("machsuite/%s: %v", e.Name, err)
+			t.Fatalf("%s/%s: %v", e.Suite, e.Name, err)
 		}
 		for i, p := range inst.Progs {
-			assertClean(t, fmt.Sprintf("machsuite/%s#%d", e.Name, i), p, cfg)
-		}
-	}
-	for _, e := range ext.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			t.Fatalf("ext/%s: %v", e.Name, err)
-		}
-		for i, p := range inst.Progs {
-			assertClean(t, fmt.Sprintf("ext/%s#%d", e.Name, i), p, cfg)
-		}
-	}
-	dnnCfg := dnn.Config()
-	for _, l := range dnn.Layers() {
-		inst, err := l.Build(dnnCfg, dnn.Units)
-		if err != nil {
-			t.Fatalf("dnn/%s: %v", l.Name, err)
-		}
-		for i, p := range inst.Progs {
-			assertClean(t, fmt.Sprintf("dnn/%s#%d", l.Name, i), p, dnnCfg)
+			assertClean(t, fmt.Sprintf("%s/%s#%d", e.Suite, e.Name, i), p, cfg)
 		}
 	}
 }

@@ -12,9 +12,7 @@ import (
 	"softbrain/internal/isa"
 	"softbrain/internal/lint"
 	"softbrain/internal/progen"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // clusterProg builds one addpair unit program over a shared cfg.
@@ -297,28 +295,13 @@ func TestClusterWorkloadsClean(t *testing.T) {
 			t.Errorf("%s: %v", name, f)
 		}
 	}
-	cfg := core.DefaultConfig()
-	for _, e := range machsuite.All() {
+	for _, e := range catalog.All() {
+		cfg := e.Config()
 		inst, err := e.Build(cfg, 1)
 		if err != nil {
-			t.Fatalf("machsuite/%s: %v", e.Name, err)
+			t.Fatalf("%s/%s: %v", e.Suite, e.Name, err)
 		}
-		assert("machsuite/"+e.Name, inst.Progs, cfg)
-	}
-	for _, e := range ext.All() {
-		inst, err := e.Build(cfg, 1)
-		if err != nil {
-			t.Fatalf("ext/%s: %v", e.Name, err)
-		}
-		assert("ext/"+e.Name, inst.Progs, cfg)
-	}
-	dnnCfg := dnn.Config()
-	for _, l := range dnn.Layers() {
-		inst, err := l.Build(dnnCfg, dnn.Units)
-		if err != nil {
-			t.Fatalf("dnn/%s: %v", l.Name, err)
-		}
-		assert("dnn/"+l.Name, inst.Progs, dnnCfg)
+		assert(e.Suite+"/"+e.Name, inst.Progs, cfg)
 	}
 }
 

@@ -17,9 +17,7 @@ import (
 	"softbrain/internal/obs"
 	"softbrain/internal/wire"
 	"softbrain/internal/workloads"
-	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/ext"
-	"softbrain/internal/workloads/machsuite"
+	"softbrain/internal/workloads/catalog"
 )
 
 // Request is one simulation submission: either a named built-in
@@ -255,42 +253,23 @@ func drawSeed() int64 {
 	return seed
 }
 
-// buildWorkload resolves a named built-in workload exactly as sdsim
-// does: DNN layers on the 8-unit DNN cluster, MachSuite and extension
-// codes on the broadly provisioned single unit.
+// buildWorkload bounds the scale and builds the named workload on its
+// own machine (internal/workloads/catalog).
 func buildWorkload(name string, scale int) (*workloads.Instance, core.Config, error) {
-	if scale == 0 {
-		scale = 1
-	}
 	if scale < 1 || scale > 8 {
 		return nil, core.Config{}, fmt.Errorf("scale %d out of range [1, 8]", scale)
 	}
-	if l, err := dnn.Find(name); err == nil {
-		cfg := dnn.Config()
-		inst, err := l.Build(cfg, dnn.Units)
-		return inst, cfg, err
-	}
-	cfg := core.DefaultConfig()
-	if e, err := machsuite.Find(name); err == nil {
-		inst, err := e.Build(cfg, scale)
-		return inst, cfg, err
-	}
-	e, err := ext.Find(name)
-	if err != nil {
-		return nil, core.Config{}, fmt.Errorf("unknown workload %q", name)
-	}
-	inst, err := e.Build(cfg, scale)
-	return inst, cfg, err
+	return catalog.Build(name, scale)
 }
 
 // cacheKey is the content address of a submission: the SHA-256 of the
 // canonical re-encoding of everything that determines the result. For
 // a raw program that is the wire re-encoding of the decoded program
 // (whitespace- and field-order-independent); for a named workload it
-// is (name, scale) — the DFG→CGRA placement a rebuild would produce
-// is not canonical, so the workload's identity is its name, not any
-// one compiled artifact. The scalar knobs and output options are
-// hashed in both cases.
+// is (name, scale). A build is a deterministic function of those two,
+// so keying them names the same content as its programs would, and is
+// cheaper than re-encoding them. The scalar knobs and output options
+// are hashed in both cases.
 func (rr *runRequest) cacheKey() (string, error) {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

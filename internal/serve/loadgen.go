@@ -81,6 +81,14 @@ func (c *Client) Submit(ctx context.Context, req Request) (*Response, error) {
 // never retried (the next attempt would only reach the same verdict,
 // and likely the cache).
 func (c *Client) SubmitRetry(ctx context.Context, req Request) (*Response, int, error) {
+	return retry(ctx, c, func() (*Response, error) { return c.Submit(ctx, req) })
+}
+
+// retry runs submit under the client's retry policy: transient
+// failures (429, 503) retry with exponential backoff honoring
+// Retry-After, up to MaxRetries times; anything else is final. It
+// returns the last attempt's outcome and the number of retries spent.
+func retry[T any](ctx context.Context, c *Client, submit func() (T, error)) (T, int, error) {
 	maxRetries := c.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = 4
@@ -89,16 +97,11 @@ func (c *Client) SubmitRetry(ctx context.Context, req Request) (*Response, int, 
 	if backoff == 0 {
 		backoff = 50 * time.Millisecond
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		resp, err := c.Submit(ctx, req)
-		if err == nil {
-			return resp, attempt, nil
-		}
-		lastErr = err
+		out, err := submit()
 		var ae *apiError
-		if !errors.As(err, &ae) || !ae.Kind.Retryable() || attempt >= maxRetries {
-			return nil, attempt, lastErr
+		if err == nil || !errors.As(err, &ae) || !ae.Kind.Retryable() || attempt >= maxRetries {
+			return out, attempt, err
 		}
 		wait := backoff << attempt
 		if ae.RetryAfter > wait {
@@ -107,7 +110,7 @@ func (c *Client) SubmitRetry(ctx context.Context, req Request) (*Response, int, 
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
-			return nil, attempt, context.Cause(ctx)
+			return out, attempt, context.Cause(ctx)
 		}
 	}
 }
@@ -290,31 +293,5 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadConfig) (*LoadResult, 
 // SubmitRetry: pre-stream shedding (429/503) retries with backoff;
 // anything in-band is final.
 func (c *Client) submitStreamRetry(ctx context.Context, req Request) (*StreamOutcome, int, error) {
-	maxRetries := c.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 4
-	}
-	backoff := c.BaseBackoff
-	if backoff == 0 {
-		backoff = 50 * time.Millisecond
-	}
-	for attempt := 0; ; attempt++ {
-		out, err := c.SubmitStream(ctx, req)
-		if err == nil {
-			return out, attempt, nil
-		}
-		var ae *apiError
-		if !errors.As(err, &ae) || !ae.Kind.Retryable() || attempt >= maxRetries {
-			return out, attempt, err
-		}
-		wait := backoff << attempt
-		if ae.RetryAfter > wait {
-			wait = ae.RetryAfter
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return out, attempt, context.Cause(ctx)
-		}
-	}
+	return retry(ctx, c, func() (*StreamOutcome, error) { return c.SubmitStream(ctx, req) })
 }

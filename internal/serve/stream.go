@@ -178,8 +178,7 @@ func mustEvent(seq int, typ string, payload any) Event {
 	return Event{Seq: seq, Type: typ, Data: data}
 }
 
-// streamFlight follows a flight over SSE: replay the event history,
-// then live events until the terminal one. A client that disconnects
+// streamFlight follows a flight over SSE. A client that disconnects
 // mid-stream detaches exactly like a unary waiter — the last waiter
 // out cancels the simulation itself.
 func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight) {
@@ -192,39 +191,10 @@ func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight)
 	}
 	sseHeaders(w, f.id)
 	fl.Flush()
-
-	sub := f.events.subscribe()
-	defer f.events.unsubscribe(sub)
-
-	sent := 0
-	emit := func() bool {
-		evs := f.events.since(sent)
-		for _, ev := range evs {
-			if err := writeSSE(w, ev); err != nil {
-				return false
-			}
-		}
-		if len(evs) > 0 {
-			sent += len(evs)
-			fl.Flush()
-		}
-		return true
-	}
-	for {
-		if !emit() {
-			f.dropWaiter(errClientGone)
-			return
-		}
-		select {
-		case <-f.done:
-			emit() // the terminal event was published before done closed
-			f.dropWaiter(nil)
-			return
-		case <-sub:
-		case <-r.Context().Done():
-			f.dropWaiter(errClientGone)
-			return
-		}
+	if follow(r.Context(), w, fl, f) {
+		f.dropWaiter(nil)
+	} else {
+		f.dropWaiter(errClientGone)
 	}
 }
 
@@ -251,7 +221,14 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sseHeaders(w, f.id)
 	fl.Flush()
+	follow(r.Context(), w, fl, f)
+}
 
+// follow replays a flight's event history over SSE, then writes live
+// events until the terminal one. It reports whether the flight
+// finished while the client was still attached: false means a write
+// failed or ctx, the client's request, ended first.
+func follow(ctx context.Context, w http.ResponseWriter, fl http.Flusher, f *flight) bool {
 	sub := f.events.subscribe()
 	defer f.events.unsubscribe(sub)
 	sent := 0
@@ -270,15 +247,15 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		if !emit() {
-			return
+			return false
 		}
 		select {
 		case <-f.done:
-			emit()
-			return
+			emit() // the terminal event was published before done closed
+			return true
 		case <-sub:
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return false
 		}
 	}
 }

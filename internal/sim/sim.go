@@ -11,11 +11,11 @@
 // arrives or a neighbor's action signals it. Signals are monotone
 // event counters (Signal) raised by state-changing actions: a port
 // push or pop, a stream kicked into an engine, a stream leaving an
-// engine's table, a scratch-write-buffer slot freed. Each component's
-// Watcher implementation sums the signals it depends on into a watch
-// signature; the kernel snapshots the signature when the component
-// goes to sleep and re-checks it each cycle — one integer compare per
-// sleeping component — so a changed input wakes the component on
+// engine's table, a scratch-write-buffer slot freed. Each component
+// sums the signals it depends on into a watch signature; the kernel
+// snapshots the signature when the component goes to sleep and
+// re-checks it each cycle — one integer compare per sleeping
+// component — so a changed input wakes the component on
 // exactly the cycle a tick-everything loop would have first acted on
 // it. When every component sleeps, the machine state is provably
 // frozen until the earliest timed wake and the run loop jumps there
@@ -113,11 +113,9 @@ func (s Signal) Value() uint64 { return uint64(s) }
 // strict no-op (it counts stall cycles, say) additionally implements
 // Skipper so skipped spans stay statistically cycle-exact.
 //
-// A component that also implements Watcher may be slept through
-// cycles in which other components act: WatchSig must change whenever
-// any external action could invalidate the hint early. A component
-// without Watcher is ticked every cycle its hint is not WakeTimed in
-// the future — sound, but it forfeits the wake-set savings.
+// A component may be slept through cycles in which other components
+// act: WatchSig must change whenever any external action could
+// invalidate the hint early.
 type Component interface {
 	// Name identifies the component in error attribution ("mse").
 	Name() string
@@ -130,17 +128,13 @@ type Component interface {
 	// has done observable work; the run loop's hang detection watches
 	// the sum across components.
 	Progress() uint64
-}
-
-// Watcher extends Component with the wake-set subscription: WatchSig
-// returns a monotone signature — a sum of the Signals and event
-// counters the component's current hint depends on. The kernel
-// snapshots it when the component sleeps and wakes the component the
-// first cycle it differs. Soundness requires only that every external
-// event that could let the component act earlier than its hint
-// promised changes the signature; spurious changes merely cost a
-// workless tick.
-type Watcher interface {
+	// WatchSig is the wake-set subscription: a monotone signature — a
+	// sum of the Signals and event counters the component's current
+	// hint depends on. The kernel snapshots it when the component
+	// sleeps and wakes the component the first cycle it differs.
+	// Soundness requires only that every external event that could
+	// let the component act earlier than its hint promised changes the
+	// signature; spurious changes merely cost a workless tick.
 	WatchSig() uint64
 }
 
@@ -221,7 +215,6 @@ func (s *SchedStats) Add(other SchedStats) {
 // that tick (for lazy skip replay).
 type Kernel struct {
 	comps    []Component
-	watchers []Watcher // index-aligned; nil when not a Watcher
 	skippers []Skipper // index-aligned; nil when not a Skipper
 
 	hints []Hint
@@ -243,8 +236,6 @@ func (k *Kernel) Skipped() uint64 { return k.Stats.Skipped }
 // Register appends a component; registration order is tick order.
 func (k *Kernel) Register(c Component) {
 	k.comps = append(k.comps, c)
-	w, _ := c.(Watcher)
-	k.watchers = append(k.watchers, w)
 	s, _ := c.(Skipper)
 	k.skippers = append(k.skippers, s)
 	k.hints = append(k.hints, ReadyNow())
@@ -280,9 +271,8 @@ func (k *Kernel) Progress() uint64 {
 }
 
 // ShouldTick decides whether component i needs its tick at cycle now:
-// its cached hint says Ready, its timed wake has arrived, or — for a
-// Watcher — its watch signature changed since it went to sleep. A
-// non-Watcher component sleeps only inside a timed wait.
+// its cached hint says Ready, its timed wake has arrived, or its watch
+// signature changed since it went to sleep.
 func (k *Kernel) ShouldTick(i int, now uint64) bool {
 	h := k.hints[i]
 	if h.Kind == WakeReady {
@@ -291,13 +281,7 @@ func (k *Kernel) ShouldTick(i int, now uint64) bool {
 	if h.Kind == WakeTimed && now >= h.At {
 		return true
 	}
-	w := k.watchers[i]
-	if w == nil {
-		// Without a watch signature an Idle hint cannot be
-		// re-validated against neighbors' actions; tick.
-		return h.Kind != WakeTimed
-	}
-	if w.WatchSig() != k.sigs[i] {
+	if k.comps[i].WatchSig() != k.sigs[i] {
 		k.Stats.SigWakes++
 		return true
 	}
@@ -323,9 +307,7 @@ func (k *Kernel) BeforeTick(i int, now uint64) {
 func (k *Kernel) AfterTick(i int, now uint64) {
 	k.last[i] = int64(now)
 	k.hints[i] = k.comps[i].NextWake(now)
-	if w := k.watchers[i]; w != nil {
-		k.sigs[i] = w.WatchSig()
-	}
+	k.sigs[i] = k.comps[i].WatchSig()
 	k.Stats.CompTicks++
 	k.TickBy[i]++
 }
@@ -347,12 +329,8 @@ func (k *Kernel) NextWake(now uint64) Hint {
 				return ReadyNow()
 			}
 		}
-		if w := k.watchers[i]; w != nil {
-			if w.WatchSig() != k.sigs[i] {
-				return ReadyNow()
-			}
-		} else if hi.Kind == WakeIdle {
-			return ReadyNow() // unwatched Idle component ticks every cycle
+		if k.comps[i].WatchSig() != k.sigs[i] {
+			return ReadyNow()
 		}
 		if hi.Kind == WakeTimed {
 			h = h.Earliest(hi)
@@ -366,8 +344,7 @@ func (k *Kernel) NextWake(now uint64) Hint {
 // index of the sole due component and a limit: the earliest cycle at
 // which a sleeping component's timed wake arrives (MaxUint64 when
 // every other component is idle). It returns (-1, 0) when zero or
-// several components are due, or when a sleeping non-Watcher makes
-// the frozen-peers claim unverifiable. The due test mirrors
+// several components are due. The due test mirrors
 // ShouldTick exactly, so a span starts only on a cycle where Step
 // would have ticked exactly one component.
 func (k *Kernel) SoloReady(now uint64) (int, uint64) {
@@ -394,12 +371,7 @@ func (k *Kernel) SoloReady(now uint64) (int, uint64) {
 		if i == sole {
 			continue
 		}
-		w := k.watchers[i]
-		if w == nil {
-			if h.Kind != WakeTimed {
-				return -1, 0 // unverifiable sleeper
-			}
-		} else if w.WatchSig() != k.sigs[i] {
+		if k.comps[i].WatchSig() != k.sigs[i] {
 			if sole >= 0 {
 				return -1, 0
 			}
@@ -456,7 +428,7 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(int, uint64) 
 		// Same-cycle wakes: does a later peer need this cycle?
 		tail := false
 		for j := sole + 1; j < ncomps; j++ {
-			if w := k.watchers[j]; w != nil && w.WatchSig() != k.sigs[j] {
+			if k.comps[j].WatchSig() != k.sigs[j] {
 				tail = true
 				break
 			}
@@ -501,7 +473,7 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(int, uint64) 
 		n++
 		early := false
 		for j := 0; j < sole; j++ {
-			if w := k.watchers[j]; w != nil && w.WatchSig() != k.sigs[j] {
+			if k.comps[j].WatchSig() != k.sigs[j] {
 				early = true
 				break
 			}
@@ -515,9 +487,7 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(int, uint64) 
 		}
 	}
 	k.hints[sole] = c.NextWake(uint64(k.last[sole]))
-	if w := k.watchers[sole]; w != nil {
-		k.sigs[sole] = w.WatchSig()
-	}
+	k.sigs[sole] = c.WatchSig()
 	if n > 0 {
 		k.Stats.AddSpan(n)
 	}

@@ -23,8 +23,8 @@ func TestHintEarliest(t *testing.T) {
 	}
 }
 
-// fake is a minimal Component with a scripted hint. It is not a
-// Watcher, so it exercises the conservative fallback paths.
+// fake is a minimal Component with a scripted hint and a constant
+// watch signature: nothing but its own hint ever wakes it.
 type fake struct {
 	name string
 	hint Hint
@@ -41,6 +41,7 @@ func (f *fake) Tick(now uint64) error    { f.ticks = append(f.ticks, now); retur
 func (f *fake) NextWake(now uint64) Hint { return f.hint }
 func (f *fake) Progress() uint64         { return f.prog }
 func (f *fake) OnSkip(from, to uint64)   { f.skips = append(f.skips, ated{from, to}) }
+func (f *fake) WatchSig() uint64         { return 0 }
 
 // watched adds a watch signature, modeling a component whose inputs
 // are guarded by signals.
@@ -81,29 +82,23 @@ func tick(t *testing.T, k *Kernel, now uint64) {
 func TestKernelShouldTick(t *testing.T) {
 	var k Kernel
 	w := &watched{fake: fake{name: "w", hint: Idle()}}
-	u := &fake{name: "u", hint: Idle()}
 	tm := &fake{name: "t", hint: WakeAt(5)}
 	k.Register(w)
-	k.Register(u)
 	k.Register(tm)
 
 	// Cycle 0: fresh registrations default to Ready — everyone ticks.
 	tick(t, &k, 0)
-	for _, f := range []*fake{&w.fake, u, tm} {
+	for _, f := range []*fake{&w.fake, tm} {
 		if len(f.ticks) != 1 {
 			t.Fatalf("%s ticked %v on the first cycle", f.name, f.ticks)
 		}
 	}
 
 	// Cycle 1: the watcher sleeps (Idle, signature unchanged), the
-	// unwatched Idle component must still tick (no way to re-validate),
-	// the timed component sleeps until cycle 5.
+	// timed component sleeps until cycle 5.
 	tick(t, &k, 1)
 	if len(w.ticks) != 1 {
 		t.Errorf("watcher ticked %v; want asleep at cycle 1", w.ticks)
-	}
-	if len(u.ticks) != 2 {
-		t.Errorf("unwatched idle component ticks %v; must tick every cycle", u.ticks)
 	}
 	if len(tm.ticks) != 1 {
 		t.Errorf("timed component ticked %v; want asleep until 5", tm.ticks)
@@ -165,14 +160,6 @@ func TestKernelNextWake(t *testing.T) {
 		seed(t, &k, now)
 		if h := k.NextWake(now); h.Kind != WakeReady {
 			t.Errorf("NextWake = %v, want ready", h)
-		}
-	})
-	t.Run("unwatched idle vetoes", func(t *testing.T) {
-		var k Kernel
-		k.Register(&fake{name: "a", hint: Idle()})
-		seed(t, &k, now)
-		if h := k.NextWake(now); h.Kind != WakeReady {
-			t.Errorf("NextWake = %v, want ready (cannot prove frozen)", h)
 		}
 	})
 	t.Run("watched idle plus timed jumps", func(t *testing.T) {

@@ -12,41 +12,33 @@ import (
 	"softbrain/internal/workloads"
 )
 
-// Builder constructs a sized instance of one workload. scale >= 1
-// multiplies the problem size; 1 is a small test size.
-type Builder func(cfg core.Config, scale int) (*workloads.Instance, error)
-
-// Entry is one implemented workload with its Table 4 characterization.
-type Entry struct {
-	Name     string
-	Patterns string
-	Datapath string
-	Build    Builder
-}
-
 // All returns the eight implemented MachSuite workloads, in the paper's
-// order.
-func All() []Entry {
-	return []Entry{
-		{"bfs", "Indirect Loads/Stores, Recurrence", "Compare/Increment", BuildBFS},
-		{"gemm", "Affine, Recurrence", "8-Way Multiply-Accumulate", BuildGEMM},
-		{"md-knn", "Indirect Loads, Recurrence", "Large Irregular Datapath", BuildMDKNN},
-		{"spmv-crs", "Indirect, Linear", "Single Multiply-Accumulate", BuildSpMVCRS},
-		{"spmv-ellpack", "Indirect, Linear, Recurrence", "4-Way Multiply-Accumulate", BuildSpMVEllpack},
-		{"stencil2d", "Affine, Recurrence", "8-Way Multiply-Accumulate", BuildStencil2D},
-		{"stencil3d", "Affine", "6-1 Reduce and Multiplier Tree", BuildStencil3D},
-		{"viterbi", "Recurrence, Linear", "4-Way Add-Minimize Tree", BuildViterbi},
+// order, each on the broadly provisioned single unit.
+func All() []workloads.Entry {
+	e := func(name, patterns, datapath string, build func(core.Config, int) (*workloads.Instance, error)) workloads.Entry {
+		return workloads.Entry{Name: name, Suite: "machsuite", Patterns: patterns, Datapath: datapath,
+			Config: core.DefaultConfig, Build: build}
+	}
+	return []workloads.Entry{
+		e("bfs", "Indirect Loads/Stores, Recurrence", "Compare/Increment", BuildBFS),
+		e("gemm", "Affine, Recurrence", "8-Way Multiply-Accumulate", BuildGEMM),
+		e("md-knn", "Indirect Loads, Recurrence", "Large Irregular Datapath", BuildMDKNN),
+		e("spmv-crs", "Indirect, Linear", "Single Multiply-Accumulate", BuildSpMVCRS),
+		e("spmv-ellpack", "Indirect, Linear, Recurrence", "4-Way Multiply-Accumulate", BuildSpMVEllpack),
+		e("stencil2d", "Affine, Recurrence", "8-Way Multiply-Accumulate", BuildStencil2D),
+		e("stencil3d", "Affine", "6-1 Reduce and Multiplier Tree", BuildStencil3D),
+		e("viterbi", "Recurrence, Linear", "4-Way Add-Minimize Tree", BuildViterbi),
 	}
 }
 
 // Find returns the named workload entry.
-func Find(name string) (Entry, error) {
+func Find(name string) (workloads.Entry, error) {
 	for _, e := range All() {
 		if e.Name == name {
 			return e, nil
 		}
 	}
-	return Entry{}, fmt.Errorf("machsuite: unknown workload %q", name)
+	return workloads.Entry{}, fmt.Errorf("machsuite: unknown workload %q", name)
 }
 
 // Unsuitable describes a MachSuite code the stream-dataflow abstractions

@@ -45,6 +45,19 @@ type Instance struct {
 // Units is the number of Softbrain units the instance runs on.
 func (i *Instance) Units() int { return len(i.Progs) }
 
+// Entry is one built-in workload: its name, its suite ("machsuite",
+// "ext" or "dnn"), its Table 4 characterization, the machine it runs
+// on, and its builder. scale >= 1 multiplies the problem size (1 is a
+// small test size); workloads of a fixed shape ignore it.
+type Entry struct {
+	Name     string
+	Suite    string
+	Patterns string
+	Datapath string
+	Config   func() core.Config
+	Build    func(cfg core.Config, scale int) (*Instance, error)
+}
+
 // RunOpts selects how Instance.Run executes.
 type RunOpts struct {
 	// Warm runs the instance twice on the same cluster and reports the
