@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -275,12 +276,13 @@ func TestSimRowDRAMUtilization(t *testing.T) {
 const workAllocSlack = 8
 
 // TestWorkGoldens gates every suite workload's host-independent work
-// against scripts/work_goldens.json: the scheduler counters must match
-// exactly, and the allocations of one run must land within
-// workAllocSlack of the golden, either way — a drop is committed by the
-// change that earns it, like a cycle golden (regenerate with
-// go run ./cmd/sdbench -json -update-goldens). Race-detector builds
-// allocate differently, so they check the counters only.
+// against scripts/work_goldens.json: the scheduler counters and the
+// per-component stall attribution must match exactly, and the
+// allocations of one run must land within workAllocSlack of the golden,
+// either way — a drop is committed by the change that earns it, like a
+// cycle golden (regenerate with go run ./cmd/sdbench -json
+// -update-goldens). Race-detector builds allocate differently, so they
+// check the counters and the attribution only.
 func TestWorkGoldens(t *testing.T) {
 	data, err := os.ReadFile("../../scripts/work_goldens.json")
 	if err != nil {
@@ -305,8 +307,12 @@ func TestWorkGoldens(t *testing.T) {
 		t.Logf("%s: %+v", name, g)
 		gc, wc := g, w
 		gc.Mallocs, wc.Mallocs = 0, 0
-		if gc != wc {
+		gc.Stalls, wc.Stalls = nil, nil
+		if !reflect.DeepEqual(gc, wc) {
 			t.Errorf("%s: scheduler counters drifted:\n  got    %+v\n  golden %+v", name, gc, wc)
+		}
+		if !reflect.DeepEqual(g.Stalls, w.Stalls) {
+			t.Errorf("%s: stall attribution drifted:\n  got    %v\n  golden %v", name, g.Stalls, w.Stalls)
 		}
 		if !raceEnabled && (g.Mallocs > w.Mallocs+workAllocSlack || g.Mallocs+workAllocSlack < w.Mallocs) {
 			t.Errorf("%s: %d allocations per run, golden %d (slack %d)", name, g.Mallocs, w.Mallocs, workAllocSlack)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"time"
@@ -305,10 +306,7 @@ func metricsColumns(ctx context.Context, row *SimRow, inst *workloads.Instance, 
 	if err := obs.CheckConservation(dump); err != nil {
 		return fmt.Errorf("bench: %s: %w", row.Workload, err)
 	}
-	row.Stalls = map[string]map[string]uint64{}
-	for _, c := range dump.Total.Components {
-		row.Stalls[c.Name] = c.Causes
-	}
+	row.Stalls = stallCycles(dump)
 	var memBytes uint64
 	for _, s := range dump.Total.Streams {
 		row.BytesMoved += s.Bytes
@@ -471,9 +469,10 @@ func UpdateSimGoldens(rows []SimRow, goldenPath string) error {
 // Work is one workload's host-independent cost, the work goldens
 // (scripts/work_goldens.json) that gate a change on any host: the
 // wake-set scheduler's counters from a default-scheduled cold run,
-// which are exact, and the heap allocations of one Instance.Run
+// which are exact, the heap allocations of one Instance.Run
 // (runtime.MemStats.Mallocs delta), the minimum over workReps runs,
-// which is exact up to a few allocations of runtime noise.
+// which is exact up to a few allocations of runtime noise, and the
+// stall attribution of one untimed metrics run, which is exact.
 type Work struct {
 	SteppedCycles uint64 `json:"stepped_cycles"`
 	SkippedCycles uint64 `json:"skipped_cycles"`
@@ -481,6 +480,10 @@ type Work struct {
 	SigWakes      uint64 `json:"sig_wakes"`
 	SpanCycles    uint64 `json:"span_cycles"`
 	Mallocs       uint64 `json:"mallocs"`
+
+	// Stalls is the metrics run's attribution: per component, cause ->
+	// cycles summed across units (the sdbench -json stall_cycles).
+	Stalls map[string]map[string]uint64 `json:"stall_cycles"`
 }
 
 // workReps is the number of runs whose minimum allocation count the
@@ -523,14 +526,30 @@ func MeasureWork(ctx context.Context, smokeOnly bool) (map[string]Work, error) {
 				w, w.Mallocs = run, mallocs
 				continue
 			}
-			if run.Mallocs = w.Mallocs; run != w {
+			if run.Mallocs = w.Mallocs; !reflect.DeepEqual(run, w) {
 				return nil, fmt.Errorf("bench: %s: nondeterministic scheduler counters (%+v then %+v)", e.name, w, run)
 			}
 			w.Mallocs = min(w.Mallocs, mallocs)
 		}
+		cl, _, err := inst.Run(ctx, cfg, workloads.RunOpts{
+			Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) },
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s (work metrics): %w", e.name, err)
+		}
+		w.Stalls = stallCycles(cl.MetricsDump())
 		out[e.name] = w
 	}
 	return out, nil
+}
+
+// stallCycles is a dump's attribution: per component, cause -> cycles.
+func stallCycles(d obs.Dump) map[string]map[string]uint64 {
+	out := map[string]map[string]uint64{}
+	for _, c := range d.Total.Components {
+		out[c.Name] = c.Causes
+	}
+	return out
 }
 
 // UpdateWorkGoldens rewrites the work goldens file from measured work.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -82,112 +81,141 @@ func runHang(t *testing.T, p *Program, cfg Config) *DeadlockError {
 }
 
 // TestDiagnoseHangCorpus replays the linter's seeded-hazard corpus
-// without repair and checks that each hang is classified with the
-// culprit stream and port named.
+// without repair and pins each hang's whole diagnosis: the cycle it is
+// detected at, its class, the culprit stream and port, the wait chain
+// and the machine snapshot.
 func TestDiagnoseHangCorpus(t *testing.T) {
-	t.Run("unequal-counts", func(t *testing.T) {
-		// B receives one instance to A's two: the dataflow starves.
-		p, cfg := addpairProg(t)
-		p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 16), Dst: p.In("A")})
-		p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 8), Dst: p.In("B")})
-		p.Emit(isa.CleanPort{Src: p.Out("C"), Elem: isa.Elem64, Count: 2})
-		de := runHang(t, p, cfg)
-		if de.Class != HangPortUndersupply {
-			t.Fatalf("class = %v, want %v\n%v", de.Class, HangPortUndersupply, de)
-		}
-		if want := fmt.Sprintf("in%d", p.In("B")); de.Port != want {
-			t.Fatalf("port = %q, want %q\n%v", de.Port, want, de)
-		}
-		if !strings.Contains(de.Stream, "Clean_Port") {
-			t.Fatalf("stream = %q, want the starving consumer\n%v", de.Stream, de)
-		}
-	})
-
-	t.Run("overconsume", func(t *testing.T) {
-		// One instance produces 8 bytes; consuming 16 deadlocks.
-		p, cfg := addpairProg(t)
-		p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 8), Dst: p.In("A")})
-		p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 8), Dst: p.In("B")})
-		p.Emit(isa.CleanPort{Src: p.Out("C"), Elem: isa.Elem64, Count: 2})
-		de := runHang(t, p, cfg)
-		if de.Class != HangPortUndersupply {
-			t.Fatalf("class = %v, want %v\n%v", de.Class, HangPortUndersupply, de)
-		}
-	})
-
-	t.Run("oversupply-unmapped", func(t *testing.T) {
-		// A constant stream overfills a port no configuration maps.
-		p, cfg := addpairProg(t)
-		var free isa.InPortID
-		found := false
-		used := map[isa.InPortID]bool{p.In("A"): true, p.In("B"): true}
-		for hw, spec := range cfg.Fabric.InPorts {
-			if !spec.Indirect && !used[isa.InPortID(hw)] {
-				free, found = isa.InPortID(hw), true
-				break
+	cases := []struct {
+		name string
+		prog func(t *testing.T) (*Program, Config)
+		want string
+	}{
+		{"unequal-counts", func(t *testing.T) (*Program, Config) {
+			// B receives one instance to A's two: the dataflow starves.
+			p, cfg := addpairProg(t)
+			p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 16), Dst: p.In("A")})
+			p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 8), Dst: p.In("B")})
+			p.Emit(isa.CleanPort{Src: p.Out("C"), Elem: isa.Elem64, Count: 2})
+			return p, cfg
+		}, `core: deadlock at cycle 503: port-undersupply (stream SD_Clean_Port#4, port in7)
+  input port in7 is starved: no live, queued, or future stream supplies it
+  wait chain:
+    SD_Clean_Port#4 waits for data on out7
+    -> out7 awaits a fabric instance
+    -> fabric cannot fire: in7 lacks a full instance
+  pc=4/4 queue=0 active-streams: mse=0 sse=0 rse=1 cgra-inflight=0
+  in6: 8B buffered, 0B reserved, 504B space
+`},
+		{"overconsume", func(t *testing.T) (*Program, Config) {
+			// One instance produces 8 bytes; consuming 16 deadlocks.
+			p, cfg := addpairProg(t)
+			p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 8), Dst: p.In("A")})
+			p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 8), Dst: p.In("B")})
+			p.Emit(isa.CleanPort{Src: p.Out("C"), Elem: isa.Elem64, Count: 2})
+			return p, cfg
+		}, `core: deadlock at cycle 503: port-undersupply (stream SD_Clean_Port#4, port in6)
+  input port in6 is starved: no live, queued, or future stream supplies it
+  wait chain:
+    SD_Clean_Port#4 waits for data on out7
+    -> out7 awaits a fabric instance
+    -> fabric cannot fire: in6 lacks a full instance
+  pc=4/4 queue=0 active-streams: mse=0 sse=0 rse=1 cgra-inflight=0
+`},
+		{"oversupply-unmapped", func(t *testing.T) (*Program, Config) {
+			// A constant stream overfills a port no configuration maps.
+			p, cfg := addpairProg(t)
+			var free isa.InPortID
+			found := false
+			used := map[isa.InPortID]bool{p.In("A"): true, p.In("B"): true}
+			for hw, spec := range cfg.Fabric.InPorts {
+				if !spec.Indirect && !used[isa.InPortID(hw)] {
+					free, found = isa.InPortID(hw), true
+					break
+				}
 			}
-		}
-		if !found {
-			t.Fatal("fabric has no unmapped non-indirect input port")
-		}
-		depth := cfg.Fabric.InPorts[free].Depth
-		p.Emit(isa.ConstPort{Value: 1, Elem: isa.Elem64, Count: uint64(depth + 1), Dst: free})
-		de := runHang(t, p, cfg)
-		if de.Class != HangPortOversupply {
-			t.Fatalf("class = %v, want %v\n%v", de.Class, HangPortOversupply, de)
-		}
-		if want := fmt.Sprintf("in%d", free); de.Port != want {
-			t.Fatalf("port = %q, want %q\n%v", de.Port, want, de)
-		}
-	})
-
-	t.Run("starved-recurrence", func(t *testing.T) {
-		// Footnote 1 of Section 3.3: the recurrence must produce the
-		// first A, but A only arrives after Y fires.
-		p, cfg := tinyProg(t)
-		const n = 64
-		p.Emit(isa.MemPort{Src: isa.Linear(0, n*8), Dst: p.In("B")})
-		p.Emit(isa.PortPort{Src: p.Out("C"), Elem: isa.Elem64, Count: n, Dst: p.In("A")})
-		p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x9000, n*8)})
-		p.Emit(isa.BarrierAll{})
-		de := runHang(t, p, cfg)
-		if de.Class != HangStarvedRecurrence {
-			t.Fatalf("class = %v, want %v\n%v", de.Class, HangStarvedRecurrence, de)
-		}
-		if !strings.Contains(de.Stream, "Port_Port") {
-			t.Fatalf("stream = %q, want the recurrence\n%v", de.Stream, de)
-		}
-	})
-
-	t.Run("drained-unread", func(t *testing.T) {
-		// The fabric's output is produced but nothing ever reads it;
-		// with minimal buffering the residue wedges the suppliers.
-		p, cfg := tinyProg(t)
-		p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: p.In("A")})
-		p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 64), Dst: p.In("B")})
-		p.Emit(isa.BarrierAll{})
-		de := runHang(t, p, cfg)
-		if de.Class != HangDrainedUnread {
-			t.Fatalf("class = %v, want %v\n%v", de.Class, HangDrainedUnread, de)
-		}
-		if want := fmt.Sprintf("out%d", p.Out("C")); de.Port != want {
-			t.Fatalf("port = %q, want %q\n%v", de.Port, want, de)
-		}
-	})
-
-	t.Run("barrier-deadlock", func(t *testing.T) {
-		// The supply for B sits in the trace behind a barrier that can
-		// never complete, because the consumer it waits on needs B.
-		p, cfg := addpairProg(t)
-		p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: p.In("A")})
-		p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x3000, 64)})
-		p.Emit(isa.BarrierAll{})
-		p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 64), Dst: p.In("B")})
-		de := runHang(t, p, cfg)
-		if de.Class != HangBarrierDeadlock {
-			t.Fatalf("class = %v, want %v\n%v", de.Class, HangBarrierDeadlock, de)
-		}
-	})
+			if !found {
+				t.Fatal("fabric has no unmapped non-indirect input port")
+			}
+			depth := cfg.Fabric.InPorts[free].Depth
+			p.Emit(isa.ConstPort{Value: 1, Elem: isa.Elem64, Count: uint64(depth + 1), Dst: free})
+			return p, cfg
+		}, `core: deadlock at cycle 295: port-oversupply (stream SD_Const_Port#2, port in0)
+  data delivered to in0 is never consumed: the port is not mapped by the active configuration and no indirect stream reads it
+  wait chain:
+    SD_Const_Port#2 waits for space in in0
+  pc=2/2 queue=0 active-streams: mse=0 sse=0 rse=1 cgra-inflight=0
+  in0: 512B buffered, 0B reserved, 0B space
+`},
+		{"starved-recurrence", func(t *testing.T) (*Program, Config) {
+			// Footnote 1 of Section 3.3: the recurrence must produce the
+			// first A, but A only arrives after Y fires.
+			p, cfg := tinyProg(t)
+			const n = 64
+			p.Emit(isa.MemPort{Src: isa.Linear(0, n*8), Dst: p.In("B")})
+			p.Emit(isa.PortPort{Src: p.Out("C"), Elem: isa.Elem64, Count: n, Dst: p.In("A")})
+			p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x9000, n*8)})
+			p.Emit(isa.BarrierAll{})
+			return p, cfg
+		}, `core: deadlock at cycle 495: starved-recurrence (stream SD_Port_Port#3, port in6)
+  recurrence SD_Port_Port#3 cycles through the fabric but holds fewer elements than an instance needs to fire
+  wait chain:
+    SD_Mem_Port#2 waits for space in in7
+    -> in7 is full and the fabric is not consuming it
+    -> fabric cannot fire: in6 lacks a full instance
+    -> SD_Port_Port#3 waits for data on out7
+    -> out7 awaits a fabric instance
+  pc=5/5 queue=2 active-streams: mse=1 sse=0 rse=1 cgra-inflight=0
+  in7: 8B buffered, 0B reserved, 0B space
+`},
+		{"drained-unread", func(t *testing.T) (*Program, Config) {
+			// The fabric's output is produced but nothing ever reads it;
+			// with minimal buffering the residue wedges the suppliers.
+			p, cfg := tinyProg(t)
+			p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: p.In("A")})
+			p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 64), Dst: p.In("B")})
+			p.Emit(isa.BarrierAll{})
+			return p, cfg
+		}, `core: deadlock at cycle 509: drained-unread-output (stream SD_Mem_Port#2, port out7)
+  out7 holds 8 bytes no live, queued, or future stream will ever read
+  wait chain:
+    SD_Mem_Port#2 waits for space in in6
+    -> in6 is full and the fabric is not consuming it
+    -> fabric cannot fire: out7 has no space
+  pc=4/4 queue=1 active-streams: mse=2 sse=0 rse=0 cgra-inflight=0
+  in6: 8B buffered, 0B reserved, 0B space
+  in7: 8B buffered, 0B reserved, 0B space
+  out7: 8B buffered
+`},
+		{"barrier-deadlock", func(t *testing.T) (*Program, Config) {
+			// The supply for B sits in the trace behind a barrier that can
+			// never complete, because the consumer it waits on needs B.
+			p, cfg := addpairProg(t)
+			p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: p.In("A")})
+			p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x3000, 64)})
+			p.Emit(isa.BarrierAll{})
+			p.Emit(isa.MemPort{Src: isa.Linear(0x2000, 64), Dst: p.In("B")})
+			return p, cfg
+		}, `core: deadlock at cycle 495: barrier-deadlock (stream SD_Barrier_All, port in7)
+  the supply for in7 sits behind a pending SD_Barrier_All that cannot complete
+  wait chain:
+    SD_Port_Mem#3 waits for data on out7
+    -> out7 awaits a fabric instance
+    -> fabric cannot fire: in7 lacks a full instance
+    -> supply for in7 (SD_Mem_Port) is at trace[4], not yet fetched
+    -> core stalls behind SD_Barrier_All in the dispatch queue
+    -> SD_Barrier_All waits for SD_Port_Mem#3 to complete
+  pc=4/5 queue=1 active-streams: mse=1 sse=0 rse=0 cgra-inflight=0
+  in6: 64B buffered, 0B reserved, 448B space
+`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, cfg := c.prog(t)
+			if got := runHang(t, p, cfg).Error(); got != c.want {
+				t.Fatalf("diagnosis drifted:\n got:\n%s\nwant:\n%s", got, c.want)
+			}
+		})
+	}
 }
 
 // TestDiagnoseChainRendering checks the human-facing output carries the
@@ -212,7 +240,7 @@ func TestDiagnoseChainRendering(t *testing.T) {
 // TestQuiescenceBeatsWatchdog: a quiescent deadlock must be detected in
 // well under 1% of the watchdog budget — the machine goes quiet a few
 // hundred cycles in, and the diagnosis fires tens of cycles later
-// instead of 50000.
+// instead of 50000. The whole diagnosis is pinned, cycle included.
 func TestQuiescenceBeatsWatchdog(t *testing.T) {
 	// Scratchpad supplies avoid DRAM latency, so the hang sets in after
 	// a few tens of cycles and the whole run — including detection —
@@ -227,6 +255,18 @@ func TestQuiescenceBeatsWatchdog(t *testing.T) {
 	}
 	if de.Cycle > defaultWatchdog/100 {
 		t.Fatalf("diagnosed at cycle %d, want < %d (1%% of the watchdog)", de.Cycle, defaultWatchdog/100)
+	}
+	const want = `core: deadlock at cycle 294: port-undersupply (stream SD_Clean_Port#4, port in7)
+  input port in7 is starved: no live, queued, or future stream supplies it
+  wait chain:
+    SD_Clean_Port#4 waits for data on out7
+    -> out7 awaits a fabric instance
+    -> fabric cannot fire: in7 lacks a full instance
+  pc=4/4 queue=0 active-streams: mse=0 sse=0 rse=1 cgra-inflight=0
+  in6: 8B buffered, 0B reserved, 504B space
+`
+	if got := de.Error(); got != want {
+		t.Fatalf("diagnosis drifted:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
