@@ -52,8 +52,8 @@ bench:
 # scheduling-mode equivalence property (internal/core): the isa targets
 # cross-check Extent/Overlaps/IndexFootprint against brute-force byte
 # enumeration; FuzzSpanEquivalence runs a seeded generated program —
-# optionally under a fault profile — in per-cycle, wake-set, and
-# span-retirement modes and demands identical statistics and memory;
+# optionally under a fault profile — per-cycle and in the default
+# span-retirement mode and demands identical statistics and memory;
 # FuzzClusterEquivalence runs 2–8 units, each under its own generated
 # program, per-cycle and with default scheduling and demands identical
 # memory, per-unit statistics and metrics dumps (docs/SIMKERNEL.md).

@@ -61,8 +61,7 @@ type SchedMode uint8
 
 const (
 	SchedSpans    SchedMode = iota // the default: wake-set scheduler, idle skip-ahead, span retirement (Machine.retireSpan)
-	SchedWakeSet                   // wake-set scheduler and idle skip-ahead, no spans
-	SchedPerCycle                  // every component ticks every cycle: the reference the other modes reproduce
+	SchedPerCycle                  // every component ticks every cycle: the reference the default reproduces
 )
 
 // DefaultConfig is the broadly provisioned Softbrain of Section 7.2.

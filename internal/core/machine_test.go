@@ -415,7 +415,7 @@ func TestExecutionTrace(t *testing.T) {
 	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x3000, n/3*8)})
 	p.Emit(isa.BarrierAll{})
 	var ref string
-	for _, sched := range []SchedMode{SchedPerCycle, SchedWakeSet, SchedSpans} {
+	for _, sched := range []SchedMode{SchedPerCycle, SchedSpans} {
 		cfg := DefaultConfig()
 		cfg.Sched = sched
 		m, err := NewMachine(cfg)

@@ -182,7 +182,7 @@ func TestSkipAheadTraces(t *testing.T) {
 		offCfg.Sched = core.SchedPerCycle
 		mOff, sOff := runTraced(t, offCfg, fixed, seed)
 		mOn, sOn := runTraced(t, onCfg, fixed, seed)
-		skipped += mOn.SkippedCycles()
+		skipped += mOn.SchedStats().Skipped
 
 		if !reflect.DeepEqual(sOff, sOn) {
 			t.Errorf("seed %d: stats differ with skip-ahead:\n  off: %+v\n  on:  %+v", seed, sOff, sOn)
@@ -262,9 +262,9 @@ func TestSkipAheadUnderFaults(t *testing.T) {
 				if off, on := metricsDump(t, mOff), metricsDump(t, mOn); !bytes.Equal(off, on) {
 					t.Errorf("seed %d: metrics dump differs with skip-ahead under %s faults", seed, profile)
 				}
-				if profile == "stall" && mOn.SkippedCycles() != 0 {
+				if profile == "stall" && mOn.SchedStats().Skipped != 0 {
 					t.Errorf("seed %d: skipped %d cycles under per-cycle stall draws; skip must self-disable",
-						seed, mOn.SkippedCycles())
+						seed, mOn.SchedStats().Skipped)
 				}
 			}
 		})

@@ -1,12 +1,12 @@
 // Span-retirement equivalence: batched span retirement (Machine.retireSpan,
 // sim.Kernel.RetireSpan, docs/SIMKERNEL.md) is a host-performance
 // optimization with zero architectural effect, layered on top of the
-// wake-set scheduler. Every test here runs the same program in three
-// scheduling modes — per-cycle (SchedPerCycle), wake-set only
-// (SchedWakeSet), and wake-set with span retirement (SchedSpans) — and
-// demands identical results: statistics, memory images, fault
-// schedules, and observability dumps alike. FuzzSpanEquivalence extends
-// the seeds under `make fuzz-smoke`.
+// wake-set scheduler. Every test here runs the same program in both
+// scheduling modes — per-cycle (SchedPerCycle) and the default wake-set
+// scheduler with span retirement (SchedSpans) — and demands identical
+// results: statistics, memory images, fault schedules, and
+// observability dumps alike. FuzzSpanEquivalence extends the seeds
+// under `make fuzz-smoke`.
 package core_test
 
 import (
@@ -24,14 +24,13 @@ import (
 	"softbrain/internal/workloads/catalog"
 )
 
-// schedModes are the three scheduling configurations under test, from
-// reference semantics to fully event-driven.
+// schedModes are the scheduling configurations under test: the
+// reference semantics first, then the fully event-driven default.
 var schedModes = []struct {
 	name  string
 	sched core.SchedMode
 }{
 	{"per-cycle", core.SchedPerCycle},
-	{"wake-set", core.SchedWakeSet},
 	{"spans", core.SchedSpans},
 }
 
@@ -51,7 +50,7 @@ func schedFor(perCycle bool) core.SchedMode {
 }
 
 // TestSpanEquivalenceWorkloads runs every MachSuite workload, the
-// extension workloads, and a DNN layer slice in all three scheduling
+// extension workloads, and a DNN layer slice in both scheduling
 // modes: statistics and final memory images must be identical, each
 // workload's own golden-model check must pass, and span retirement
 // must actually engage somewhere in the suite (or the mode is
@@ -121,7 +120,7 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 						t.Errorf("memory differs at %#x between %s and %s",
 							addr, schedModes[0].name, schedModes[mode].name)
 					}
-					if mode == 2 {
+					if mode == 1 {
 						spansRetired.Add(got.cl.SchedStats().Spans)
 					}
 				}
@@ -178,7 +177,7 @@ func genProgram(t *testing.T, cfg core.Config, seed int64) *core.Program {
 	return fixed
 }
 
-// TestSpanEquivalenceSeeds runs generated programs across the three
+// TestSpanEquivalenceSeeds runs generated programs across the two
 // scheduling modes and compares statistics and memory images; then the
 // same programs with the observability layer attached in each mode,
 // demanding byte-identical metrics dumps (attaching metrics forces
@@ -201,7 +200,7 @@ func TestSpanEquivalenceSeeds(t *testing.T) {
 				t.Errorf("seed %d: memory differs at %#x between %s and %s",
 					seed, addr, schedModes[0].name, schedModes[mode].name)
 			}
-			if mode == 2 {
+			if mode == 1 {
 				spans += m.SchedStats().Spans
 			}
 		}
@@ -226,7 +225,7 @@ func TestSpanEquivalenceSeeds(t *testing.T) {
 }
 
 // TestSpanEquivalenceUnderFaults runs generated programs under the
-// delay, stall, and bitflip fault profiles in all three scheduling
+// delay, stall, and bitflip fault profiles in both scheduling
 // modes: identical statistics, fault schedules, and memory images.
 // The stall profile draws randomness per engine-cycle, so the machine
 // must force per-cycle stepping itself (spans included); bitflips
@@ -265,7 +264,7 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 						t.Errorf("seed %d: memory differs at %#x between %s and %s under %s",
 							seed, addr, schedModes[0].name, schedModes[mode].name, profile)
 					}
-					if profile == "stall" && mode == 2 && m.SchedStats().Spans != 0 {
+					if profile == "stall" && mode == 1 && m.SchedStats().Spans != 0 {
 						t.Errorf("seed %d: retired %d spans under per-cycle stall draws; spans must self-disable",
 							seed, m.SchedStats().Spans)
 					}
@@ -275,10 +274,10 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 	}
 }
 
-// FuzzSpanEquivalence is the randomized slice of the three-mode
+// FuzzSpanEquivalence is the randomized slice of the two-mode
 // equivalence property for `make fuzz-smoke`: an arbitrary command
 // seed, optionally under a fault profile, must produce identical
-// statistics and memory in all three scheduling modes.
+// statistics and memory in both scheduling modes.
 func FuzzSpanEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		f.Add(seed, uint8(seed))

@@ -147,8 +147,8 @@ type Dispatcher struct {
 	// Life, when set, records stream lifetimes (traced runs).
 	Life *obs.Lifetimes
 
-	// Lat, installed by EnableLatency, observes each stream's
-	// issue-to-retire latency.
+	// Lat, when set, observes each stream's issue-to-retire latency in
+	// cycles.
 	Lat *obs.Histogram
 
 	// Statistics.
@@ -213,10 +213,6 @@ func New(mse *engine.MSE, sse *engine.SSE, rse *engine.RSE, numIn, numOut, queue
 		touchOut:  make([]uint64, numOut),
 	}
 }
-
-// EnableLatency installs a histogram observing each stream's
-// issue-to-retire latency in cycles.
-func (d *Dispatcher) EnableLatency(h *obs.Histogram) { d.Lat = h }
 
 // CanEnqueue reports whether the command queue has room; when it does
 // not, the control core stalls.

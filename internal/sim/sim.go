@@ -229,10 +229,6 @@ type Kernel struct {
 	TickBy []uint64
 }
 
-// Skipped is the number of cycles elided by frozen jumps, kept as a
-// plain field view for existing callers.
-func (k *Kernel) Skipped() uint64 { return k.Stats.Skipped }
-
 // Register appends a component; registration order is tick order.
 func (k *Kernel) Register(c Component) {
 	k.comps = append(k.comps, c)

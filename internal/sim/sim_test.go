@@ -214,7 +214,7 @@ func TestKernelJump(t *testing.T) {
 	k.Jump(11, 40)
 	k.Jump(50, 60)
 	k.Jump(60, 60) // empty span: no-op
-	if got := k.Skipped(); got != (40-11)+(60-50) {
+	if got := k.Stats.Skipped; got != (40-11)+(60-50) {
 		t.Errorf("Skipped() = %d, want %d", got, (40-11)+(60-50))
 	}
 	if k.Stats.Jumps != 2 {

@@ -2,7 +2,9 @@
 # check.sh runs the full static + dynamic gate (the tier-1+ verify):
 #
 #   1. gofmt         every tracked .go file is formatted
-#   2. go vet        standard static analysis
+#   2. go vet        standard static analysis, of the root module and of
+#                    the benchmark module (perfbench/ has its own go.mod,
+#                    so the root ./... never reaches it)
 #   3. go build      everything compiles, including the example binaries
 #   4. go test -race full test suite under the race detector
 #   5. golangci-lint supplementary static analysis with the pinned
@@ -39,7 +41,7 @@
 #                    and the dump rendered as Prometheus exposition
 #                    through the scrape lint
 #  12. fuzz smoke    a short slice of `make fuzz-smoke`: the footprint-
-#                    algebra fuzz targets, the three-mode scheduling
+#                    algebra fuzz targets, the two-mode scheduling
 #                    equivalence fuzz and the per-cycle vs default
 #                    cluster equivalence fuzz (docs/SIMKERNEL.md), plus the
 #                    barrier-interval slide verification (docs/LINT.md);
@@ -70,6 +72,9 @@ fi
 
 echo "== go vet"
 go vet ./...
+
+echo "== go vet (perfbench module)"
+(cd perfbench && go vet ./...)
 
 echo "== go build"
 go build ./...

@@ -88,7 +88,6 @@ type (
 // mode simulates the same cycles.
 const (
 	SchedSpans    = core.SchedSpans
-	SchedWakeSet  = core.SchedWakeSet
 	SchedPerCycle = core.SchedPerCycle
 )
 
