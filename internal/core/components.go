@@ -2,6 +2,8 @@ package core
 
 import (
 	"softbrain/internal/faults"
+	"softbrain/internal/obs"
+	"softbrain/internal/port"
 	"softbrain/internal/sim"
 )
 
@@ -13,16 +15,21 @@ import (
 // fault-injected engine stall gate, the deferred configuration error,
 // and the control core's stall accounting. Progress methods partition
 // the machine's monotone progress counter (hang detection) among the
-// components that own each term.
+// components that own each term. Each adapter, and the ports adapter
+// the kernel never ticks, is also attributed (see obs.go): work is the
+// counter whose moves mark a Busy cycle, stallCause classifies the
+// other cycles.
 
 // cgraComp adapts the CGRA executor.
 type cgraComp struct{ m *Machine }
 
-func (c cgraComp) Name() string                 { return "cgra" }
-func (c cgraComp) Tick(now uint64) error        { return c.m.exec.Tick(now) }
-func (c cgraComp) NextWake(now uint64) sim.Hint { return c.m.exec.NextWake(now) }
-func (c cgraComp) WatchSig() uint64             { return c.m.exec.WatchSig() }
-func (c cgraComp) Progress() uint64             { return c.m.exec.Instances }
+func (c cgraComp) Name() string                    { return "cgra" }
+func (c cgraComp) Tick(now uint64) error           { return c.m.exec.Tick(now) }
+func (c cgraComp) NextWake(now uint64) sim.Hint    { return c.m.exec.NextWake(now) }
+func (c cgraComp) WatchSig() uint64                { return c.m.exec.WatchSig() }
+func (c cgraComp) Progress() uint64                { return c.m.exec.Instances }
+func (c cgraComp) work() uint64                    { return c.m.exec.Instances + c.m.exec.Drained }
+func (c cgraComp) stallCause(now uint64) obs.Cause { return c.m.exec.StallCause(now) }
 
 // mseComp adapts the memory stream engine behind the fault-stall gate.
 type mseComp struct{ m *Machine }
@@ -40,6 +47,8 @@ func (c mseComp) OnSkip(from, to uint64)       { c.m.mse.OnSkip(from, to) }
 func (c mseComp) Progress() uint64 {
 	return c.m.mse.BytesDelivered + c.m.mse.BytesStored + c.m.mse.LinesWritten
 }
+func (c mseComp) work() uint64                    { return c.m.mse.BusyCycles }
+func (c mseComp) stallCause(now uint64) obs.Cause { return c.m.mse.StallCause(now) }
 
 // sseComp adapts the scratchpad stream engine behind the fault-stall
 // gate.
@@ -56,6 +65,10 @@ func (c sseComp) NextWake(now uint64) sim.Hint { return c.m.sse.NextWake(now) }
 func (c sseComp) WatchSig() uint64             { return c.m.sse.WatchSig() }
 func (c sseComp) OnSkip(from, to uint64)       { c.m.sse.OnSkip(from, to) }
 func (c sseComp) Progress() uint64             { return c.m.sse.BytesIn + c.m.sse.BytesOut }
+func (c sseComp) work() uint64 {
+	return c.m.sse.ReadGrants + c.m.sse.WriteGrants + c.m.sse.BytesOut + c.m.sse.BytesIn
+}
+func (c sseComp) stallCause(now uint64) obs.Cause { return c.m.sse.StallCause(now) }
 
 // rseComp adapts the recurrence stream engine behind the fault-stall
 // gate.
@@ -68,21 +81,26 @@ func (c rseComp) Tick(now uint64) error {
 	}
 	return c.m.rse.Tick(now)
 }
-func (c rseComp) NextWake(now uint64) sim.Hint { return c.m.rse.NextWake(now) }
-func (c rseComp) WatchSig() uint64             { return c.m.rse.WatchSig() }
-func (c rseComp) OnSkip(from, to uint64)       { c.m.rse.OnSkip(from, to) }
-func (c rseComp) Progress() uint64             { return c.m.rse.BytesMoved }
+func (c rseComp) NextWake(now uint64) sim.Hint    { return c.m.rse.NextWake(now) }
+func (c rseComp) WatchSig() uint64                { return c.m.rse.WatchSig() }
+func (c rseComp) OnSkip(from, to uint64)          { c.m.rse.OnSkip(from, to) }
+func (c rseComp) Progress() uint64                { return c.m.rse.BytesMoved }
+func (c rseComp) work() uint64                    { return c.m.rse.BusyCycles }
+func (c rseComp) stallCause(now uint64) obs.Cause { return c.m.rse.StallCause(now) }
 
 // dispComp adapts the stream dispatcher; it forwards OnSkip so the
 // dispatcher's per-cycle stall counters stay cycle-exact over skipped
-// spans.
+// spans. It reports Busy through its stall cause: retires and barrier
+// pops move no monotone counter, so its work counter stays at zero.
 type dispComp struct{ m *Machine }
 
-func (c dispComp) Name() string                 { return "dispatch" }
-func (c dispComp) Tick(now uint64) error        { return c.m.disp.Tick(now) }
-func (c dispComp) NextWake(now uint64) sim.Hint { return c.m.disp.NextWake(now) }
-func (c dispComp) Progress() uint64             { return c.m.disp.Issued }
-func (c dispComp) OnSkip(from, to uint64)       { c.m.disp.OnSkip(from, to) }
+func (c dispComp) Name() string                    { return "dispatch" }
+func (c dispComp) Tick(now uint64) error           { return c.m.disp.Tick(now) }
+func (c dispComp) NextWake(now uint64) sim.Hint    { return c.m.disp.NextWake(now) }
+func (c dispComp) Progress() uint64                { return c.m.disp.Issued }
+func (c dispComp) OnSkip(from, to uint64)          { c.m.disp.OnSkip(from, to) }
+func (c dispComp) work() uint64                    { return 0 }
+func (c dispComp) stallCause(now uint64) obs.Cause { return c.m.disp.StallCause(now) }
 
 // WatchSig composes the dispatcher's wake sources: its own enqueue
 // stream, each engine's lifecycle counter (completions and drained
@@ -113,27 +131,50 @@ func (c coreComp) Tick(now uint64) error {
 	c.m.coreStalled = c.m.coreStall != before
 	return nil
 }
+
+// NextWake reads the core's one classification, stallCause: a busy
+// core wakes when its instruction completes, a blocked one only on
+// dispatcher activity, a replayed one never.
 func (c coreComp) NextWake(now uint64) sim.Hint {
-	m := c.m
-	if m.prog == nil || m.pc >= len(m.prog.Trace) {
-		return sim.Idle()
+	switch c.stallCause(now) {
+	case obs.Busy:
+		return sim.WakeAt(c.m.busyUntil)
+	case obs.CauseIdle:
+		if !c.m.replayed() {
+			return sim.ReadyNow()
+		}
 	}
-	if now < m.busyUntil {
-		return sim.WakeAt(m.busyUntil)
-	}
-	if m.prog.Trace[m.pc].Cmd != nil && m.disp.BlocksCore() {
-		return sim.Idle() // unblocked only by dispatcher activity
-	}
-	return sim.ReadyNow()
+	return sim.Idle()
 }
 func (c coreComp) Progress() uint64 { return uint64(c.m.pc) }
+func (c coreComp) work() uint64     { return c.m.coreInstr }
+
+// stallCause classifies the control core at cycle now: Busy mid-
+// instruction (a multi-word command or host op), PortFull on a full
+// command queue, BarrierDrain behind a pending SD_Barrier_All, Idle
+// when it can issue or has replayed its trace.
+func (c coreComp) stallCause(now uint64) obs.Cause {
+	m := c.m
+	switch {
+	case m.replayed():
+		return obs.CauseIdle
+	case now < m.busyUntil:
+		return obs.Busy
+	case m.prog.Trace[m.pc].Cmd != nil && m.disp.BlocksCore():
+		if !m.disp.CanEnqueue() {
+			return obs.PortFull
+		}
+		return obs.BarrierDrain
+	}
+	return obs.CauseIdle
+}
 
 // WatchSig: a core blocked on the dispatcher (queue full or barrier
 // pending) can only unblock when the dispatcher's state changes. Once
 // the trace is exhausted the core can never act again, so the signal
 // pins to a constant and dispatcher churn stops waking it.
 func (c coreComp) WatchSig() uint64 {
-	if c.m.prog == nil || c.m.pc >= len(c.m.prog.Trace) {
+	if c.m.replayed() {
 		return 0
 	}
 	return c.m.disp.StateVer.Value()
@@ -146,4 +187,40 @@ func (c coreComp) OnSkip(from, to uint64) {
 	if c.m.coreStalled {
 		c.m.coreStall += to - from
 	}
+}
+
+// portsComp attributes the vector ports, which the kernel never ticks:
+// work is the data moved through every port.
+type portsComp struct{ m *Machine }
+
+func (c portsComp) Name() string { return "ports" }
+func (c portsComp) work() uint64 {
+	var w uint64
+	for _, q := range c.m.Ports.In {
+		w += q.TotalIn() + q.TotalOut()
+	}
+	for _, q := range c.m.Ports.Out {
+		w += q.TotalIn() + q.TotalOut()
+	}
+	return w
+}
+
+// stallCause classifies the vector ports on a cycle no data moved: a
+// completely full port is hard backpressure (PortFull); otherwise
+// buffered-but-unmoved data means the consumer's operand set is
+// incomplete — the CGRA fires only when every mapped port has data, so
+// data sits because a sibling port is empty (PortEmpty).
+func (c portsComp) stallCause(uint64) obs.Cause {
+	worst := obs.CauseIdle
+	for _, qs := range [][]*port.Queue{c.m.Ports.In, c.m.Ports.Out} {
+		for _, q := range qs {
+			switch {
+			case q.Space() == 0:
+				worst = obs.Worse(worst, obs.PortFull)
+			case q.Len() > 0:
+				worst = obs.Worse(worst, obs.PortEmpty)
+			}
+		}
+	}
+	return worst
 }

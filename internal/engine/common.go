@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"softbrain/internal/isa"
+	"softbrain/internal/obs"
 	"softbrain/internal/port"
 	"softbrain/internal/sim"
 )
@@ -23,9 +24,16 @@ func (i Invariant) Error() string { return fmt.Sprintf("engine: %s: %s", i.Comp,
 // Component names the machine component for MachineError attribution.
 func (i Invariant) Component() string { return i.Comp }
 
-// Wait classifies why a stream cannot make progress this cycle, for the
-// core's structured hang diagnosis. WaitNone and WaitTimed streams are
-// not stuck: they can progress now or at a known future cycle.
+// Wait classifies why a stream cannot make progress this cycle. Each
+// stream kind decides its wait in one place — MSE.readWait/writeWait,
+// SSE.readWait/writeWait and RSE.wait — and every reader of a stream's
+// state reads that decision: the issue arbiter, Streams (the core's
+// hang diagnosis), StallCause (attribution) and NextWake (the wake
+// hint). Each reader ranks the stream's responses against that wait its
+// own way: attribution charges an in-flight response first, diagnosis
+// treats a deliverable response as unblocked. WaitNone and WaitTimed
+// streams are not stuck: they can progress now or at a known future
+// cycle.
 type Wait uint8
 
 const (
@@ -34,7 +42,11 @@ const (
 	WaitInSpace             // destination input port has no free credit
 	WaitOutData             // source output port is empty
 	WaitIndex               // indirect stream has no staged indices
-	WaitPadBuf              // MSE-to-SSE write buffer has no free slot
+	WaitPadBuf              // MSE-to-SSE write buffer has no free slot, or holds the stream's writes
+
+	// waitIssued: every request is issued; only the stream's own
+	// responses or completions remain. Streams reports it as WaitNone.
+	waitIssued
 )
 
 func (w Wait) String() string {
@@ -53,6 +65,34 @@ func (w Wait) String() string {
 		return "padbuf"
 	}
 	return fmt.Sprintf("Wait(%d)", uint8(w))
+}
+
+// cause is the stall cause a stream waiting on w charges its engine on
+// a workless cycle. WaitNone and waitIssued charge nothing: an engine
+// whose stream could issue, yet did no work, names the refusal itself.
+func (w Wait) cause() obs.Cause {
+	switch w {
+	case WaitInSpace, WaitPadBuf:
+		return obs.PortFull
+	case WaitOutData, WaitIndex:
+		return obs.PortEmpty
+	}
+	return obs.CauseIdle
+}
+
+// streamWait is the wait Streams reports for a stream whose issue side
+// waits on w and whose oldest response or completion has the wake hint
+// resp: timed while that is in flight; none while it is deliverable
+// (its space was reserved at issue) or when nothing is left to issue;
+// w otherwise.
+func streamWait(resp sim.Hint, w Wait) Wait {
+	switch {
+	case resp.Kind == sim.WakeTimed:
+		return WaitTimed
+	case resp.Kind == sim.WakeReady, w == waitIssued:
+		return WaitNone
+	}
+	return w
 }
 
 // StreamInfo is one active stream's identity and blocking state, the
@@ -120,6 +160,75 @@ func (p *Ports) Deliver(i int, data []byte) {
 // the signal the balance unit watches.
 func (p *Ports) Reserved(i int) int { return p.resIn[i] }
 
+// table is the stream-table plumbing the three engines share: the
+// entry count, the completions the dispatcher drains, the wake signals
+// and retire hook the machine wires up, and the round-robin pointer
+// OnSkip replays.
+type table struct {
+	size   int   // stream-table entries per direction
+	done   []int // streams completed since the last Done
+	doneFb []int // spare done buffer (Done double-buffers)
+	rr     int   // round-robin pointer over the delivery set
+	joined int   // streams that joined the delivery set since the last Tick (see skip)
+
+	// Retired, when non-nil, reports each stream's total data movement
+	// as it leaves the table (see internal/obs).
+	Retired func(id int, kind isa.Kind, bytes uint64)
+
+	// Wake signals (see sim.Signal). Kicks counts streams entering the
+	// table; Lifecycle counts streams completing or reaching
+	// all-requests-in-flight — the events the dispatcher's scoreboards
+	// care about.
+	Kicks     sim.Signal
+	Lifecycle sim.Signal
+}
+
+// Done drains the IDs of streams completed since the last call. The
+// returned slice is valid until the next call (double-buffered).
+func (t *table) Done() []int {
+	d := t.done
+	t.done, t.doneFb = t.doneFb[:0], d
+	return d
+}
+
+// kick records a stream entering the table; a joiner also enters the
+// delivery round-robin set.
+func (t *table) kick(joiner bool) {
+	if joiner {
+		t.joined++
+	}
+	t.Kicks.Raise()
+}
+
+// finish records stream id leaving the table after moving bytes.
+func (t *table) finish(id int, kind isa.Kind, bytes uint64) {
+	if t.Retired != nil {
+		t.Retired(id, kind, bytes)
+	}
+	t.done = append(t.done, id)
+	t.Lifecycle.Raise()
+}
+
+// rotate advances the round-robin pointer over a delivery set of n
+// streams, once per tick.
+func (t *table) rotate(n int) {
+	if n > 0 {
+		t.rr = (t.rr + 1) % n
+	}
+}
+
+// skip replays the per-tick rotation over an elided idle span [from,
+// to) of a delivery set now holding n streams. The dispatcher ticks
+// after the engines, so a stream it started during the span's final
+// cycle (forcing the wake that ends the span) was never part of the
+// elided arbitration: the rotation replays modulo the set as it stood
+// during the span, excluding joiners.
+func (t *table) skip(n int, from, to uint64) {
+	if n -= t.joined; n > 0 {
+		t.rr = (t.rr + int((to-from)%uint64(n))) % n
+	}
+}
+
 // entryPool recycles an engine's retired stream-table entries. The
 // table has a fixed number of slots, so the pool stops allocating once
 // the table has filled, and a recycled entry keeps its buffers.
@@ -139,13 +248,58 @@ func (p *entryPool[T]) get() *T {
 // put retires an entry for reuse.
 func (p *entryPool[T]) put(s *T) { p.free = append(p.free, s) }
 
+// freeList recycles line-sized data buffers.
+type freeList [][]byte
+
+// take returns an emptied recycled buffer, or nil when none is free.
+func (f *freeList) take() []byte {
+	n := len(*f)
+	if n == 0 {
+		return nil
+	}
+	d := (*f)[n-1][:0]
+	*f = (*f)[:n-1]
+	return d
+}
+
+// put recycles buffer d.
+func (f *freeList) put(d []byte) { *f = append(*f, d[:0]) }
+
 // readPending is one issued read request awaiting its data-ready time.
-// Responses are buffered per stream and delivered strictly in issue
-// order, preserving stream order into the destination port.
 type readPending struct {
 	ready   uint64
 	data    []byte
 	padAddr uint64 // destination for scratch-bound streams
+}
+
+// responses holds a read stream's issued requests, oldest first. They
+// deliver strictly in issue order, preserving stream order into the
+// destination.
+type responses []readPending
+
+// wake is the timed-response probe every reader of a read stream
+// shares: Ready once the oldest response is deliverable, WakeAt its
+// ready cycle while it is in flight, Idle when nothing is pending.
+func (q responses) wake(now uint64) sim.Hint {
+	switch {
+	case len(q) == 0:
+		return sim.Idle()
+	case q[0].ready > now:
+		return sim.WakeAt(q[0].ready)
+	}
+	return sim.ReadyNow()
+}
+
+// take pops the oldest response if it is deliverable at now within
+// budget bytes, keeping the queue's capacity.
+func (q *responses) take(now uint64, budget int) (readPending, bool) {
+	r := *q
+	if len(r) == 0 || r[0].ready > now || len(r[0].data) > budget {
+		return readPending{}, false
+	}
+	head := r[0]
+	*q = r[:copy(r, r[1:])]
+	return head, true
 }
 
 // PadWrite is one line-sized write traveling from the memory stream
@@ -162,12 +316,12 @@ type PadWrite struct {
 type PadWriteBuf struct {
 	entries  []PadWrite // entries[head:] are queued, oldest first
 	head     int
-	capacity int
 	reserved int // slots promised to issued-but-undelivered requests
+	slots    int // free slots: the capacity less queued and reserved entries
 
 	// free recycles drained Data buffers back to the producing MSE
 	// (the SSE copies bytes into the pad before PopHead).
-	free [][]byte
+	free freeList
 
 	// The buffer's state changes split into three wake signals so each
 	// watcher subscribes only to the transitions that can unblock it
@@ -195,13 +349,11 @@ func (b *PadWriteBuf) EmptiedVer() uint64 { return b.emptiedVer.Value() }
 
 // NewPadWriteBuf returns a buffer of the given entry capacity.
 func NewPadWriteBuf(capacity int) *PadWriteBuf {
-	return &PadWriteBuf{capacity: capacity}
+	return &PadWriteBuf{slots: capacity}
 }
 
 // CanReserve reports whether a slot can be promised to a new request.
-func (b *PadWriteBuf) CanReserve() bool {
-	return b.Len()+b.reserved < b.capacity
-}
+func (b *PadWriteBuf) CanReserve() bool { return b.slots > 0 }
 
 // ReserveSlot promises one slot to an in-flight memory request.
 // Reserving past capacity raises an Invariant panic (recovered at the
@@ -211,6 +363,7 @@ func (b *PadWriteBuf) ReserveSlot() {
 		panic(Invariant{Comp: "padbuf", Msg: "pad write buffer over-reserved"})
 	}
 	b.reserved++
+	b.slots--
 }
 
 // Fill converts a reserved slot into a queued write. Filling without a
@@ -246,23 +399,13 @@ func (b *PadWriteBuf) PopHead() {
 	if w.notify != nil {
 		*w.notify--
 	}
-	b.free = append(b.free, w.Data[:0])
+	b.free.put(w.Data)
+	b.slots++
 	b.drainVer.Raise()
 	if b.Len() == 0 {
 		b.entries, b.head = b.entries[:0], 0
 		b.emptiedVer.Raise()
 	}
-}
-
-// TakeFree hands back one recycled Data buffer, or nil when none is
-// available.
-func (b *PadWriteBuf) TakeFree() []byte {
-	if n := len(b.free); n > 0 {
-		var d []byte
-		d, b.free = b.free[n-1], b.free[:n-1]
-		return d
-	}
-	return nil
 }
 
 // Len is the number of queued (filled) writes.

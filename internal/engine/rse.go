@@ -16,14 +16,10 @@ import (
 // elements (SD_Clean_Port). It has no AGU; its bus moves up to 64 bytes
 // per cycle.
 type RSE struct {
+	table
 	ports *Ports
-	table int
 
 	streams []*rseStream
-	done    []int
-	doneFb  []int // spare done buffer (Done double-buffers)
-	rr      int
-	joined  int // streams appended since the last Tick (see OnSkip)
 
 	// Retired table entries, recycled.
 	pool entryPool[rseStream]
@@ -34,29 +30,21 @@ type RSE struct {
 	// Faults, when non-nil, perturbs the bus bandwidth.
 	Faults *faults.Injector
 
-	// Retired, when non-nil, reports each stream's total data movement
-	// as it leaves the table (see internal/obs).
-	Retired func(id int, kind isa.Kind, bytes uint64)
-
-	// Wake signals (see sim.Signal and MSE's counterparts).
-	Kicks     sim.Signal
-	Lifecycle sim.Signal
-
 	// Statistics.
 	BytesMoved uint64
 	BusyCycles uint64
 }
 
 // NewRSE builds a recurrence stream engine.
-func NewRSE(ports *Ports, table int) *RSE {
-	return &RSE{ports: ports, table: table}
+func NewRSE(ports *Ports, size int) *RSE {
+	return &RSE{table: table{size: size}, ports: ports}
 }
 
 type rseStream struct {
 	id        int
 	kind      isa.Kind
-	srcPort   int // output port (PortPort, CleanPort)
-	dstPort   int // input port (PortPort, ConstPort)
+	srcPort   int // output port (PortPort, CleanPort), else -1
+	dstPort   int // input port (PortPort, ConstPort), else -1
 	remaining uint64
 	bytes     uint64 // data moved so far, for the bandwidth report
 
@@ -67,7 +55,7 @@ type rseStream struct {
 }
 
 // CanAccept reports whether a stream-table entry is free.
-func (e *RSE) CanAccept() bool { return len(e.streams) < e.table }
+func (e *RSE) CanAccept() bool { return len(e.streams) < e.size }
 
 // Start installs a recurrence, constant, or clean stream.
 func (e *RSE) Start(id int, cmd isa.Command) error {
@@ -75,7 +63,7 @@ func (e *RSE) Start(id int, cmd isa.Command) error {
 		return fmt.Errorf("engine: RSE table full")
 	}
 	s := e.pool.get()
-	*s = rseStream{id: id, kind: cmd.Kind()}
+	*s = rseStream{id: id, kind: cmd.Kind(), srcPort: -1, dstPort: -1}
 	switch c := cmd.(type) {
 	case isa.PortPort:
 		s.srcPort = int(c.Src)
@@ -94,17 +82,8 @@ func (e *RSE) Start(id int, cmd isa.Command) error {
 		return fmt.Errorf("engine: RSE cannot execute %v", cmd)
 	}
 	e.streams = append(e.streams, s)
-	e.joined++
-	e.Kicks.Raise()
+	e.kick(true)
 	return nil
-}
-
-// Done drains completed stream IDs. The returned slice is valid until
-// the next call (double-buffered).
-func (e *RSE) Done() []int {
-	d := e.done
-	e.done, e.doneFb = e.doneFb[:0], d
-	return d
 }
 
 // Active is the number of live streams.
@@ -125,14 +104,25 @@ func (e *RSE) Tick(now uint64) error {
 		e.BytesMoved += uint64(moved)
 		s.bytes += uint64(moved)
 	}
-	if n > 0 {
-		e.rr = (e.rr + 1) % n
-	}
+	e.rotate(n)
 	if budget < LineBytes {
 		e.BusyCycles++
 	}
 	e.retire()
 	return nil
+}
+
+// wait classifies what stream s waits on: data in its source port
+// (WaitOutData) before space in its destination (WaitInSpace); WaitNone
+// when it can move data now. The RSE has no timed state.
+func (e *RSE) wait(s *rseStream) Wait {
+	switch {
+	case s.srcPort >= 0 && e.ports.Out[s.srcPort].Len() == 0:
+		return WaitOutData
+	case s.dstPort >= 0 && e.ports.InAvail(s.dstPort) <= 0:
+		return WaitInSpace
+	}
+	return WaitNone
 }
 
 // step moves up to budget bytes for one stream and returns how many.
@@ -141,29 +131,19 @@ func (e *RSE) step(s *rseStream, budget int) int {
 	if uint64(n) > s.remaining {
 		n = int(s.remaining)
 	}
-	if n == 0 {
+	if n == 0 || e.wait(s) != WaitNone {
 		return 0
+	}
+	if s.srcPort >= 0 {
+		n = min(n, e.ports.Out[s.srcPort].Len())
+	}
+	if s.dstPort >= 0 {
+		n = min(n, e.ports.InAvail(s.dstPort))
 	}
 	switch s.kind {
 	case isa.KindPortPort:
-		if avail := e.ports.Out[s.srcPort].Len(); avail < n {
-			n = avail
-		}
-		if space := e.ports.InAvail(s.dstPort); space < n {
-			n = space
-		}
-		if n <= 0 {
-			return 0
-		}
-		data := e.ports.Out[s.srcPort].Pop(n)
-		e.ports.In[s.dstPort].Push(data)
+		e.ports.In[s.dstPort].Push(e.ports.Out[s.srcPort].Pop(n))
 	case isa.KindConstPort:
-		if space := e.ports.InAvail(s.dstPort); space < n {
-			n = space
-		}
-		if n <= 0 {
-			return 0
-		}
 		data := e.constScratch[:n]
 		for i := range data {
 			data[i] = s.pattern[s.phase]
@@ -171,12 +151,6 @@ func (e *RSE) step(s *rseStream, budget int) int {
 		}
 		e.ports.In[s.dstPort].Push(data)
 	case isa.KindCleanPort:
-		if avail := e.ports.Out[s.srcPort].Len(); avail < n {
-			n = avail
-		}
-		if n <= 0 {
-			return 0
-		}
 		e.ports.Out[s.srcPort].Discard(n)
 	}
 	s.remaining -= uint64(n)
@@ -186,31 +160,10 @@ func (e *RSE) step(s *rseStream, budget int) int {
 // Streams reports every active stream with its blocking state, for the
 // core's structured hang diagnosis. The RSE has no timed state: a stuck
 // stream always waits on a port.
-func (e *RSE) Streams(now uint64) []StreamInfo {
+func (e *RSE) Streams(uint64) []StreamInfo {
 	var out []StreamInfo
 	for _, s := range e.streams {
-		si := StreamInfo{ID: s.id, Kind: s.kind, Eng: "RSE", DstIn: -1, SrcOut: -1, IdxIn: -1}
-		switch s.kind {
-		case isa.KindPortPort:
-			si.SrcOut, si.DstIn = s.srcPort, s.dstPort
-			switch {
-			case e.ports.Out[s.srcPort].Len() == 0:
-				si.Wait = WaitOutData
-			case e.ports.InAvail(s.dstPort) <= 0:
-				si.Wait = WaitInSpace
-			}
-		case isa.KindConstPort:
-			si.DstIn = s.dstPort
-			if e.ports.InAvail(s.dstPort) <= 0 {
-				si.Wait = WaitInSpace
-			}
-		case isa.KindCleanPort:
-			si.SrcOut = s.srcPort
-			if e.ports.Out[s.srcPort].Len() == 0 {
-				si.Wait = WaitOutData
-			}
-		}
-		out = append(out, si)
+		out = append(out, StreamInfo{ID: s.id, Kind: s.kind, Eng: "RSE", DstIn: s.dstPort, SrcOut: s.srcPort, IdxIn: -1, Wait: e.wait(s)})
 	}
 	return out
 }
@@ -221,25 +174,7 @@ func (e *RSE) Streams(now uint64) []StreamInfo {
 func (e *RSE) StallCause(uint64) obs.Cause {
 	worst := obs.CauseIdle
 	for _, s := range e.streams {
-		c := obs.CauseIdle
-		switch s.kind {
-		case isa.KindPortPort:
-			switch {
-			case e.ports.Out[s.srcPort].Len() == 0:
-				c = obs.PortEmpty
-			case e.ports.InAvail(s.dstPort) <= 0:
-				c = obs.PortFull
-			}
-		case isa.KindConstPort:
-			if e.ports.InAvail(s.dstPort) <= 0 {
-				c = obs.PortFull
-			}
-		case isa.KindCleanPort:
-			if e.ports.Out[s.srcPort].Len() == 0 {
-				c = obs.PortEmpty
-			}
-		}
-		worst = obs.Worse(worst, c)
+		worst = obs.Worse(worst, e.wait(s).cause())
 	}
 	return worst
 }
@@ -247,26 +182,19 @@ func (e *RSE) StallCause(uint64) obs.Cause {
 // OnSkip replays the per-tick arbitration round-robin rotation over an
 // elided idle span, excluding streams that joined at the span's final
 // cycle (see MSE.OnSkip).
-func (e *RSE) OnSkip(from, to uint64) {
-	if n := len(e.streams) - e.joined; n > 0 {
-		e.rr = (e.rr + int((to-from)%uint64(n))) % n
-	}
-}
+func (e *RSE) OnSkip(from, to uint64) { e.skip(len(e.streams), from, to) }
 
 // WatchSig sums the external signals the engine's wake hint depends on
 // (see sim.Component.WatchSig and MSE.WatchSig).
 func (e *RSE) WatchSig() uint64 {
 	sig := e.Kicks.Value()
 	for _, s := range e.streams {
-		switch s.kind {
-		case isa.KindPortPort:
-			qo, qi := e.ports.Out[s.srcPort], e.ports.In[s.dstPort]
-			sig += qo.TotalIn() + qo.TotalOut() + qi.TotalIn() + qi.TotalOut()
-		case isa.KindConstPort:
-			q := e.ports.In[s.dstPort]
-			sig += q.TotalIn() + q.TotalOut()
-		case isa.KindCleanPort:
+		if s.srcPort >= 0 {
 			q := e.ports.Out[s.srcPort]
+			sig += q.TotalIn() + q.TotalOut()
+		}
+		if s.dstPort >= 0 {
+			q := e.ports.In[s.dstPort]
 			sig += q.TotalIn() + q.TotalOut()
 		}
 	}
@@ -276,21 +204,10 @@ func (e *RSE) WatchSig() uint64 {
 // NextWake implements the sim.Component wake-hint contract (see
 // docs/SIMKERNEL.md). The RSE has no timed state: it is Ready when any
 // stream has both data and space, Idle otherwise.
-func (e *RSE) NextWake(now uint64) sim.Hint {
+func (e *RSE) NextWake(uint64) sim.Hint {
 	for _, s := range e.streams {
-		switch s.kind {
-		case isa.KindPortPort:
-			if e.ports.Out[s.srcPort].Len() > 0 && e.ports.InAvail(s.dstPort) > 0 {
-				return sim.ReadyNow()
-			}
-		case isa.KindConstPort:
-			if e.ports.InAvail(s.dstPort) > 0 {
-				return sim.ReadyNow()
-			}
-		case isa.KindCleanPort:
-			if e.ports.Out[s.srcPort].Len() > 0 {
-				return sim.ReadyNow()
-			}
+		if e.wait(s) == WaitNone {
+			return sim.ReadyNow()
 		}
 	}
 	return sim.Idle()
@@ -299,16 +216,12 @@ func (e *RSE) NextWake(now uint64) sim.Hint {
 func (e *RSE) retire() {
 	live := e.streams[:0]
 	for _, s := range e.streams {
-		if s.remaining == 0 {
-			if e.Retired != nil {
-				e.Retired(s.id, s.kind, s.bytes)
-			}
-			e.done = append(e.done, s.id)
-			e.Lifecycle.Raise()
-			e.pool.put(s)
-		} else {
+		if s.remaining > 0 {
 			live = append(live, s)
+			continue
 		}
+		e.finish(s.id, s.kind, s.bytes)
+		e.pool.put(s)
 	}
 	e.streams = live
 }

@@ -18,17 +18,13 @@ const ReadLatency = 2
 // buffer. The scratchpad has one read and one write port, each 64 bytes
 // wide per cycle.
 type SSE struct {
+	table
 	pad    *scratch.Pad
 	ports  *Ports
 	padBuf *PadWriteBuf
-	table  int
 
 	reads  []*sseRead
 	writes []*sseWrite
-	done   []int
-	doneFb []int // spare done buffer (Done double-buffers)
-	rr     int
-	joined int // reads appended since the last Tick (see OnSkip)
 
 	// Retired table entries, recycled with their buffers.
 	readPool  entryPool[sseRead]
@@ -37,19 +33,11 @@ type SSE struct {
 	// Hot-path scratch: line-offset buffer for the AGU and a freelist of
 	// delivered response buffers (Queue.Push copies, so they recycle).
 	offScratch [LineBytes]uint8
-	freeData   [][]byte
+	freeData   freeList
 
 	// Faults, when non-nil, perturbs bus bandwidth and read line
 	// contents (see internal/faults).
 	Faults *faults.Injector
-
-	// Retired, when non-nil, reports each stream's total data movement
-	// as it leaves the table (see internal/obs).
-	Retired func(id int, kind isa.Kind, bytes uint64)
-
-	// Wake signals (see sim.Signal and MSE's counterparts).
-	Kicks     sim.Signal
-	Lifecycle sim.Signal
 
 	// Statistics.
 	ReadGrants  uint64
@@ -60,15 +48,15 @@ type SSE struct {
 }
 
 // NewSSE builds a scratchpad stream engine.
-func NewSSE(pad *scratch.Pad, ports *Ports, padBuf *PadWriteBuf, table int) *SSE {
-	return &SSE{pad: pad, ports: ports, padBuf: padBuf, table: table}
+func NewSSE(pad *scratch.Pad, ports *Ports, padBuf *PadWriteBuf, size int) *SSE {
+	return &SSE{table: table{size: size}, pad: pad, ports: ports, padBuf: padBuf}
 }
 
 type sseRead struct {
 	id      int
 	cur     isa.AffineCursor
 	dstPort int
-	pending []readPending
+	pending responses
 	bytes   uint64 // data moved so far, for the bandwidth report
 }
 
@@ -81,10 +69,10 @@ type sseWrite struct {
 }
 
 // CanAcceptRead reports whether a read-stream table entry is free.
-func (e *SSE) CanAcceptRead() bool { return len(e.reads) < e.table }
+func (e *SSE) CanAcceptRead() bool { return len(e.reads) < e.size }
 
 // CanAcceptWrite reports whether a write-stream table entry is free.
-func (e *SSE) CanAcceptWrite() bool { return len(e.writes) < e.table }
+func (e *SSE) CanAcceptWrite() bool { return len(e.writes) < e.size }
 
 // StartRead installs an SD_Scratch_Port stream.
 func (e *SSE) StartRead(id int, c isa.ScratchPort) error {
@@ -95,8 +83,7 @@ func (e *SSE) StartRead(id int, c isa.ScratchPort) error {
 	*s = sseRead{id: id, dstPort: int(c.Dst), pending: s.pending[:0]}
 	s.cur.Reset(c.Src)
 	e.reads = append(e.reads, s)
-	e.joined++
-	e.Kicks.Raise()
+	e.kick(true)
 	return nil
 }
 
@@ -111,16 +98,8 @@ func (e *SSE) StartWrite(id int, c isa.PortScratch) error {
 		remaining: c.Count * uint64(c.Elem),
 	}
 	e.writes = append(e.writes, s)
-	e.Kicks.Raise()
+	e.kick(false)
 	return nil
-}
-
-// Done drains completed stream IDs. The returned slice is valid until
-// the next call (double-buffered).
-func (e *SSE) Done() []int {
-	d := e.done
-	e.done, e.doneFb = e.doneFb[:0], d
-	return d
 }
 
 // Active is the number of live streams.
@@ -145,10 +124,7 @@ func (e *SSE) ActiveScratchWrites() int {
 // port-to-scratch stream.
 func (e *SSE) Tick(now uint64) error {
 	e.joined = 0
-	busy := false
-	if e.deliver(now) {
-		busy = true
-	}
+	busy := e.deliver(now)
 	if err := e.issueRead(now); err != nil {
 		return err
 	}
@@ -171,25 +147,47 @@ func (e *SSE) deliver(now uint64) bool {
 	n := len(e.reads)
 	for i := 0; i < n && budget > 0; i++ {
 		s := e.reads[(e.rr+i)%n]
-		for len(s.pending) > 0 && budget > 0 {
-			head := s.pending[0]
-			if head.ready > now || len(head.data) > budget {
+		for budget > 0 {
+			head, ok := s.pending.take(now, budget)
+			if !ok {
 				break
 			}
 			e.ports.Deliver(s.dstPort, head.data)
-			e.freeData = append(e.freeData, head.data[:0]) // Deliver copied
+			e.freeData.put(head.data) // Deliver copied
 			budget -= len(head.data)
 			e.BytesOut += uint64(len(head.data))
 			s.bytes += uint64(len(head.data))
-			k := copy(s.pending, s.pending[1:]) // pop-front in place: keeps capacity
-			s.pending = s.pending[:k]
 			moved = true
 		}
 	}
-	if n > 0 {
-		e.rr = (e.rr + 1) % n
-	}
+	e.rotate(n)
 	return moved
+}
+
+// readWait classifies what read stream s waits on to issue its next
+// SRAM read: a response credit in its destination port (WaitInSpace);
+// WaitNone when it can read now, waitIssued once its pattern is done.
+func (e *SSE) readWait(s *sseRead) Wait {
+	switch {
+	case s.cur.Done():
+		return waitIssued
+	case e.ports.InAvail(s.dstPort) <= 0:
+		return WaitInSpace
+	}
+	return WaitNone
+}
+
+// writeWait classifies what write stream s waits on to write: data in
+// its source port (WaitOutData); WaitNone when it can write now,
+// waitIssued once it has written everything.
+func (e *SSE) writeWait(s *sseWrite) Wait {
+	switch {
+	case s.remaining == 0:
+		return waitIssued
+	case e.ports.Out[s.srcPort].Len() == 0:
+		return WaitOutData
+	}
+	return WaitNone
 }
 
 // issueRead grants the single SRAM read port to the stream with the
@@ -198,25 +196,17 @@ func (e *SSE) issueRead(now uint64) error {
 	var best *sseRead
 	bestScore := 0
 	for _, s := range e.reads {
-		if s.cur.Done() {
+		if e.readWait(s) != WaitNone {
 			continue
 		}
-		if e.ports.InAvail(s.dstPort) <= 0 {
-			continue
-		}
-		score := e.ports.Reserved(s.dstPort)
-		if best == nil || score < bestScore {
+		if score := e.ports.Reserved(s.dstPort); best == nil || score < bestScore {
 			best, bestScore = s, score
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	maxBytes := LineBytes
-	if avail := e.ports.InAvail(best.dstPort); avail < maxBytes {
-		maxBytes = avail
-	}
-	req, ok := nextAffineLine(&best.cur, maxBytes, e.offScratch[:])
+	req, ok := nextAffineLine(&best.cur, min(LineBytes, e.ports.InAvail(best.dstPort)), e.offScratch[:])
 	if !ok {
 		return nil
 	}
@@ -227,20 +217,7 @@ func (e *SSE) issueRead(now uint64) error {
 			return err2
 		}
 	}
-	var data []byte
-	if n := len(e.freeData); n > 0 {
-		data, e.freeData = e.freeData[n-1][:0], e.freeData[:n-1]
-	} else {
-		data = make([]byte, 0, LineBytes)
-	}
-	if req.Contig {
-		o := int(req.Offsets[0])
-		data = append(data, line[o:o+len(req.Offsets)]...)
-	} else {
-		for _, off := range req.Offsets {
-			data = append(data, line[off])
-		}
-	}
+	data := req.gather(e.freeData.take(), &line)
 	if e.Faults != nil {
 		e.Faults.CorruptLine(data)
 	}
@@ -278,24 +255,17 @@ func (e *SSE) issueWrite() error {
 	var best *sseWrite
 	bestAvail := 0
 	for _, s := range e.writes {
-		if s.remaining == 0 {
+		if e.writeWait(s) != WaitNone {
 			continue
 		}
-		avail := e.ports.Out[s.srcPort].Len()
-		if avail == 0 {
-			continue
-		}
-		if best == nil || avail > bestAvail {
+		if avail := e.ports.Out[s.srcPort].Len(); best == nil || avail > bestAvail {
 			best, bestAvail = s, avail
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	n := LineBytes
-	if bestAvail < n {
-		n = bestAvail
-	}
+	n := min(LineBytes, bestAvail)
 	if uint64(n) > best.remaining {
 		n = int(best.remaining)
 	}
@@ -316,25 +286,12 @@ func (e *SSE) issueWrite() error {
 func (e *SSE) Streams(now uint64) []StreamInfo {
 	var out []StreamInfo
 	for _, s := range e.reads {
-		si := StreamInfo{ID: s.id, Kind: isa.KindScratchPort, Eng: "SSE", DstIn: s.dstPort, SrcOut: -1, IdxIn: -1}
-		switch {
-		case len(s.pending) > 0 && s.pending[0].ready > now:
-			si.Wait = WaitTimed
-		case len(s.pending) > 0:
-			si.Wait = WaitNone
-		case !s.cur.Done() && e.ports.InAvail(s.dstPort) <= 0:
-			si.Wait = WaitInSpace
-		default:
-			si.Wait = WaitNone
-		}
-		out = append(out, si)
+		out = append(out, StreamInfo{ID: s.id, Kind: isa.KindScratchPort, Eng: "SSE", DstIn: s.dstPort, SrcOut: -1, IdxIn: -1,
+			Wait: streamWait(s.pending.wake(now), e.readWait(s))})
 	}
 	for _, s := range e.writes {
-		si := StreamInfo{ID: s.id, Kind: isa.KindPortScratch, Eng: "SSE", DstIn: -1, SrcOut: s.srcPort, IdxIn: -1}
-		if s.remaining > 0 && e.ports.Out[s.srcPort].Len() == 0 {
-			si.Wait = WaitOutData
-		}
-		out = append(out, si)
+		out = append(out, StreamInfo{ID: s.id, Kind: isa.KindPortScratch, Eng: "SSE", DstIn: -1, SrcOut: s.srcPort, IdxIn: -1,
+			Wait: streamWait(sim.Idle(), e.writeWait(s))})
 	}
 	return out
 }
@@ -346,19 +303,14 @@ func (e *SSE) Streams(now uint64) []StreamInfo {
 func (e *SSE) StallCause(now uint64) obs.Cause {
 	worst := obs.CauseIdle
 	for _, s := range e.reads {
-		c := obs.CauseIdle
-		switch {
-		case len(s.pending) > 0 && s.pending[0].ready > now:
-			c = obs.Busy // inside the SRAM read latency
-		case !s.cur.Done() && e.ports.InAvail(s.dstPort) <= 0:
-			c = obs.PortFull
+		c := obs.Busy // inside the SRAM read latency
+		if s.pending.wake(now).Kind != sim.WakeTimed {
+			c = e.readWait(s).cause()
 		}
 		worst = obs.Worse(worst, c)
 	}
 	for _, s := range e.writes {
-		if s.remaining > 0 && e.ports.Out[s.srcPort].Len() == 0 {
-			worst = obs.Worse(worst, obs.PortEmpty)
-		}
+		worst = obs.Worse(worst, e.writeWait(s).cause())
 	}
 	return worst
 }
@@ -366,11 +318,7 @@ func (e *SSE) StallCause(now uint64) obs.Cause {
 // OnSkip replays the per-tick delivery round-robin rotation over an
 // elided idle span, excluding streams that joined at the span's final
 // cycle (see MSE.OnSkip).
-func (e *SSE) OnSkip(from, to uint64) {
-	if n := len(e.reads) - e.joined; n > 0 {
-		e.rr = (e.rr + int((to-from)%uint64(n))) % n
-	}
-}
+func (e *SSE) OnSkip(from, to uint64) { e.skip(len(e.reads), from, to) }
 
 // WatchSig sums the external signals the engine's wake hint depends on
 // (see sim.Component.WatchSig and MSE.WatchSig).
@@ -397,19 +345,12 @@ func (e *SSE) NextWake(now uint64) sim.Hint {
 	}
 	h := sim.Idle()
 	for _, s := range e.reads {
-		if len(s.pending) > 0 {
-			r := s.pending[0].ready
-			if r <= now {
-				return sim.ReadyNow()
-			}
-			h = h.Earliest(sim.WakeAt(r))
-		}
-		if !s.cur.Done() && e.ports.InAvail(s.dstPort) > 0 {
-			return sim.ReadyNow() // can issue the next SRAM read
+		if h = h.Earliest(s.pending.wake(now)); h.Kind == sim.WakeReady || e.readWait(s) == WaitNone {
+			return sim.ReadyNow() // deliverable, or can issue the next SRAM read
 		}
 	}
 	for _, s := range e.writes {
-		if s.remaining > 0 && e.ports.Out[s.srcPort].Len() > 0 {
+		if e.writeWait(s) == WaitNone {
 			return sim.ReadyNow()
 		}
 	}
@@ -420,10 +361,8 @@ func (e *SSE) NextWake(now uint64) sim.Hint {
 // SRAM read latency at cycle now.
 func (e *SSE) PendingTimed(now uint64) bool {
 	for _, s := range e.reads {
-		for _, p := range s.pending {
-			if p.ready > now {
-				return true
-			}
+		if s.pending.wake(now).Kind == sim.WakeTimed {
+			return true
 		}
 	}
 	return false
@@ -432,30 +371,22 @@ func (e *SSE) PendingTimed(now uint64) bool {
 func (e *SSE) retire() {
 	reads := e.reads[:0]
 	for _, s := range e.reads {
-		if s.cur.Done() && len(s.pending) == 0 {
-			if e.Retired != nil {
-				e.Retired(s.id, isa.KindScratchPort, s.bytes)
-			}
-			e.done = append(e.done, s.id)
-			e.Lifecycle.Raise()
-			e.readPool.put(s)
-		} else {
+		if len(s.pending) > 0 || e.readWait(s) != waitIssued {
 			reads = append(reads, s)
+			continue
 		}
+		e.finish(s.id, isa.KindScratchPort, s.bytes)
+		e.readPool.put(s)
 	}
 	e.reads = reads
 	writes := e.writes[:0]
 	for _, s := range e.writes {
-		if s.remaining == 0 {
-			if e.Retired != nil {
-				e.Retired(s.id, isa.KindPortScratch, s.bytes)
-			}
-			e.done = append(e.done, s.id)
-			e.Lifecycle.Raise()
-			e.writePool.put(s)
-		} else {
+		if e.writeWait(s) != waitIssued {
 			writes = append(writes, s)
+			continue
 		}
+		e.finish(s.id, isa.KindPortScratch, s.bytes)
+		e.writePool.put(s)
 	}
 	e.writes = writes
 }
