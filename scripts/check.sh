@@ -41,7 +41,8 @@
 #                    and the dump rendered as Prometheus exposition
 #                    through the scrape lint
 #  12. fuzz smoke    a short slice of `make fuzz-smoke`: the footprint-
-#                    algebra fuzz targets, the two-mode scheduling
+#                    algebra fuzz targets, the DFG evaluator against its
+#                    reference interpreter, the two-mode scheduling
 #                    equivalence fuzz and the per-cycle vs default
 #                    cluster equivalence fuzz (docs/SIMKERNEL.md), plus the
 #                    barrier-interval slide verification (docs/LINT.md);
