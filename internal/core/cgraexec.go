@@ -1,13 +1,13 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"softbrain/internal/cgra"
 	"softbrain/internal/dfg"
 	"softbrain/internal/engine"
 	"softbrain/internal/obs"
+	"softbrain/internal/port"
 	"softbrain/internal/sim"
 )
 
@@ -18,26 +18,51 @@ type pipeOut struct {
 	data  []byte
 }
 
+// fireIn is one mapped input port of the installed configuration: the
+// machine queue an instance pops, the words it pops, and the evaluator
+// input slots they land in.
+type fireIn struct {
+	hw    int
+	q     *port.Queue
+	words int
+	slots []uint64
+}
+
+// fireOut is one mapped output port of the installed configuration: the
+// machine queue its results drain to, the bytes one instance emits, the
+// pipeline latency from firing to the port, and the instances in flight.
+type fireOut struct {
+	hw     int
+	q      *port.Queue
+	bytes  int
+	arrive uint64
+	pipe   []pipeOut
+}
+
 // cgraExec executes the configured DFG with dataflow firing: when every
 // mapped input port holds one instance of data and every output port has
 // room, the instance launches; results emerge after the schedule's
 // per-port pipeline latency. Initiation interval is 1 — the fabric is
 // fully pipelined (Section 4.4).
+//
+// Install does everything that is fixed per configuration: it compiles
+// the DFG into the evaluator's slot program and resolves the port map
+// into the queues, widths, sizes and latencies below. A fire then only
+// pops words into the evaluator's input slots, runs the program, and
+// packs each output port's slots into a recycled pipeline buffer.
 type cgraExec struct {
 	ports *engine.Ports
 
-	sched *cgra.Schedule
-	eval  *dfg.Evaluator
+	eval *dfg.Evaluator // the installed configuration's program; nil until SD_Config
 
-	inHW, outHW []int       // DFG port index -> machine port index
-	outRes      []int       // reserved bytes per machine output port
-	pipe        [][]pipeOut // per DFG output port, in flight
+	ins        []fireIn  // per DFG input port
+	outs       []fireOut // per DFG output port
+	opsPerInst uint64    // the DFG's scalar operations per instance
+	outRes     []int     // reserved bytes per machine output port
 
-	// Hot-path scratch: per-input-port word buffers reused across fires,
-	// and a freelist of drained pipeOut data buffers (Queue.Push copies,
-	// so a delivered buffer is immediately reusable).
-	inBuf [][]uint64
-	free  [][]byte
+	// free holds drained pipeOut data buffers (Queue.Push copies, so a
+	// delivered buffer is immediately reusable).
+	free [][]byte
 
 	// cfgGen counts configuration installs: the wake signal that lets a
 	// sleeping unconfigured fabric notice an SD_Config completing.
@@ -60,29 +85,37 @@ func (x *cgraExec) Install(s *cgra.Schedule) error {
 	if err != nil {
 		return err
 	}
-	for p := range x.pipe {
-		if len(x.pipe[p]) > 0 {
-			return fmt.Errorf("core: reconfiguring with %d instances in flight", len(x.pipe[p]))
+	for _, o := range x.outs {
+		if len(o.pipe) > 0 {
+			return fmt.Errorf("core: reconfiguring with %d instances in flight", len(o.pipe))
 		}
 	}
-	x.sched = s
+	g := s.Graph
 	x.eval = ev
-	x.inHW = append(x.inHW[:0], s.InPortMap...)
-	x.outHW = append(x.outHW[:0], s.OutPortMap...)
-	x.pipe = make([][]pipeOut, len(s.Graph.Outs))
-	x.inBuf = make([][]uint64, len(s.Graph.Ins))
+	x.ins = x.ins[:0]
+	for p, in := range g.Ins {
+		hw := s.InPortMap[p]
+		x.ins = append(x.ins, fireIn{hw: hw, q: x.ports.In[hw], words: in.Width, slots: ev.In(p)})
+	}
+	x.outs = x.outs[:0]
+	for p, out := range g.Outs {
+		hw := s.OutPortMap[p]
+		x.outs = append(x.outs, fireOut{hw: hw, q: x.ports.Out[hw],
+			bytes: out.BytesPerInstance(), arrive: uint64(s.OutArrive[p])})
+	}
+	x.opsPerInst = uint64(g.OpsPerInstance())
 	x.cfgGen.Raise()
 	return nil
 }
 
 // Configured reports whether a DFG is loaded.
-func (x *cgraExec) Configured() bool { return x.sched != nil }
+func (x *cgraExec) Configured() bool { return x.eval != nil }
 
 // InFlight is the number of buffered pipeline outputs not yet delivered.
 func (x *cgraExec) InFlight() int {
 	n := 0
-	for _, q := range x.pipe {
-		n += len(q)
+	for _, o := range x.outs {
+		n += len(o.pipe)
 	}
 	return n
 }
@@ -91,9 +124,9 @@ func (x *cgraExec) InFlight() int {
 // pipeline latency at cycle now (its output will emerge without further
 // input, so the machine is not quiescent).
 func (x *cgraExec) PendingTimed(now uint64) bool {
-	for _, q := range x.pipe {
-		for _, o := range q {
-			if o.ready > now {
+	for _, o := range x.outs {
+		for _, f := range o.pipe {
+			if f.ready > now {
 				return true
 			}
 		}
@@ -108,12 +141,12 @@ func (x *cgraExec) PendingTimed(now uint64) bool {
 // snapshots.
 func (x *cgraExec) WatchSig() uint64 {
 	sig := x.cfgGen.Value()
-	for _, hw := range x.inHW {
-		q := x.ports.In[hw]
+	for i := range x.ins {
+		q := x.ins[i].q
 		sig += q.TotalIn() + q.TotalOut()
 	}
-	for _, hw := range x.outHW {
-		q := x.ports.Out[hw]
+	for i := range x.outs {
+		q := x.outs[i].q
 		sig += q.TotalIn() + q.TotalOut()
 	}
 	return sig
@@ -124,13 +157,13 @@ func (x *cgraExec) WatchSig() uint64 {
 // fire, the earliest pipeline-emergence cycle when results are in
 // flight, Idle when the fabric waits on port data or space.
 func (x *cgraExec) NextWake(now uint64) sim.Hint {
-	if x.sched == nil {
+	if x.eval == nil {
 		return sim.Idle()
 	}
 	h := sim.Idle()
-	for p := range x.pipe {
-		if len(x.pipe[p]) > 0 {
-			if r := x.pipe[p][0].ready; r > now {
+	for i := range x.outs {
+		if pipe := x.outs[i].pipe; len(pipe) > 0 {
+			if r := pipe[0].ready; r > now {
 				h = h.Earliest(sim.WakeAt(r))
 			} else {
 				return sim.ReadyNow() // drainable output
@@ -143,64 +176,68 @@ func (x *cgraExec) NextWake(now uint64) sim.Hint {
 	return h
 }
 
-// canFire reports whether a full instance of input data and output
-// space is available — blockers() without the diagnostic allocation.
-func (x *cgraExec) canFire() bool {
-	g := x.sched.Graph
-	for p, in := range g.Ins {
-		if !x.ports.In[x.inHW[p]].HasWords(in.Width) {
-			return false
+// starved reports whether some mapped input port lacks a full instance
+// of data.
+func (x *cgraExec) starved() bool {
+	for i := range x.ins {
+		if !x.ins[i].q.HasWords(x.ins[i].words) {
+			return true
 		}
 	}
-	for p := range g.Outs {
-		hw := x.outHW[p]
-		if x.ports.Out[hw].Space()-x.outRes[hw] < g.Outs[p].BytesPerInstance() {
-			return false
-		}
-	}
-	return true
+	return false
 }
+
+// blocked reports whether some mapped output port lacks space, net of
+// in-flight reservations, for one instance's results.
+func (x *cgraExec) blocked() bool {
+	for i := range x.outs {
+		o := &x.outs[i]
+		if o.q.Space()-x.outRes[o.hw] < o.bytes {
+			return true
+		}
+	}
+	return false
+}
+
+// canFire reports whether a full instance of input data and output
+// space is available.
+func (x *cgraExec) canFire() bool { return !x.starved() && !x.blocked() }
 
 // StallCause classifies the fabric's state on a cycle it neither fired
 // nor drained (see engine.MSE.StallCause for the contract). Results in
 // flight through the pipeline latency count as Busy; otherwise blocked
 // outputs outrank starved inputs.
 func (x *cgraExec) StallCause(uint64) obs.Cause {
-	if x.sched == nil {
+	if x.eval == nil {
 		return obs.CauseIdle
 	}
-	for _, q := range x.pipe {
-		if len(q) > 0 {
+	for i := range x.outs {
+		if len(x.outs[i].pipe) > 0 {
 			return obs.Busy // instance results inside the pipeline latency
 		}
 	}
-	starved, blocked := x.blockers()
 	switch {
-	case len(blocked) > 0:
+	case x.blocked():
 		return obs.PortFull
-	case len(starved) > 0:
+	case x.starved():
 		return obs.PortEmpty
 	}
 	return obs.CauseIdle
 }
 
-// blockers reports why the fabric cannot fire: the machine input ports
-// lacking a full instance of data and the machine output ports lacking
-// space. Both empty means the fabric could fire (or is unconfigured).
+// blockers reports, for hang diagnosis, why the fabric cannot fire: the
+// machine input ports lacking a full instance of data and the machine
+// output ports lacking space. Both empty means the fabric could fire (or
+// is unconfigured).
 func (x *cgraExec) blockers() (starvedIn, blockedOut []int) {
-	if x.sched == nil {
-		return nil, nil
-	}
-	g := x.sched.Graph
-	for p, in := range g.Ins {
-		if !x.ports.In[x.inHW[p]].HasWords(in.Width) {
-			starvedIn = append(starvedIn, x.inHW[p])
+	for _, in := range x.ins {
+		if !in.q.HasWords(in.words) {
+			starvedIn = append(starvedIn, in.hw)
 		}
 	}
-	for p := range g.Outs {
-		hw := x.outHW[p]
-		if x.ports.Out[hw].Space()-x.outRes[hw] < g.Outs[p].BytesPerInstance() {
-			blockedOut = append(blockedOut, hw)
+	for _, o := range x.outs {
+		if o.q.Space()-x.outRes[o.hw] < o.bytes {
+			blockedOut = append(blockedOut, o.hw)
 		}
 	}
 	return starvedIn, blockedOut
@@ -209,8 +246,8 @@ func (x *cgraExec) blockers() (starvedIn, blockedOut []int) {
 // mappedIn / mappedOut report whether a machine port is bound to the
 // active configuration.
 func (x *cgraExec) mappedIn(hw int) bool {
-	for _, m := range x.inHW {
-		if m == hw {
+	for _, in := range x.ins {
+		if in.hw == hw {
 			return true
 		}
 	}
@@ -218,8 +255,8 @@ func (x *cgraExec) mappedIn(hw int) bool {
 }
 
 func (x *cgraExec) mappedOut(hw int) bool {
-	for _, m := range x.outHW {
-		if m == hw {
+	for _, o := range x.outs {
+		if o.hw == hw {
 			return true
 		}
 	}
@@ -228,18 +265,18 @@ func (x *cgraExec) mappedOut(hw int) bool {
 
 // Tick delivers finished outputs and fires at most one new instance.
 func (x *cgraExec) Tick(now uint64) error {
-	if x.sched == nil {
+	if x.eval == nil {
 		return nil
 	}
 	// Drain pipeline outputs whose latency has elapsed, in order.
-	for p := range x.pipe {
-		hw := x.outHW[p]
-		for len(x.pipe[p]) > 0 && x.pipe[p][0].ready <= now {
-			out := x.pipe[p][0]
-			n := copy(x.pipe[p], x.pipe[p][1:]) // pop-front in place: keeps capacity
-			x.pipe[p] = x.pipe[p][:n]
-			x.ports.Out[hw].Push(out.data)
-			x.outRes[hw] -= len(out.data)
+	for i := range x.outs {
+		o := &x.outs[i]
+		for len(o.pipe) > 0 && o.pipe[0].ready <= now {
+			out := o.pipe[0]
+			n := copy(o.pipe, o.pipe[1:]) // pop-front in place: keeps capacity
+			o.pipe = o.pipe[:n]
+			o.q.Push(out.data)
+			x.outRes[o.hw] -= len(out.data)
 			x.Drained += uint64(len(out.data))
 			x.free = append(x.free, out.data[:0]) // Push copied; recycle
 		}
@@ -250,35 +287,24 @@ func (x *cgraExec) Tick(now uint64) error {
 	if !x.canFire() {
 		return nil
 	}
-	g := x.sched.Graph
-	for p, in := range g.Ins {
-		x.inBuf[p] = x.ports.In[x.inHW[p]].PopWordsInto(x.inBuf[p], in.Width)
+	for i := range x.ins {
+		in := &x.ins[i]
+		in.q.PopWordsInto(in.slots, in.words) // fills the slots in place
 	}
-	outs, err := x.eval.Eval(x.inBuf)
-	if err != nil {
-		return err
-	}
-	for p := range g.Outs {
-		hw := x.outHW[p]
-		elem := g.Outs[p].ElemBytes
+	x.eval.Fire()
+	for p := range x.outs {
+		o := &x.outs[p]
 		var data []byte
 		if n := len(x.free); n > 0 {
 			data, x.free = x.free[n-1], x.free[:n-1]
 		} else {
-			data = make([]byte, 0, g.Outs[p].BytesPerInstance())
+			data = make([]byte, 0, o.bytes)
 		}
-		for _, w := range outs[p] {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], w)
-			data = append(data, buf[:elem]...)
-		}
-		x.pipe[p] = append(x.pipe[p], pipeOut{
-			ready: now + uint64(x.sched.OutArrive[p]),
-			data:  data,
-		})
-		x.outRes[hw] += len(data)
+		data = x.eval.AppendOut(data, p)
+		o.pipe = append(o.pipe, pipeOut{ready: now + o.arrive, data: data})
+		x.outRes[o.hw] += len(data)
 	}
 	x.Instances++
-	x.FUOps += uint64(g.OpsPerInstance())
+	x.FUOps += x.opsPerInst
 	return nil
 }

@@ -190,175 +190,27 @@ func ParseOp(s string) (Op, error) {
 	return Op{}, fmt.Errorf("dfg: unknown op %q", s)
 }
 
-// laneMask returns the mask of one lane of width w bits.
-func laneMask(w uint8) uint64 {
-	if w == 64 {
-		return ^uint64(0)
-	}
-	return 1<<w - 1
-}
-
-// signExtend sign-extends the low w bits of v to 64 bits.
-func signExtend(v uint64, w uint8) int64 {
-	shift := 64 - uint(w)
-	return int64(v<<shift) >> shift
-}
-
-// Eval computes the op over packed operands. For OpAcc, state is the
-// running accumulator value and the returned state is its successor; all
-// other ops ignore and pass through state.
+// Eval computes the op over packed operands, args[i] being operand i.
+// For the accumulators, state is the running value and the returned
+// state is its successor; every other op passes state through. It runs
+// the op's lane kernel, as an Evaluator step does.
 func (o Op) Eval(args []uint64, state uint64) (result, newState uint64) {
-	w := o.Width
-	lanes := o.Lanes()
-	mask := laneMask(w)
-
-	lane := func(v uint64, i int) uint64 { return v >> (uint(i) * uint(w)) & mask }
-
-	switch o.Base {
-	case OpAnd:
-		return args[0] & args[1], state
-	case OpOr:
-		return args[0] | args[1], state
-	case OpXor:
-		return args[0] ^ args[1], state
-	case OpAcc, OpAccMin, OpAccMax:
-		// args[0] is data, args[1] is the reset control stream.
-		var out uint64
-		switch o.Base {
-		case OpAcc:
-			out = addLanes(state, args[0], w)
-		case OpAccMin:
-			out, _ = Min(w).Eval([]uint64{state, args[0]}, 0)
-		default:
-			out, _ = Max(w).Eval([]uint64{state, args[0]}, 0)
-		}
-		if args[1] != 0 {
-			return out, o.InitState()
-		}
-		return out, out
-	case OpRedAdd:
-		var sum int64
-		for i := 0; i < lanes; i++ {
-			sum += signExtend(lane(args[0], i), w)
-		}
-		return uint64(sum), state
-	case OpRedMin:
-		best := signExtend(lane(args[0], 0), w)
-		for i := 1; i < lanes; i++ {
-			if v := signExtend(lane(args[0], i), w); v < best {
-				best = v
-			}
-		}
-		return uint64(best), state
-	}
-
-	var out uint64
-	for i := 0; i < lanes; i++ {
-		a := lane(args[0], i)
-		var b, c uint64
-		if o.Arity() > 1 {
-			b = lane(args[1], i)
-		}
-		if o.Arity() > 2 {
-			c = lane(args[2], i)
-		}
-		var r uint64
-		switch o.Base {
-		case OpAdd:
-			r = a + b
-		case OpSub:
-			r = a - b
-		case OpMul:
-			r = a * b
-		case OpDiv:
-			sb := signExtend(b, w)
-			if sb == 0 {
-				r = 0
-			} else {
-				r = uint64(signExtend(a, w) / sb)
-			}
-		case OpMin:
-			if signExtend(a, w) < signExtend(b, w) {
-				r = a
-			} else {
-				r = b
-			}
-		case OpMax:
-			if signExtend(a, w) > signExtend(b, w) {
-				r = a
-			} else {
-				r = b
-			}
-		case OpAbs:
-			if s := signExtend(a, w); s < 0 {
-				r = uint64(-s)
-			} else {
-				r = a
-			}
-		case OpShl:
-			r = a << (args[1] & 63)
-		case OpShr:
-			r = a >> (args[1] & 63)
-		case OpAshr:
-			r = uint64(signExtend(a, w) >> (args[1] & 63))
-		case OpEq:
-			if a == b {
-				r = 1
-			}
-		case OpLt:
-			if signExtend(a, w) < signExtend(b, w) {
-				r = 1
-			}
-		case OpSel:
-			if a != 0 {
-				r = b
-			} else {
-				r = c
-			}
-		case OpSig:
-			r = sigmoidFixed(signExtend(a, w), w)
-		}
-		out |= (r & mask) << (uint(i) * uint(w))
-	}
-	return out, state
+	var v [3]uint64
+	copy(v[:], args)
+	return o.kernel()(v[0], v[1], v[2], state)
 }
 
 // InitState is the accumulator's identity value: zero for sums, the
-// most positive (negative) lane value for running minima (maxima).
+// most positive (negative) lane value for running minima (maxima). It is
+// the state an accumulator's kernel restores on reset; other ops hold no
+// state.
 func (o Op) InitState() uint64 {
 	switch o.Base {
-	case OpAccMin:
-		return repeatLane(laneMask(o.Width)>>1, o.Width) // lane max positive
-	case OpAccMax:
-		return repeatLane(laneMask(o.Width)>>1^laneMask(o.Width), o.Width) // lane min
+	case OpAcc, OpAccMin, OpAccMax:
+		_, s := o.kernel()(0, 1, 0, 0)
+		return s
 	}
 	return 0
-}
-
-// repeatLane tiles the low w bits of v across a 64-bit word.
-func repeatLane(v uint64, w uint8) uint64 {
-	if w == 64 {
-		return v
-	}
-	var out uint64
-	for i := 0; i < 64/int(w); i++ {
-		out |= (v & laneMask(w)) << (uint(i) * uint(w))
-	}
-	return out
-}
-
-// addLanes adds two packed words lane-wise at width w.
-func addLanes(a, b uint64, w uint8) uint64 {
-	if w == 64 {
-		return a + b
-	}
-	mask := laneMask(w)
-	var out uint64
-	for i := 0; i < 64/int(w); i++ {
-		sh := uint(i) * uint(w)
-		out |= (a>>sh + b>>sh) & mask << sh
-	}
-	return out
 }
 
 // sigmoidFixed is a piecewise-linear fixed-point logistic function in

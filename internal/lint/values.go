@@ -563,17 +563,11 @@ func (v *valuePass) resolveRecurrences() bool {
 			w := uint64(g.Ins[p].Width)
 			ins[p] = inWords[p][inst*w : (inst+1)*w]
 		}
-		outs, err := ev.Eval(ins)
-		if err != nil {
+		if _, err := ev.Eval(ins); err != nil {
 			return false
 		}
-		for p, words := range outs {
-			eb := g.Outs[p].ElemBytes
-			for _, w := range words {
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], w)
-				outBytes[p] = append(outBytes[p], b[:eb]...)
-			}
+		for p := range g.Outs {
+			outBytes[p] = ev.AppendOut(outBytes[p], p)
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"softbrain/internal/core"
+	"softbrain/internal/obs"
 	"softbrain/internal/workloads"
 	"softbrain/internal/workloads/machsuite"
 )
@@ -50,6 +51,50 @@ func TestWarmRunAllocsFlat(t *testing.T) {
 		if allocs[2] > allocs[0]+allocSlack {
 			t.Errorf("%s: warm run allocates %v at scale 4 vs %v at scale 1 (slack %d)",
 				name, allocs[2], allocs[0], allocSlack)
+		}
+	}
+}
+
+// TestMetricsRunAllocsFlat checks that stall attribution allocates
+// nothing per cycle: a warm gemm run with metrics on allocates at most
+// metricsSlack more than the same run with metrics off (the registry's
+// per-run bookkeeping), at scale 4 as at scale 1, however many stalled
+// cycles it classifies.
+func TestMetricsRunAllocsFlat(t *testing.T) {
+	const metricsSlack = 64
+	cfg := core.DefaultConfig()
+	e, err := machsuite.Find("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []int{1, 4} {
+		inst, err := e.Build(cfg, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs [2]float64
+		for i, metrics := range []bool{false, true} {
+			cl, err := core.NewCluster(cfg, inst.Units())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if metrics {
+				cl.EnableMetrics(obs.Options{})
+			}
+			inst.Init(cl.Mem)
+			allocs[i] = testing.AllocsPerRun(1, func() {
+				if _, err := cl.RunContext(ctx, inst.Progs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := inst.Check(cl.Mem); err != nil {
+				t.Fatalf("scale %d: %v", scale, err)
+			}
+		}
+		t.Logf("gemm scale %d warm-run allocations: metrics off %v, on %v", scale, allocs[0], allocs[1])
+		if allocs[1] > allocs[0]+metricsSlack {
+			t.Errorf("gemm scale %d: a metrics run allocates %v, %v without metrics (slack %d)",
+				scale, allocs[1], allocs[0], metricsSlack)
 		}
 	}
 }
