@@ -113,7 +113,7 @@ func main() {
 	case err != nil:
 		fail(err)
 	case observed:
-		if err := reportObserved(ctx, inst, cfg, units, *warm, cl, stats, *metricsPath, *traceOut); err != nil {
+		if err := reportObserved(inst, cfg, units, cl, stats, *metricsPath, *traceOut); err != nil {
 			fail(err)
 		}
 	case timeline:
@@ -209,9 +209,11 @@ func observe(cl *core.Cluster, traced bool, progress time.Duration) {
 }
 
 // reportObserved checks and exports what observe collected: the
-// bandwidth table, the scheduler counters and metrics dump (metricsPath),
-// and the Perfetto trace (tracePath).
-func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Config, units int, warm bool,
+// bandwidth table, the observed run's scheduler counters and metrics
+// dump (metricsPath), and the Perfetto trace (tracePath). Attaching
+// metrics does not change how the run is scheduled, so the counters
+// describe the same run as the dump.
+func reportObserved(inst *workloads.Instance, cfg core.Config, units int,
 	cl *core.Cluster, stats *core.Stats, metricsPath, tracePath string) error {
 	dump := cl.MetricsDump()
 	if err := obs.CheckConservation(dump); err != nil {
@@ -221,20 +223,7 @@ func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 	lineRate := float64(cfg.Mem.LineBytes) / float64(cfg.Mem.MissInterval)
 	fmt.Print(obs.BandwidthTable(dump, lineRate))
 	if metricsPath != "" {
-		// The wake-set scheduler's own counters come from a separate,
-		// identically warm run: attaching the metrics registry forces
-		// per-cycle stall attribution, which disables span retirement,
-		// so the observed run above cannot show what the event-driven
-		// scheduler does by default. The extra run doubles as an
-		// equivalence check on its cycle count.
-		sCl, sStats, err := inst.Run(ctx, cfg, workloads.RunOpts{Warm: warm})
-		if err != nil {
-			return err
-		}
-		if sStats.Cycles != stats.Cycles {
-			return fmt.Errorf("event-driven run changed the cycle count (%d -> %d)", stats.Cycles, sStats.Cycles)
-		}
-		printSched(sCl.SchedStats(), sCl.SchedTickBy(), units)
+		printSched(cl.SchedStats(), cl.SchedTickBy(), units)
 		data, err := dump.MarshalIndent()
 		if err != nil {
 			return err
@@ -261,12 +250,11 @@ func reportObserved(ctx context.Context, inst *workloads.Instance, cfg core.Conf
 	return nil
 }
 
-// printSched renders the wake-set scheduler counters of one full
-// event-driven run: how many cycles were stepped vs jumped, how many
-// component ticks the wake sets elided, and what span retirement
-// batched. These are host-performance diagnostics, deliberately kept
-// out of the obs metrics dump (dumps are byte-compared across
-// scheduling modes).
+// printSched renders the wake-set scheduler counters of the reported
+// run: how many cycles were stepped vs jumped, how many component
+// ticks the wake sets elided, and what span retirement batched. These
+// are host-performance diagnostics, deliberately kept out of the obs
+// metrics dump (dumps are byte-compared across scheduling modes).
 func printSched(s sim.SchedStats, by map[string]uint64, units int) {
 	fmt.Printf("\nwake-set scheduler (event-driven run):\n")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)

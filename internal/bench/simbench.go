@@ -261,22 +261,6 @@ func SimBench(ctx context.Context, smokeOnly bool, every time.Duration, hb func(
 		if onNs > 0 {
 			row.Speedup = float64(offNs) / float64(onNs)
 		}
-		// A final untimed run under the full event-driven configuration
-		// harvests the scheduler counters behind the speedup column.
-		// Its cycle count must agree like every other run's.
-		sInst, sCfg, err := e.build()
-		if err != nil {
-			return nil, err
-		}
-		sCl, sStats, err := sInst.Run(ctx, sCfg, workloads.RunOpts{})
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s (sched): %w", e.name, err)
-		}
-		if sStats.Cycles != onCycles {
-			return nil, fmt.Errorf("bench: %s: sched-counter run changed the cycle count (%d -> %d)",
-				e.name, onCycles, sStats.Cycles)
-		}
-		row.Sched = newSchedSummary(sCl.SchedStats(), sCl.SchedTickBy())
 		rows = append(rows, row)
 	}
 	if len(rows) > 0 {
@@ -285,12 +269,14 @@ func SimBench(ctx context.Context, smokeOnly bool, every time.Duration, hb func(
 	return rows, nil
 }
 
-// metricsColumns fills row's stall and data-movement columns from one
-// extra, untimed run with the observability layer attached. Its cycle
-// count must equal row.Cycles — metrics are read-only by contract.
-// MemUtilization counts DRAM access slots: every cache miss takes one,
-// and the shared channel grants one per MissInterval cycles, so the
-// fraction is at most 1.
+// metricsColumns fills row's stall, data-movement and scheduler
+// columns from one extra, untimed run with the observability layer
+// attached. Its cycle count must equal row.Cycles — metrics are
+// read-only by contract — and attaching them does not change how the
+// run is scheduled, so its scheduler counters are the default mode's
+// behind the speedup column. MemUtilization counts DRAM access slots:
+// every cache miss takes one, and the shared channel grants one per
+// MissInterval cycles, so the fraction is at most 1.
 func metricsColumns(ctx context.Context, row *SimRow, inst *workloads.Instance, cfg core.Config) error {
 	cl, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{
 		Prepare: func(cl *core.Cluster) { cl.EnableMetrics(obs.Options{}) },
@@ -307,6 +293,7 @@ func metricsColumns(ctx context.Context, row *SimRow, inst *workloads.Instance, 
 		return fmt.Errorf("bench: %s: %w", row.Workload, err)
 	}
 	row.Stalls = stallCycles(dump)
+	row.Sched = newSchedSummary(cl.SchedStats(), cl.SchedTickBy())
 	var memBytes uint64
 	for _, s := range dump.Total.Streams {
 		row.BytesMoved += s.Bytes
@@ -472,7 +459,8 @@ func UpdateSimGoldens(rows []SimRow, goldenPath string) error {
 // which are exact, the heap allocations of one Instance.Run
 // (runtime.MemStats.Mallocs delta), the minimum over workReps runs,
 // which is exact up to a few allocations of runtime noise, and the
-// stall attribution of one untimed metrics run, which is exact.
+// stall attribution of one untimed metrics run, which is exact and
+// scheduled exactly like the others.
 type Work struct {
 	SteppedCycles uint64 `json:"stepped_cycles"`
 	SkippedCycles uint64 `json:"skipped_cycles"`
@@ -505,6 +493,7 @@ func MeasureWork(ctx context.Context, smokeOnly bool) (map[string]Work, error) {
 			return nil, err
 		}
 		var w Work
+		var sched sim.SchedStats
 		for rep := 0; rep < workReps; rep++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -523,7 +512,7 @@ func MeasureWork(ctx context.Context, smokeOnly bool) (map[string]Work, error) {
 			}
 			mallocs := after.Mallocs - before.Mallocs
 			if rep == 0 {
-				w, w.Mallocs = run, mallocs
+				w, w.Mallocs, sched = run, mallocs, s
 				continue
 			}
 			if run.Mallocs = w.Mallocs; !reflect.DeepEqual(run, w) {
@@ -536,6 +525,9 @@ func MeasureWork(ctx context.Context, smokeOnly bool) (map[string]Work, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (work metrics): %w", e.name, err)
+		}
+		if s := cl.SchedStats(); s != sched {
+			return nil, fmt.Errorf("bench: %s: attaching metrics changed the scheduler counters (%+v then %+v)", e.name, sched, s)
 		}
 		w.Stalls = stallCycles(cl.MetricsDump())
 		out[e.name] = w

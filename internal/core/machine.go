@@ -260,36 +260,55 @@ func (m *Machine) Step(now uint64) error {
 	if m.configErr != nil {
 		return m.stepError("program", now, m.configErr)
 	}
+	return m.tickFrom(0, 0, now)
+}
+
+// tickFrom is Step's tick loop: it runs cycle now from component first
+// on, ticking each component the kernel says is due, and closes the
+// cycle. ticked counts the components that already ticked this cycle:
+// a span hands over the cycle its sole tick left open (see retireSpan).
+func (m *Machine) tickFrom(first, ticked int, now uint64) error {
 	comps := m.kern.Components()
-	ticked := 0
-	for i, c := range comps {
+	for i := first; i < len(comps); i++ {
 		if !m.kern.ShouldTick(i, now) {
 			m.kern.Stats.CompSleeps++
 			continue
 		}
 		m.kern.BeforeTick(i, now)
-		if err := c.Tick(now); err != nil {
-			return m.stepError(c.Name(), now, err)
+		if err := m.tick(i, now); err != nil {
+			return err
 		}
 		m.kern.AfterTick(i, now)
 		ticked++
-		// A deferred program error (config decode, enqueue validation)
-		// set by this cycle's MSE tick surfaces here; one set by the
-		// core surfaces next Step.
-		if i < len(comps)-1 && m.configErr != nil {
-			return m.stepError("program", now, m.configErr)
-		}
 	}
-	m.kern.Stats.Cycles++
-	if ticked >= len(m.kern.Stats.TickHist) {
-		ticked = len(m.kern.Stats.TickHist) - 1
+	m.kern.CountCycle(ticked)
+	m.closeCycle(now)
+	return nil
+}
+
+// tick runs component i's Tick at cycle now. A deferred program error
+// (config decode, enqueue validation) set by the tick surfaces the same
+// cycle; one set by the core, the last component, surfaces when the
+// next cycle starts.
+func (m *Machine) tick(i int, now uint64) error {
+	comps := m.kern.Components()
+	if err := comps[i].Tick(now); err != nil {
+		return m.stepError(comps[i].Name(), now, err)
 	}
-	m.kern.Stats.TickHist[ticked]++
+	if i < len(comps)-1 && m.configErr != nil {
+		return m.stepError("program", now, m.configErr)
+	}
+	return nil
+}
+
+// closeCycle ends a cycle the unit was stepped through, by Step or
+// inside a span: the cycle is the unit's last stepped one, and with
+// metrics enabled every component's stall cause is attributed for it.
+func (m *Machine) closeCycle(now uint64) {
 	m.lastStepped = int64(now)
 	if m.attrs != nil {
 		m.classifyCycle(now)
 	}
-	return nil
 }
 
 // stepAll is the legacy per-cycle path: every component ticks, no wake
@@ -332,13 +351,12 @@ func (m *Machine) stepAll(now uint64) error {
 // cycle the caller's watchdog would fire, mirroring the idle-jump
 // cap). The fast path skips the per-cycle run-loop and scheduler
 // machinery: no Step dispatch, no ShouldTick scan, no progress or
-// hang probes per cycle. It returns the number of cycles retired, 0
-// when no span is eligible.
-//
-// Spans are skipped entirely under the per-cycle obligation the batch
-// loop does not replay: cycle attribution (m.attrs).
+// hang probes per cycle. Each retired cycle closes as a stepped one
+// does (closeCycle), stall attribution included. When the sole tick
+// wakes a later peer, Step's tick loop finishes that cycle. It returns
+// the number of cycles retired, 0 when no span is eligible.
 func (m *Machine) retireSpan(now, deadline uint64) (uint64, error) {
-	if m.noSkip || m.attrs != nil || m.configErr != nil || m.prog == nil {
+	if m.noSkip || m.configErr != nil || m.prog == nil {
 		return 0, nil
 	}
 	sole, limit := m.kern.SoloReady(now)
@@ -351,27 +369,22 @@ func (m *Machine) retireSpan(now, deadline uint64) (uint64, error) {
 	if limit <= now+1 {
 		return 0, nil // a span of one cycle is just a Step
 	}
-	comps := m.kern.Components()
 	m.kern.BeforeTick(sole, now)
-	n, err := m.kern.RetireSpan(sole, now, limit, func(i int, t uint64) error {
+	n, open, err := m.kern.RetireSpan(sole, now, limit, func(t uint64) error {
 		// Mirror Step's deferred-error protocol exactly: an error set by
-		// the last component (the core) surfaces at the next cycle's
+		// the core (the last component) surfaces at the next cycle's
 		// top-of-step check — which for a span cycle is the moment just
-		// before the sole component's tick; one set by an earlier
-		// component surfaces the same cycle.
-		if i == sole && m.configErr != nil {
+		// before the sole component's tick.
+		if m.configErr != nil {
 			return m.stepError("program", t, m.configErr)
 		}
-		if err := comps[i].Tick(t); err != nil {
-			return m.stepError(comps[i].Name(), t, err)
+		return m.tick(sole, t)
+	}, m.closeCycle)
+	if open && err == nil {
+		// The sole tick woke a later peer: Step's loop finishes the cycle.
+		if err = m.tickFrom(sole+1, 1, now+n); err == nil {
+			n++
 		}
-		if i < len(comps)-1 && m.configErr != nil {
-			return m.stepError("program", t, m.configErr)
-		}
-		return nil
-	})
-	if n > 0 {
-		m.lastStepped = int64(now + n - 1)
 	}
 	return n, err
 }

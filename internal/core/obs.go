@@ -14,8 +14,8 @@ import (
 // machine: per-cycle stall-cause attribution for every component, the
 // per-stream bandwidth rows, and the heartbeat hook. Everything here is
 // strictly observational — enabling metrics never changes a simulated
-// cycle — and a machine without a registry pays one nil check per Step
-// and allocates nothing.
+// cycle or how a run is scheduled — and a machine without a registry
+// pays one nil check per stepped cycle and allocates nothing.
 //
 // Busy is attributed machine-side from monotone work-counter deltas;
 // components are asked for a StallCause only on cycles they did no
@@ -93,8 +93,8 @@ func (c *Cluster) TraceInputs(endCycle uint64) []obs.TraceInput {
 
 // classifyCycle attributes cycle now for every component: Busy when
 // its work counter moved since the last classification, its state-
-// based stallCause otherwise. Called at the end of every Step when
-// metrics are enabled.
+// based stallCause otherwise. Called when metrics are enabled, as each
+// stepped cycle closes — by Step or inside a span (closeCycle).
 func (m *Machine) classifyCycle(now uint64) {
 	for i := range m.attrs {
 		a := &m.attrs[i]

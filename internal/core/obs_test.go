@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"softbrain/internal/core"
@@ -58,13 +59,22 @@ func obsBuilds() []struct {
 // twice — skipping off and on — and demands (a) the conservation
 // invariant on both dumps, (b) byte-identical dump JSON between the
 // two runs, and (c) unchanged cycle counts versus a plain run (metrics
-// must not perturb the simulation).
+// must not perturb the simulation). Attaching metrics must not change
+// the scheduling either: (d) the default-mode metrics run reports the
+// plain run's scheduler counters and per-component ticks, and (e) some
+// workload retires spans with metrics attached.
 func TestMetricsWorkloads(t *testing.T) {
+	var spans atomic.Uint64
+	t.Cleanup(func() { // after every parallel subtest
+		if spans.Load() == 0 {
+			t.Error("no workload retired a span with metrics attached")
+		}
+	})
 	for _, b := range obsBuilds() {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(noSkip bool) (*core.Stats, []byte) {
+			run := func(noSkip bool) (*core.Cluster, *core.Stats, []byte) {
 				cfg := b.cfg
 				cfg.Sched = schedFor(noSkip)
 				inst, err := b.inst(cfg)
@@ -85,10 +95,10 @@ func TestMetricsWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return stats, data
+				return cl, stats, data
 			}
-			sOff, dOff := run(true)
-			sOn, dOn := run(false)
+			_, sOff, dOff := run(true)
+			clOn, sOn, dOn := run(false)
 			if !bytes.Equal(dOff, dOn) {
 				t.Errorf("metrics dump differs with skip-ahead:\noff:\n%s\non:\n%s", dOff, dOn)
 			}
@@ -99,7 +109,7 @@ func TestMetricsWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, plain, err := inst.Run(context.Background(), b.cfg, workloads.RunOpts{})
+			cl, plain, err := inst.Run(context.Background(), b.cfg, workloads.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +117,13 @@ func TestMetricsWorkloads(t *testing.T) {
 				t.Errorf("enabling metrics changed the simulation: %d cycles plain, %d with metrics",
 					plain.Cycles, sOn.Cycles)
 			}
+			if got, want := clOn.SchedStats(), cl.SchedStats(); got != want {
+				t.Errorf("enabling metrics changed the scheduling:\n  plain:   %+v\n  metrics: %+v", want, got)
+			}
+			if got, want := clOn.SchedTickBy(), cl.SchedTickBy(); !reflect.DeepEqual(got, want) {
+				t.Errorf("enabling metrics changed the ticks per component: plain %v, metrics %v", want, got)
+			}
+			spans.Add(clOn.SchedStats().Spans)
 		})
 	}
 }

@@ -133,8 +133,8 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 }
 
 // runPlain runs p on a fresh machine with the memory pools seeded
-// deterministically and no observers attached — the configuration
-// where span retirement is live.
+// deterministically and no observers attached; runTraced is the same
+// run with a traced metrics registry, scheduled the same way.
 func runPlain(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
 	t.Helper()
 	m, err := core.NewMachine(cfg)
@@ -180,9 +180,9 @@ func genProgram(t *testing.T, cfg core.Config, seed int64) *core.Program {
 // TestSpanEquivalenceSeeds runs generated programs across the two
 // scheduling modes and compares statistics and memory images; then the
 // same programs with the observability layer attached in each mode,
-// demanding byte-identical metrics dumps (attaching metrics forces
-// per-cycle attribution, which must itself be mode-independent). At
-// least one plain run must retire a span.
+// demanding byte-identical metrics dumps (stall attribution must itself
+// be mode-independent, spans included). At least one plain run must
+// retire a span.
 func TestSpanEquivalenceSeeds(t *testing.T) {
 	cfg := core.DefaultConfig()
 	var spans uint64
@@ -277,14 +277,16 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 // FuzzSpanEquivalence is the randomized slice of the two-mode
 // equivalence property for `make fuzz-smoke`: an arbitrary command
 // seed, optionally under a fault profile, must produce identical
-// statistics and memory in both scheduling modes.
+// statistics and memory in both scheduling modes. With traced set,
+// both modes run with a traced metrics registry attached and their
+// dumps must be byte-identical too.
 func FuzzSpanEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
-		f.Add(seed, uint8(seed))
+		f.Add(seed, uint8(seed), seed%2 == 1)
 	}
 	cfg := core.DefaultConfig()
 	profiles := []string{"", "delay", "stall", "bitflip"}
-	f.Fuzz(func(t *testing.T, seed int64, profileSel uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, profileSel uint8, traced bool) {
 		fixed := genProgram(t, cfg, seed)
 		c := cfg
 		if name := profiles[int(profileSel)%len(profiles)]; name != "" {
@@ -294,9 +296,13 @@ func FuzzSpanEquivalence(f *testing.F) {
 			}
 			c.Faults = &fc
 		}
-		mRef, sRef := runPlain(t, applyMode(c, 0), fixed, seed)
+		run := runPlain
+		if traced {
+			run = runTraced
+		}
+		mRef, sRef := run(t, applyMode(c, 0), fixed, seed)
 		for mode := 1; mode < len(schedModes); mode++ {
-			m, s := runPlain(t, applyMode(c, mode), fixed, seed)
+			m, s := run(t, applyMode(c, mode), fixed, seed)
 			if !reflect.DeepEqual(sRef, s) {
 				t.Errorf("seed %d: stats differ between %s and %s:\n  %+v\n  %+v",
 					seed, schedModes[0].name, schedModes[mode].name, sRef, s)
@@ -304,6 +310,10 @@ func FuzzSpanEquivalence(f *testing.F) {
 			if addr, diff := m.Sys.Mem.FirstDiff(mRef.Sys.Mem); diff {
 				t.Errorf("seed %d: memory differs at %#x between %s and %s",
 					seed, addr, schedModes[0].name, schedModes[mode].name)
+			}
+			if traced && !bytes.Equal(metricsDump(t, mRef), metricsDump(t, m)) {
+				t.Errorf("seed %d: metrics dump differs between %s and %s",
+					seed, schedModes[0].name, schedModes[mode].name)
 			}
 		}
 	})
