@@ -12,6 +12,7 @@ import (
 	"softbrain/internal/obs"
 	"softbrain/internal/progen"
 	"softbrain/internal/workloads"
+	"softbrain/internal/workloads/catalog"
 	"softbrain/internal/workloads/dnn"
 	"softbrain/internal/workloads/machsuite"
 )
@@ -163,6 +164,25 @@ func TestWarmMetricsConserve(t *testing.T) {
 	}
 	if drained != warm.BarrierCycles {
 		t.Fatalf("barrier drains sum to %d cycles, the warm run's barriers held %d", drained, warm.BarrierCycles)
+	}
+}
+
+// TestWarmVerifiesEveryWorkload runs every catalog workload warm at
+// scale 1: the second run must verify too, including the programs that
+// update their inputs in place (fft, backprop).
+func TestWarmVerifiesEveryWorkload(t *testing.T) {
+	for _, e := range catalog.All() {
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			cfg := e.Config()
+			inst, err := e.Build(cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := inst.Run(ctx, cfg, workloads.RunOpts{Warm: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
