@@ -1,5 +1,5 @@
 // Package obs is the unified observability layer: a typed metrics
-// registry (counters, gauges, cycle-bucketed histograms) every machine
+// registry (counters, cycle-bucketed histograms) every machine
 // component can register into, plus per-cycle stall-cause attribution
 // with a hard conservation invariant — each component's cause counts
 // sum exactly to its elapsed cycles. The registry is attached per unit

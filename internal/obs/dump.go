@@ -46,7 +46,6 @@ type UnitDump struct {
 	Cycles        uint64             `json:"cycles"`
 	Components    []ComponentDump    `json:"components"`
 	Counters      map[string]uint64  `json:"counters,omitempty"`
-	Gauges        map[string]uint64  `json:"gauges,omitempty"`
 	Histograms    []HistogramDump    `json:"histograms,omitempty"`
 	Streams       []StreamBW         `json:"streams,omitempty"`
 	BarrierDrains []BarrierDrainDump `json:"barrier_drains,omitempty"`
@@ -88,12 +87,6 @@ func (r *Registry) Dump() UnitDump {
 		d.Counters = map[string]uint64{}
 		for _, c := range r.counters {
 			d.Counters[c.name] = c.v
-		}
-	}
-	if len(r.gauges) > 0 {
-		d.Gauges = map[string]uint64{}
-		for _, g := range r.gauges {
-			d.Gauges[g.name] = g.v
 		}
 	}
 	for _, h := range r.hists {

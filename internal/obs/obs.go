@@ -16,9 +16,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Set overwrites the count. Components that keep their own monotone
 // counters snapshot them into the registry at collection time; Set is
 // idempotent where repeated Adds would double-count.
@@ -34,28 +31,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a point-in-time value, set rather than accumulated. The nil
-// Gauge swallows updates.
-type Gauge struct {
-	name string
-	v    uint64
-}
-
-// Set records the gauge's current value.
-func (g *Gauge) Set(v uint64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the last set value (0 for nil).
-func (g *Gauge) Value() uint64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram is a cycle-bucketed histogram: observation v lands in
@@ -231,7 +206,6 @@ type Registry struct {
 
 	attrs    []*Attribution
 	counters []*Counter
-	gauges   []*Gauge
 	hists    []*Histogram
 	streams  []StreamBW
 	barriers []BarrierDrainDump
@@ -262,9 +236,6 @@ func (r *Registry) Reset() {
 	}
 	for _, c := range r.counters {
 		c.v = 0
-	}
-	for _, g := range r.gauges {
-		g.v = 0
 	}
 	for _, h := range r.hists {
 		clear(h.buckets)
@@ -332,21 +303,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	r.counters = append(r.counters, c)
 	return c
-}
-
-// Gauge registers (or returns the existing) gauge named name.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	for _, g := range r.gauges {
-		if g.name == name {
-			return g
-		}
-	}
-	g := &Gauge{name: name}
-	r.gauges = append(r.gauges, g)
-	return g
 }
 
 // Histogram registers (or returns the existing) cycle-bucketed

@@ -9,7 +9,6 @@ import (
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Add(3)
-	r.Gauge("g").Set(7)
 	r.Histogram("h", 8, 4).Observe(9)
 	r.Attribution("a").Account(Busy, 0, 10)
 	r.Stream(1, "SD_Mem_Port", 64)
@@ -32,9 +31,6 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 	r := New(0, Options{})
 	if r.Counter("x") != r.Counter("x") {
 		t.Error("Counter not idempotent")
-	}
-	if r.Gauge("x") != r.Gauge("x") {
-		t.Error("Gauge not idempotent")
 	}
 	if r.Histogram("x", 4, 4) != r.Histogram("x", 4, 4) {
 		t.Error("Histogram not idempotent")

@@ -131,7 +131,7 @@ func formatPromValue(v float64) string {
 
 // WritePrometheus renders a metrics dump in the Prometheus text
 // exposition format: per-unit cycles, stall-cause attribution,
-// registered counters and gauges, cycle-bucketed histograms, and
+// registered counters, cycle-bucketed histograms, and
 // per-kind stream bytes. Metric names carry the sd_ prefix; the unit
 // index is a label, so cluster dumps stay one family per metric.
 func WritePrometheus(w io.Writer, d Dump) error {
@@ -160,23 +160,12 @@ func WritePrometheus(w io.Writer, d Dump) error {
 		}
 	}
 
-	// Registered scalar metrics, one family per name across units.
-	counterNames := collectNames(d, func(u UnitDump) map[string]uint64 { return u.Counters })
-	for _, name := range counterNames {
+	// Registered counters, one family per name across units.
+	for _, name := range counterNames(d) {
 		fam := "sd_" + PromName(name) + "_total"
 		p.Type(fam, "counter", "")
 		for _, u := range d.Units {
 			if v, ok := u.Counters[name]; ok {
-				p.Sample(fam, []Label{unitLabel(u)}, float64(v))
-			}
-		}
-	}
-	gaugeNames := collectNames(d, func(u UnitDump) map[string]uint64 { return u.Gauges })
-	for _, name := range gaugeNames {
-		fam := "sd_" + PromName(name)
-		p.Type(fam, "gauge", "")
-		for _, u := range d.Units {
-			if v, ok := u.Gauges[name]; ok {
 				p.Sample(fam, []Label{unitLabel(u)}, float64(v))
 			}
 		}
@@ -222,12 +211,12 @@ func WritePrometheus(w io.Writer, d Dump) error {
 	return p.Err()
 }
 
-// collectNames gathers the union of map keys across units, sorted.
-func collectNames(d Dump, pick func(UnitDump) map[string]uint64) []string {
+// counterNames gathers the union of counter names across units, sorted.
+func counterNames(d Dump) []string {
 	seen := map[string]bool{}
 	var names []string
 	for _, u := range d.Units {
-		for k := range pick(u) {
+		for k := range u.Counters {
 			if !seen[k] {
 				seen[k] = true
 				names = append(names, k)
