@@ -38,6 +38,7 @@ soak:
 # regression past bench.PerfTolerance fails the run. One retry absorbs
 # transient host load (the ratchet measures wall time; a co-tenant
 # spike is not a regression). Full suite: go run ./cmd/sdbench -json.
+# check.sh runs this as stage 10.
 .PHONY: bench-smoke
 bench-smoke:
 	go run ./cmd/sdbench -json -smoke -out /tmp/BENCH_sim_smoke.json -ratchet BENCH_sim.json || \
@@ -83,13 +84,17 @@ fuzz-smoke:
 # Perfetto trace runs of two workloads, of a warm (second-run) gemm and
 # of class1p on the 8-unit cluster, the trace validated against the format contract and the stall
 # attribution against the conservation invariant (causes sum exactly to
-# elapsed cycles per component).
+# elapsed cycles per component); the two workloads' dumps are also
+# rendered as Prometheus exposition through the scrape lint.
+# check.sh runs this as stage 11.
 .PHONY: obs-check
 obs-check:
 	go run ./cmd/sdsim -w gemm -scale 2 -metrics /tmp/obs_gemm.json -trace-out /tmp/obs_gemm.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_gemm.trace.json -check /tmp/obs_gemm.json
+	go run ./cmd/sdobs -prom /tmp/obs_gemm.json >/dev/null
 	go run ./cmd/sdsim -w stencil2d -scale 2 -metrics /tmp/obs_stencil2d.json -trace-out /tmp/obs_stencil2d.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_stencil2d.trace.json -check /tmp/obs_stencil2d.json
+	go run ./cmd/sdobs -prom /tmp/obs_stencil2d.json >/dev/null
 	go run ./cmd/sdsim -w gemm -scale 2 -warm -metrics /tmp/obs_gemm_warm.json -trace-out /tmp/obs_gemm_warm.trace.json >/dev/null
 	go run ./cmd/sdobs -validate-trace /tmp/obs_gemm_warm.trace.json -check /tmp/obs_gemm_warm.json
 	go run ./cmd/sdsim -w class1p -metrics /tmp/obs_class1p.json -trace-out /tmp/obs_class1p.trace.json >/dev/null

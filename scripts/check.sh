@@ -103,25 +103,10 @@ echo "== fault soak (short slice; make soak for full breadth)"
 SOAK_SEEDS=8 go test -race -run TestSoakFaultInjection -count=1 ./internal/core
 
 echo "== bench smoke (cycle goldens + host-perf ratchet)"
-go run ./cmd/sdbench -json -smoke -out /tmp/BENCH_sim_smoke.json -ratchet BENCH_sim.json || {
-	echo "bench smoke: retrying once (transient host load?)"
-	sleep 2
-	go run ./cmd/sdbench -json -smoke -out /tmp/BENCH_sim_smoke.json -ratchet BENCH_sim.json
-}
+make bench-smoke
 
 echo "== obs (trace validity + stall conservation)"
-for w in gemm stencil2d; do
-	go run ./cmd/sdsim -w "$w" -scale 2 \
-		-metrics "/tmp/obs_$w.json" -trace-out "/tmp/obs_$w.trace.json" >/dev/null
-	go run ./cmd/sdobs -validate-trace "/tmp/obs_$w.trace.json" -check "/tmp/obs_$w.json"
-	go run ./cmd/sdobs -prom "/tmp/obs_$w.json" >/dev/null
-done
-go run ./cmd/sdsim -w gemm -scale 2 -warm \
-	-metrics /tmp/obs_gemm_warm.json -trace-out /tmp/obs_gemm_warm.trace.json >/dev/null
-go run ./cmd/sdobs -validate-trace /tmp/obs_gemm_warm.trace.json -check /tmp/obs_gemm_warm.json
-go run ./cmd/sdsim -w class1p \
-	-metrics /tmp/obs_class1p.json -trace-out /tmp/obs_class1p.trace.json >/dev/null
-go run ./cmd/sdobs -validate-trace /tmp/obs_class1p.trace.json -check /tmp/obs_class1p.json
+make obs-check
 
 echo "== fuzz smoke (short slice; make fuzz-smoke for full budget)"
 FUZZTIME=5s make fuzz-smoke
