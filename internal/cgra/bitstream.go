@@ -1,7 +1,6 @@
 package cgra
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,27 +20,48 @@ import (
 
 const configMagic = 0x53_44_43_46 // "SDCF"
 
-type bitWriter struct{ b bytes.Buffer }
+type bitWriter struct{ b []byte }
 
-func (w *bitWriter) u32(v uint32) { _ = binary.Write(&w.b, binary.LittleEndian, v) }
-func (w *bitWriter) u64(v uint64) { _ = binary.Write(&w.b, binary.LittleEndian, v) }
+func (w *bitWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *bitWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *bitWriter) i32(v int)    { w.u32(uint32(int32(v))) }
 func (w *bitWriter) str(s string) {
 	w.u32(uint32(len(s)))
-	w.b.WriteString(s)
+	w.b = append(w.b, s...)
 }
 
-type bitReader struct{ r *bytes.Reader }
+// bitReader decodes the bitstream in place. A read past the end fails
+// as encoding/binary's does: io.EOF when no bytes remain,
+// io.ErrUnexpectedEOF when only part of the value does.
+type bitReader struct{ b []byte }
+
+// next consumes the next n bytes.
+func (r *bitReader) next(n int) ([]byte, error) {
+	switch {
+	case len(r.b) >= n:
+		p := r.b[:n]
+		r.b = r.b[n:]
+		return p, nil
+	case len(r.b) == 0:
+		return nil, io.EOF
+	}
+	r.b = nil
+	return nil, io.ErrUnexpectedEOF
+}
 
 func (r *bitReader) u32() (uint32, error) {
-	var v uint32
-	err := binary.Read(r.r, binary.LittleEndian, &v)
-	return v, err
+	p, err := r.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(p), nil
 }
 func (r *bitReader) u64() (uint64, error) {
-	var v uint64
-	err := binary.Read(r.r, binary.LittleEndian, &v)
-	return v, err
+	p, err := r.next(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(p), nil
 }
 func (r *bitReader) i32() (int, error) {
 	v, err := r.u32()
@@ -55,11 +75,11 @@ func (r *bitReader) str() (string, error) {
 	if n > 4096 {
 		return "", fmt.Errorf("cgra: unreasonable string length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	p, err := r.next(int(n))
+	if err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return string(p), nil
 }
 
 func writeRef(w *bitWriter, r dfg.Ref) {
@@ -193,13 +213,13 @@ func EncodeConfig(s *Schedule) []byte {
 		}
 	}
 	w.i32(s.Depth)
-	return w.b.Bytes()
+	return w.b
 }
 
 // DecodeConfig reconstructs a Schedule (and its graph) from the
 // bitstream, validating it against the fabric it will configure.
 func DecodeConfig(f *Fabric, data []byte) (*Schedule, error) {
-	r := &bitReader{r: bytes.NewReader(data)}
+	r := &bitReader{b: data}
 	magic, err := r.u32()
 	if err != nil || magic != configMagic {
 		return nil, fmt.Errorf("cgra: bad configuration magic %#x", magic)

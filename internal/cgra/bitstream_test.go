@@ -1,6 +1,7 @@
 package cgra
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
@@ -103,5 +104,27 @@ func TestBitstreamRejectsGarbage(t *testing.T) {
 				t.Errorf("corruption at byte %d decoded to invalid schedule", i)
 			}
 		}
+	}
+}
+
+// TestBitReaderEOF checks that a read past the end fails as
+// encoding/binary's does: io.EOF with no bytes left, io.ErrUnexpectedEOF
+// with part of a word left.
+func TestBitReaderEOF(t *testing.T) {
+	r := &bitReader{b: []byte{1, 0, 0, 0, 2, 0}}
+	if v, err := r.u32(); v != 1 || err != nil {
+		t.Fatalf("u32 = %d, %v; want 1, nil", v, err)
+	}
+	if _, err := r.u32(); err != io.ErrUnexpectedEOF {
+		t.Errorf("u32 over 2 bytes: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := r.u64(); err != io.EOF {
+		t.Errorf("u64 at the end: %v, want io.EOF", err)
+	}
+	if s, err := (&bitReader{b: []byte{0, 0, 0, 0}}).str(); s != "" || err != nil {
+		t.Errorf("empty str = %q, %v; want \"\", nil", s, err)
+	}
+	if _, err := (&bitReader{b: []byte{3, 0, 0, 0, 'a'}}).str(); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated str: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
