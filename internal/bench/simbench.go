@@ -59,7 +59,7 @@ type SchedSummary struct {
 	Jumps         uint64 `json:"jumps"`
 	CompTicks     uint64 `json:"comp_ticks"`
 	CompSleeps    uint64 `json:"comp_sleeps"`
-	SigWakes      uint64 `json:"sig_wakes"` // wakes caused by a watch-signature change
+	SigWakes      uint64 `json:"sig_wakes"` // wakes caused by a raised watched signal
 	Spans         uint64 `json:"spans"`
 	SpanCycles    uint64 `json:"span_cycles"`
 

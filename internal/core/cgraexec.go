@@ -64,9 +64,12 @@ type cgraExec struct {
 	// delivered buffer is immediately reusable).
 	free [][]byte
 
-	// cfgGen counts configuration installs: the wake signal that lets a
-	// sleeping unconfigured fabric notice an SD_Config completing.
+	// cfgGen is raised by every configuration install: the wake signal
+	// that lets a sleeping unconfigured fabric notice an SD_Config
+	// completing. An install also changes the mapped ports, so it marks
+	// the watch set stale.
 	cfgGen sim.Signal
+	stale  sim.Stale
 
 	// Statistics.
 	Instances uint64
@@ -105,6 +108,7 @@ func (x *cgraExec) Install(s *cgra.Schedule) error {
 	}
 	x.opsPerInst = uint64(g.OpsPerInstance())
 	x.cfgGen.Raise()
+	x.stale.Mark()
 	return nil
 }
 
@@ -134,22 +138,19 @@ func (x *cgraExec) PendingTimed(now uint64) bool {
 	return false
 }
 
-// WatchSig sums the external signals the fabric's wake hint depends on
-// (see sim.Component.WatchSig): every mapped port's traffic counters
-// plus the configuration generation. The port map changes only in
-// Install, which raises cfgGen, so the sum stays monotone between
-// snapshots.
-func (x *cgraExec) WatchSig() uint64 {
-	sig := x.cfgGen.Value()
+// Watch appends the signals the fabric's wake hint depends on (see
+// sim.Component.Watch): the configuration signal and every mapped
+// port's signal. The port map changes only in Install, which raises
+// cfgGen and marks the set stale.
+func (x *cgraExec) Watch(dst []*sim.Signal) []*sim.Signal {
+	dst = append(dst, &x.cfgGen)
 	for i := range x.ins {
-		q := x.ins[i].q
-		sig += q.TotalIn() + q.TotalOut()
+		dst = append(dst, x.ins[i].q.Moved())
 	}
 	for i := range x.outs {
-		q := x.outs[i].q
-		sig += q.TotalIn() + q.TotalOut()
+		dst = append(dst, x.outs[i].q.Moved())
 	}
-	return sig
+	return dst
 }
 
 // NextWake implements the sim.Component wake-hint contract (see

@@ -23,13 +23,13 @@ import (
 // cgraComp adapts the CGRA executor.
 type cgraComp struct{ m *Machine }
 
-func (c cgraComp) Name() string                    { return "cgra" }
-func (c cgraComp) Tick(now uint64) error           { return c.m.exec.Tick(now) }
-func (c cgraComp) NextWake(now uint64) sim.Hint    { return c.m.exec.NextWake(now) }
-func (c cgraComp) WatchSig() uint64                { return c.m.exec.WatchSig() }
-func (c cgraComp) Progress() uint64                { return c.m.exec.Instances }
-func (c cgraComp) work() uint64                    { return c.m.exec.Instances + c.m.exec.Drained }
-func (c cgraComp) stallCause(now uint64) obs.Cause { return c.m.exec.StallCause(now) }
+func (c cgraComp) Name() string                          { return "cgra" }
+func (c cgraComp) Tick(now uint64) error                 { return c.m.exec.Tick(now) }
+func (c cgraComp) NextWake(now uint64) sim.Hint          { return c.m.exec.NextWake(now) }
+func (c cgraComp) Watch(dst []*sim.Signal) []*sim.Signal { return c.m.exec.Watch(dst) }
+func (c cgraComp) Progress() uint64                      { return c.m.exec.Instances }
+func (c cgraComp) work() uint64                          { return c.m.exec.Instances + c.m.exec.Drained }
+func (c cgraComp) stallCause(now uint64) obs.Cause       { return c.m.exec.StallCause(now) }
 
 // mseComp adapts the memory stream engine behind the fault-stall gate.
 type mseComp struct{ m *Machine }
@@ -41,9 +41,9 @@ func (c mseComp) Tick(now uint64) error {
 	}
 	return c.m.mse.Tick(now)
 }
-func (c mseComp) NextWake(now uint64) sim.Hint { return c.m.mse.NextWake(now) }
-func (c mseComp) WatchSig() uint64             { return c.m.mse.WatchSig() }
-func (c mseComp) OnSkip(from, to uint64)       { c.m.mse.OnSkip(from, to) }
+func (c mseComp) NextWake(now uint64) sim.Hint          { return c.m.mse.NextWake(now) }
+func (c mseComp) Watch(dst []*sim.Signal) []*sim.Signal { return c.m.mse.Watch(dst) }
+func (c mseComp) OnSkip(from, to uint64)                { c.m.mse.OnSkip(from, to) }
 func (c mseComp) Progress() uint64 {
 	return c.m.mse.BytesDelivered + c.m.mse.BytesStored + c.m.mse.LinesWritten
 }
@@ -61,10 +61,10 @@ func (c sseComp) Tick(now uint64) error {
 	}
 	return c.m.sse.Tick(now)
 }
-func (c sseComp) NextWake(now uint64) sim.Hint { return c.m.sse.NextWake(now) }
-func (c sseComp) WatchSig() uint64             { return c.m.sse.WatchSig() }
-func (c sseComp) OnSkip(from, to uint64)       { c.m.sse.OnSkip(from, to) }
-func (c sseComp) Progress() uint64             { return c.m.sse.BytesIn + c.m.sse.BytesOut }
+func (c sseComp) NextWake(now uint64) sim.Hint          { return c.m.sse.NextWake(now) }
+func (c sseComp) Watch(dst []*sim.Signal) []*sim.Signal { return c.m.sse.Watch(dst) }
+func (c sseComp) OnSkip(from, to uint64)                { c.m.sse.OnSkip(from, to) }
+func (c sseComp) Progress() uint64                      { return c.m.sse.BytesIn + c.m.sse.BytesOut }
 func (c sseComp) work() uint64 {
 	return c.m.sse.ReadGrants + c.m.sse.WriteGrants + c.m.sse.BytesOut + c.m.sse.BytesIn
 }
@@ -81,12 +81,12 @@ func (c rseComp) Tick(now uint64) error {
 	}
 	return c.m.rse.Tick(now)
 }
-func (c rseComp) NextWake(now uint64) sim.Hint    { return c.m.rse.NextWake(now) }
-func (c rseComp) WatchSig() uint64                { return c.m.rse.WatchSig() }
-func (c rseComp) OnSkip(from, to uint64)          { c.m.rse.OnSkip(from, to) }
-func (c rseComp) Progress() uint64                { return c.m.rse.BytesMoved }
-func (c rseComp) work() uint64                    { return c.m.rse.BusyCycles }
-func (c rseComp) stallCause(now uint64) obs.Cause { return c.m.rse.StallCause(now) }
+func (c rseComp) NextWake(now uint64) sim.Hint          { return c.m.rse.NextWake(now) }
+func (c rseComp) Watch(dst []*sim.Signal) []*sim.Signal { return c.m.rse.Watch(dst) }
+func (c rseComp) OnSkip(from, to uint64)                { c.m.rse.OnSkip(from, to) }
+func (c rseComp) Progress() uint64                      { return c.m.rse.BytesMoved }
+func (c rseComp) work() uint64                          { return c.m.rse.BusyCycles }
+func (c rseComp) stallCause(now uint64) obs.Cause       { return c.m.rse.StallCause(now) }
 
 // dispComp adapts the stream dispatcher; it forwards OnSkip so the
 // dispatcher's per-cycle stall counters stay cycle-exact over skipped
@@ -102,33 +102,35 @@ func (c dispComp) OnSkip(from, to uint64)          { c.m.disp.OnSkip(from, to) }
 func (c dispComp) work() uint64                    { return 0 }
 func (c dispComp) stallCause(now uint64) obs.Cause { return c.m.disp.StallCause(now) }
 
-// WatchSig composes the dispatcher's wake sources: its own enqueue
-// stream, each engine's lifecycle counter (completions and drained
+// Watch composes the dispatcher's wake sources: its own enqueue
+// signal, each engine's lifecycle signal (completions and drained
 // announcements unblock scoreboard entries), and the pad-write
 // buffer's emptied signal (a scratch-write barrier clears only once
 // every pad write has landed, and the last landing empties the
 // buffer). Watching only the emptied transition — not every fill and
 // pop — keeps steady-state MSE→SSE traffic from waking the
 // dispatcher. The dispatcher itself has no padBuf pointer, so the
-// composition lives here at the machine level.
-func (c dispComp) WatchSig() uint64 {
+// composition lives here at the machine level. The set never changes.
+func (c dispComp) Watch(dst []*sim.Signal) []*sim.Signal {
 	m := c.m
-	return m.disp.EnqSeq.Value() +
-		m.mse.Lifecycle.Value() +
-		m.sse.Lifecycle.Value() +
-		m.rse.Lifecycle.Value() +
-		m.padBuf.EmptiedVer()
+	return append(dst, &m.disp.EnqSeq, &m.mse.Lifecycle, &m.sse.Lifecycle,
+		&m.rse.Lifecycle, m.padBuf.EmptiedSig())
 }
 
 // coreComp adapts the control core's trace replay. Its Tick never
-// fails: enqueue errors park in configErr and surface from Step.
+// fails: enqueue errors park in configErr and surface from Step. The
+// tick that issues the trace's last instruction marks the watch set
+// stale (see Watch).
 type coreComp struct{ m *Machine }
 
 func (c coreComp) Name() string { return "core" }
 func (c coreComp) Tick(now uint64) error {
-	before := c.m.coreStall
+	before, pc := c.m.coreStall, c.m.pc
 	c.m.stepCore(now)
 	c.m.coreStalled = c.m.coreStall != before
+	if c.m.pc != pc && c.m.replayed() {
+		c.m.coreStale.Mark()
+	}
 	return nil
 }
 
@@ -169,15 +171,15 @@ func (c coreComp) stallCause(now uint64) obs.Cause {
 	return obs.CauseIdle
 }
 
-// WatchSig: a core blocked on the dispatcher (queue full or barrier
+// Watch: a core blocked on the dispatcher (queue full or barrier
 // pending) can only unblock when the dispatcher's state changes. Once
-// the trace is exhausted the core can never act again, so the signal
-// pins to a constant and dispatcher churn stops waking it.
-func (c coreComp) WatchSig() uint64 {
+// the trace is exhausted the core can never act again, so it watches
+// nothing and dispatcher churn stops waking it.
+func (c coreComp) Watch(dst []*sim.Signal) []*sim.Signal {
 	if c.m.replayed() {
-		return 0
+		return dst
 	}
-	return c.m.disp.StateVer.Value()
+	return append(dst, &c.m.disp.StateVer)
 }
 
 // OnSkip replays the core's stall counter: a skip happens only while

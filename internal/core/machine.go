@@ -77,9 +77,10 @@ type Machine struct {
 	// hints and watch signals say could act, and the run loop uses the
 	// combined hint for idle skip-ahead.
 	kern        sim.Kernel
-	noSkip      bool  // wake scheduling disabled (config or per-cycle fault draws)
-	lastStepped int64 // last cycle Step actually ran, -1 before the first
-	coreStalled bool  // last core tick stalled on the dispatcher
+	noSkip      bool      // wake scheduling disabled (config or per-cycle fault draws)
+	lastStepped int64     // last cycle Step actually ran, -1 before the first
+	coreStalled bool      // last core tick stalled on the dispatcher
+	coreStale   sim.Stale // the control core's watch-set handle
 
 	prog      *Program
 	pc        int
@@ -157,12 +158,12 @@ func NewMachineShared(cfg Config, sys *mem.System) (*Machine, error) {
 	// ticked cycle, so skipping would change the fault schedule.
 	m.noSkip = cfg.Sched == SchedPerCycle || (m.faults != nil && m.faults.PerCycleDraws())
 	m.lastStepped = -1
-	m.kern.Register(cgraComp{m})
-	m.kern.Register(mseComp{m})
-	m.kern.Register(sseComp{m})
-	m.kern.Register(rseComp{m})
+	m.exec.stale = m.kern.Register(cgraComp{m})
+	m.mse.Stale = m.kern.Register(mseComp{m})
+	m.sse.Stale = m.kern.Register(sseComp{m})
+	m.rse.Stale = m.kern.Register(rseComp{m})
 	m.kern.Register(dispComp{m})
-	m.kern.Register(coreComp{m})
+	m.coreStale = m.kern.Register(coreComp{m})
 	return m, nil
 }
 
@@ -346,7 +347,7 @@ func (m *Machine) stepAll(now uint64) error {
 // cycle now: when exactly one component is due and every peer sleeps,
 // that component's ticks run in a tight loop — identical Tick calls at
 // identical cycles, so the span is bit-exact with per-cycle stepping —
-// until a peer's watch signature moves, the component goes quiet, a
+// until a raised signal wakes a peer, the component goes quiet, a
 // peer's timed wake arrives, or the exclusive deadline is reached (the
 // cycle the caller's watchdog would fire, mirroring the idle-jump
 // cap). The fast path skips the per-cycle run-loop and scheduler

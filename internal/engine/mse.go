@@ -598,35 +598,33 @@ func (e *MSE) issueWake(now, addr uint64) sim.Hint {
 	return sim.WakeAt(at)
 }
 
-// WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Component.WatchSig): the ports its active streams read or
-// write, the pad write buffer, and the stream-kick counter. The stream
-// set itself changes only inside the engine's own tick or under a
-// Kicks raise, so between two snapshots every term is monotone.
-func (e *MSE) WatchSig() uint64 {
-	sig := e.Kicks.Value() + e.padBuf.DrainVer()
+// Watch appends the signals the engine's wake hint depends on (see
+// sim.Component.Watch): the stream-kick signal, the pad write buffer's
+// drain signal, and the ports its active streams read or write. The
+// stream set changes only inside the engine's own tick (a retire) or
+// under a Kicks raise (a start), and both mark the set stale.
+func (e *MSE) Watch(dst []*sim.Signal) []*sim.Signal {
+	dst = append(dst, &e.Kicks, e.padBuf.DrainSig())
 	for _, s := range e.reads {
 		if s.dstPort >= 0 {
-			q := e.ports.In[s.dstPort]
-			sig += q.TotalIn() + q.TotalOut()
+			dst = append(dst, e.ports.In[s.dstPort].Moved())
 		}
-		sig += e.idxSig(&s.addrSource)
+		dst = e.watchIdx(dst, &s.addrSource)
 	}
 	for _, s := range e.writes {
-		q := e.ports.Out[s.srcPort]
-		sig += q.TotalIn() + q.TotalOut() + e.idxSig(&s.addrSource)
+		dst = append(dst, e.ports.Out[s.srcPort].Moved())
+		dst = e.watchIdx(dst, &s.addrSource)
 	}
-	return sig
+	return dst
 }
 
-// idxSig is the wake signal of an indirect source's index port, 0 for
-// an affine source.
-func (e *MSE) idxSig(a *addrSource) uint64 {
+// watchIdx appends the signal of an indirect source's index port;
+// an affine source watches none.
+func (e *MSE) watchIdx(dst []*sim.Signal, a *addrSource) []*sim.Signal {
 	if a.idxPort < 0 {
-		return 0
+		return dst
 	}
-	q := e.ports.In[a.idxPort]
-	return q.TotalIn() + q.TotalOut()
+	return append(dst, e.ports.In[a.idxPort].Moved())
 }
 
 // NextWake implements the sim.Component wake-hint contract (see

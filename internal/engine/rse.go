@@ -184,21 +184,19 @@ func (e *RSE) StallCause(uint64) obs.Cause {
 // cycle (see MSE.OnSkip).
 func (e *RSE) OnSkip(from, to uint64) { e.skip(len(e.streams), from, to) }
 
-// WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Component.WatchSig and MSE.WatchSig).
-func (e *RSE) WatchSig() uint64 {
-	sig := e.Kicks.Value()
+// Watch appends the signals the engine's wake hint depends on (see
+// sim.Component.Watch and MSE.Watch).
+func (e *RSE) Watch(dst []*sim.Signal) []*sim.Signal {
+	dst = append(dst, &e.Kicks)
 	for _, s := range e.streams {
 		if s.srcPort >= 0 {
-			q := e.ports.Out[s.srcPort]
-			sig += q.TotalIn() + q.TotalOut()
+			dst = append(dst, e.ports.Out[s.srcPort].Moved())
 		}
 		if s.dstPort >= 0 {
-			q := e.ports.In[s.dstPort]
-			sig += q.TotalIn() + q.TotalOut()
+			dst = append(dst, e.ports.In[s.dstPort].Moved())
 		}
 	}
-	return sig
+	return dst
 }
 
 // NextWake implements the sim.Component wake-hint contract (see

@@ -320,19 +320,17 @@ func (e *SSE) StallCause(now uint64) obs.Cause {
 // cycle (see MSE.OnSkip).
 func (e *SSE) OnSkip(from, to uint64) { e.skip(len(e.reads), from, to) }
 
-// WatchSig sums the external signals the engine's wake hint depends on
-// (see sim.Component.WatchSig and MSE.WatchSig).
-func (e *SSE) WatchSig() uint64 {
-	sig := e.Kicks.Value() + e.padBuf.FillVer()
+// Watch appends the signals the engine's wake hint depends on (see
+// sim.Component.Watch and MSE.Watch).
+func (e *SSE) Watch(dst []*sim.Signal) []*sim.Signal {
+	dst = append(dst, &e.Kicks, e.padBuf.FillSig())
 	for _, s := range e.reads {
-		q := e.ports.In[s.dstPort]
-		sig += q.TotalIn() + q.TotalOut()
+		dst = append(dst, e.ports.In[s.dstPort].Moved())
 	}
 	for _, s := range e.writes {
-		q := e.ports.Out[s.srcPort]
-		sig += q.TotalIn() + q.TotalOut()
+		dst = append(dst, e.ports.Out[s.srcPort].Moved())
 	}
-	return sig
+	return dst
 }
 
 // NextWake implements the sim.Component wake-hint contract (see

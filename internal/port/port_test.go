@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"softbrain/internal/sim"
 )
 
 func mustNew(t *testing.T, name string, widthWords, depthWords int) *Queue {
@@ -192,5 +194,66 @@ func TestCompactionKeepsData(t *testing.T) {
 			}
 			got++
 		}
+	}
+}
+
+// watcher is an idle component watching a fixed list of signals.
+type watcher struct{ sigs []*sim.Signal }
+
+func (w *watcher) Name() string                          { return "w" }
+func (w *watcher) Tick(uint64) error                     { return nil }
+func (w *watcher) NextWake(uint64) sim.Hint              { return sim.Idle() }
+func (w *watcher) Progress() uint64                      { return 0 }
+func (w *watcher) Watch(dst []*sim.Signal) []*sim.Signal { return append(dst, w.sigs...) }
+
+// TestMovedSignal checks the port's wake signal: a Push or Pop of zero
+// bytes marks nobody, and one that moves bytes marks every component
+// watching the port and no other.
+func TestMovedSignal(t *testing.T) {
+	q := mustNew(t, "A", 1, 4)
+	other := mustNew(t, "B", 1, 4)
+	var k sim.Kernel
+	comps := []*watcher{
+		{[]*sim.Signal{q.Moved()}},
+		{nil},
+		{[]*sim.Signal{other.Moved(), q.Moved()}},
+		{[]*sim.Signal{other.Moved()}},
+	}
+	for _, c := range comps {
+		k.Register(c)
+	}
+	now := uint64(0)
+	settle := func() { // tick every component once: each declares its set and clears its bit
+		for i, c := range comps {
+			k.BeforeTick(i, now)
+			_ = c.Tick(now)
+			k.AfterTick(i, now)
+		}
+		now++
+	}
+	woken := func() (w []bool) {
+		for i := range comps {
+			w = append(w, k.ShouldTick(i, now))
+		}
+		return w
+	}
+	settle()
+	for _, op := range []struct {
+		name  string
+		do    func()
+		wants []bool
+	}{
+		{"empty push", func() { q.Push(nil) }, []bool{false, false, false, false}},
+		{"empty pop", func() { q.Pop(0) }, []bool{false, false, false, false}},
+		{"push", func() { q.Push([]byte{1, 2}) }, []bool{true, false, true, false}},
+		{"pop", func() { q.Pop(1) }, []bool{true, false, true, false}},
+	} {
+		op.do()
+		for i, got := range woken() {
+			if got != op.wants[i] {
+				t.Errorf("%s: component %d woken %v, want %v", op.name, i, got, op.wants[i])
+			}
+		}
+		settle()
 	}
 }

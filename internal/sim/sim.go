@@ -8,19 +8,21 @@
 //
 // The kernel is event-driven: a component whose hint is WakeIdle or
 // WakeTimed sleeps — its Tick is not called — until its timed wake
-// arrives or a neighbor's action signals it. Signals are monotone
-// event counters (Signal) raised by state-changing actions: a port
-// push or pop, a stream kicked into an engine, a stream leaving an
-// engine's table, a scratch-write-buffer slot freed. Each component
-// sums the signals it depends on into a watch signature; the kernel
-// snapshots the signature when the component goes to sleep and
-// re-checks it each cycle — one integer compare per sleeping
-// component — so a changed input wakes the component on
-// exactly the cycle a tick-everything loop would have first acted on
-// it. When every component sleeps, the machine state is provably
-// frozen until the earliest timed wake and the run loop jumps there
-// in O(1) (docs/SIMKERNEL.md gives the full soundness argument).
+// arrives or a neighbor's action signals it. Wakes are pushed, not
+// polled. A state-changing action raises a Signal: a port push or pop
+// that moves bytes, a stream kicked into an engine, a stream leaving
+// an engine's table, a scratch-write-buffer slot freed. Each component
+// declares the signals it watches (Component.Watch) whenever that set
+// changes, and a raise sets the wake bit of every watcher in its
+// kernel's wake word. Deciding whether a sleeper ticks is one bit
+// test, and a raised input wakes the component on exactly the cycle a
+// tick-everything loop would have first acted on it. When every
+// component sleeps, the machine state is provably frozen until the
+// earliest timed wake and the run loop jumps there in O(1)
+// (docs/SIMKERNEL.md gives the full soundness argument).
 package sim
+
+import "math/bits"
 
 // WakeKind classifies a component's next-wake hint.
 type WakeKind uint8
@@ -84,22 +86,42 @@ func (h Hint) Earliest(o Hint) Hint {
 	}
 }
 
-// Signal is a monotone event counter: the dependency edge of the
-// wake-set scheduler. A component that changes state another component
-// may be sleeping on raises the signal guarding that state (a port
-// writer signals the port's reader, an engine retiring a stream
-// signals the dispatcher); the sleeper's watch signature sums the
-// signals it subscribes to, so any raise changes the signature and
-// wakes it. Monotonicity is what makes the single-integer compare
-// sound: distinct event histories can never collide back to an old
-// signature value.
-type Signal uint64
+// Signal is the dependency edge of the wake-set scheduler. A component
+// that changes state another component may be sleeping on raises the
+// signal guarding that state (a port writer signals the port's reader,
+// an engine retiring a stream signals the dispatcher). The signal
+// holds the kernel bits of the components that watch it, and Raise
+// sets those bits in the kernel's wake word, so the sleeper wakes
+// whenever the raise happens: inside a tick, in an OnSkip replay, or
+// between cycles. All watchers of a signal belong to one kernel. The
+// zero value is watched by nobody, and raising it does nothing.
+type Signal struct {
+	mask uint64  // kernel bits of the components watching the signal
+	wake *uint64 // the watching kernel's wake word
+}
 
-// Raise records one event.
-func (s *Signal) Raise() { *s++ }
+// Raise wakes every component watching the signal.
+func (s *Signal) Raise() {
+	if s.mask != 0 {
+		*s.wake |= s.mask
+	}
+}
 
-// Value reads the counter.
-func (s Signal) Value() uint64 { return uint64(s) }
+// Stale is a component's handle on its own watch declaration, returned
+// by Kernel.Register. Mark tells the kernel that the component's watch
+// set has changed: the kernel re-reads Watch when the component's
+// current or next tick ends. The zero value marks nothing.
+type Stale struct {
+	word *uint64
+	bit  uint64
+}
+
+// Mark flags the component's watch set for re-declaration.
+func (s Stale) Mark() {
+	if s.word != nil {
+		*s.word |= s.bit
+	}
+}
 
 // Component is one simulated unit under the kernel.
 //
@@ -114,8 +136,8 @@ func (s Signal) Value() uint64 { return uint64(s) }
 // Skipper so skipped spans stay statistically cycle-exact.
 //
 // A component may be slept through cycles in which other components
-// act: WatchSig must change whenever any external action could
-// invalidate the hint early.
+// act: every external action that could invalidate the hint early must
+// raise a signal the component watches.
 type Component interface {
 	// Name identifies the component in error attribution ("mse").
 	Name() string
@@ -128,14 +150,17 @@ type Component interface {
 	// has done observable work; the run loop's hang detection watches
 	// the sum across components.
 	Progress() uint64
-	// WatchSig is the wake-set subscription: a monotone signature — a
-	// sum of the Signals and event counters the component's current
-	// hint depends on. The kernel snapshots it when the component
-	// sleeps and wakes the component the first cycle it differs.
-	// Soundness requires only that every external event that could
-	// let the component act earlier than its hint promised changes the
-	// signature; spurious changes merely cost a workless tick.
-	WatchSig() uint64
+	// Watch is the wake-set subscription: it appends to dst the Signals
+	// the component's hints depend on and returns the extended slice.
+	// The kernel reads it only when the set may have changed: at the
+	// component's first tick, after Reset, and after the component
+	// marks its Stale handle. Soundness requires that every external
+	// event that could let the component act earlier than its hint
+	// promised raises a watched signal, and that the set changes only
+	// inside the component's own tick or together with a raise of a
+	// signal it watches throughout; a spurious raise merely costs a
+	// workless tick.
+	Watch(dst []*Signal) []*Signal
 }
 
 // Skipper is implemented by components that must account for skipped
@@ -163,10 +188,10 @@ type SchedStats struct {
 	Cycles     uint64 // cycles the run loop stepped this unit (not jumped)
 	CompTicks  uint64 // component ticks actually executed
 	CompSleeps uint64 // component-cycles slept during stepped cycles
-	SigWakes   uint64 // wakes caused by a watch-signature change
+	SigWakes   uint64 // wakes caused by a raised watched signal
 	Jumps      uint64 // frozen jumps: runs of cycles the run loop did not step this unit
 	Skipped    uint64 // cycles elided by this unit's frozen jumps
-	Spans      uint64 // multi-cycle spans retired in one call
+	Spans      uint64 // spans retired in one call, length-1 spans included
 	SpanCycles uint64 // cycles covered by retired spans
 
 	// SpanHist buckets retired span lengths by floor(log2(n)):
@@ -209,71 +234,92 @@ func (s *SchedStats) Add(other SchedStats) {
 	}
 }
 
-// Kernel is the registry of one machine's components, in tick order,
-// plus the wake-set scheduler state for each: the cached hint and
-// watch signature from the component's last tick, and the cycle of
-// that tick (for lazy skip replay).
-type Kernel struct {
-	comps    []Component
-	skippers []Skipper // index-aligned; nil when not a Skipper
+// maxComponents bounds a kernel's registry: each component owns one
+// bit of the kernel's wake and stale words.
+const maxComponents = 64
 
-	hints []Hint
-	sigs  []uint64
-	last  []int64 // cycle of the last executed tick, -1 before the first
+// Kernel is the registry of one machine's components, in tick order,
+// plus the wake-set scheduler state for each: the cached hint from the
+// component's last tick, the cycle of that tick (for lazy skip
+// replay), the signals it watches, and one bit of each of the two
+// words below. Its tables are fixed arrays, so registration allocates
+// nothing. A kernel must not be copied once a component is registered:
+// signals point at its wake word.
+type Kernel struct {
+	n        int // registered components
+	comps    [maxComponents]Component
+	skippers [maxComponents]Skipper // nil when not a Skipper
+
+	hints [maxComponents]Hint
+	last  [maxComponents]int64     // cycle of the last executed tick, -1 before the first
+	watch [maxComponents][]*Signal // each component's declared watch set
+
+	// wake has bit i set when a signal component i watches was raised
+	// since i's last tick ended. stale has bit i set when i's watch set
+	// must be re-read when its next tick ends.
+	wake, stale uint64
 
 	// Stats tallies the scheduler's behavior (not part of obs dumps).
 	Stats SchedStats
 
 	// TickBy tallies executed ticks per component, index-aligned with
 	// Components() — the per-component view of Stats.CompTicks.
-	TickBy []uint64
+	TickBy [maxComponents]uint64
 }
 
-// Register appends a component; registration order is tick order.
-func (k *Kernel) Register(c Component) {
-	k.comps = append(k.comps, c)
-	s, _ := c.(Skipper)
-	k.skippers = append(k.skippers, s)
-	k.hints = append(k.hints, ReadyNow())
-	k.sigs = append(k.sigs, 0)
-	k.last = append(k.last, -1)
-	k.TickBy = append(k.TickBy, 0)
+// Register appends a component; registration order is tick order. It
+// returns the component's Stale handle.
+func (k *Kernel) Register(c Component) Stale {
+	i := k.n
+	if i == maxComponents {
+		panic("sim: a kernel holds at most 64 components")
+	}
+	k.n++
+	k.comps[i] = c
+	k.skippers[i], _ = c.(Skipper)
+	k.hints[i] = ReadyNow()
+	k.last[i] = -1
+	bit := uint64(1) << i
+	k.stale |= bit
+	return Stale{word: &k.stale, bit: bit}
 }
 
 // Components returns the registered components in tick order.
-func (k *Kernel) Components() []Component { return k.comps }
+func (k *Kernel) Components() []Component { return k.comps[:k.n] }
 
 // Reset clears the cached wake state for a machine reused across runs:
 // every component starts the new run Ready (its first tick re-caches a
-// fresh hint and signature) and the lazy-replay cursors rewind to the
-// new run's cycle 0. Statistics restart too: they describe one run.
+// fresh hint and re-declares its watch set) and the lazy-replay
+// cursors rewind to the new run's cycle 0. Statistics restart too:
+// they describe one run.
 func (k *Kernel) Reset() {
-	for i := range k.comps {
+	for i := range k.n {
 		k.hints[i] = ReadyNow()
-		k.sigs[i] = 0
 		k.last[i] = -1
 		k.TickBy[i] = 0
 	}
+	k.wake = 0
+	k.stale = ^uint64(0) >> (64 - k.n)
 	k.Stats = SchedStats{}
 }
 
 // Progress sums the components' monotone progress counters.
 func (k *Kernel) Progress() uint64 {
 	var p uint64
-	for _, c := range k.comps {
+	for _, c := range k.comps[:k.n] {
 		p += c.Progress()
 	}
 	return p
 }
 
 // ShouldTick decides whether component i needs its tick at cycle now:
-// its cached hint says Ready, its timed wake has arrived, or its watch
-// signature changed since it went to sleep.
+// its cached hint says Ready, its timed wake has arrived, or a signal
+// it watches was raised since its last tick.
 func (k *Kernel) ShouldTick(i int, now uint64) bool {
 	if k.hintDue(i, now) {
 		return true
 	}
-	if k.comps[i].WatchSig() != k.sigs[i] {
+	if k.wake&(1<<i) != 0 {
 		k.Stats.SigWakes++
 		return true
 	}
@@ -298,28 +344,49 @@ func (k *Kernel) BeforeTick(i int, now uint64) {
 	}
 }
 
-// AfterTick snapshots component i's hint and watch signature after its
-// tick at cycle now. Later components in the same cycle may still
-// change its inputs; the signature re-check in ShouldTick catches
-// that on the next cycle, exactly when a tick-everything loop would
-// act on it.
+// AfterTick caches component i's hint after its tick at cycle now and
+// settles its wake bit. Later components in the same cycle may still
+// raise its signals; the bit test in ShouldTick catches that on the
+// next cycle, exactly when a tick-everything loop would act on it.
 func (k *Kernel) AfterTick(i int, now uint64) {
 	k.last[i] = int64(now)
 	k.hints[i] = k.comps[i].NextWake(now)
-	k.sigs[i] = k.comps[i].WatchSig()
+	k.settle(i)
 	k.Stats.CompTicks++
 	k.TickBy[i]++
 }
 
+// settle ends component i's tick for the wake state: it re-reads the
+// watch set if the component marked it stale, moving the component's
+// bit from the signals it left to the ones it joined, and clears the
+// wake bit, so only raises after this tick wake the component again.
+func (k *Kernel) settle(i int) {
+	bit := uint64(1) << i
+	if k.stale&bit != 0 {
+		k.stale &^= bit
+		for _, s := range k.watch[i] {
+			s.mask &^= bit
+		}
+		k.watch[i] = k.comps[i].Watch(k.watch[i][:0])
+		for _, s := range k.watch[i] {
+			s.mask |= bit
+			s.wake = &k.wake
+		}
+	}
+	k.wake &^= bit
+}
+
 // NextWake combines the components' effective hints after a full
-// cycle: Ready if any component will tick next cycle (cached hint
-// Ready, timed wake due, or watch signature changed), otherwise the
-// earliest timed wake, otherwise Idle. This is the frozen-jump probe:
-// a WakeTimed answer proves no component can act before At.
+// cycle: Ready if any component will tick next cycle (a wake bit set,
+// cached hint Ready, or timed wake due), otherwise the earliest timed
+// wake, otherwise Idle. This is the frozen-jump probe: a WakeTimed
+// answer proves no component can act before At.
 func (k *Kernel) NextWake(now uint64) Hint {
+	if k.wake != 0 {
+		return ReadyNow()
+	}
 	h := Idle()
-	for i := range k.comps {
-		hi := k.hints[i]
+	for _, hi := range k.hints[:k.n] {
 		switch hi.Kind {
 		case WakeReady:
 			return ReadyNow()
@@ -327,11 +394,6 @@ func (k *Kernel) NextWake(now uint64) Hint {
 			if hi.At <= now+1 {
 				return ReadyNow()
 			}
-		}
-		if k.comps[i].WatchSig() != k.sigs[i] {
-			return ReadyNow()
-		}
-		if hi.Kind == WakeTimed {
 			h = h.Earliest(hi)
 		}
 	}
@@ -346,38 +408,30 @@ func (k *Kernel) NextWake(now uint64) Hint {
 // several components are due. The due test mirrors
 // ShouldTick exactly, so a span starts only on a cycle where Step
 // would have ticked exactly one component. The probe counts nothing:
-// a signature wake is counted where the woken tick runs (RetireSpan,
+// a signal wake is counted where the woken tick runs (RetireSpan,
 // or ShouldTick when the caller declines the span).
 func (k *Kernel) SoloReady(now uint64) (int, uint64) {
-	// Phase 1: hint-due components only — no signature computation, so
-	// the common multi-active cycle bails out at the cost of a few
-	// integer compares.
+	// The components a raise woke: one of them is the sole due
+	// component, or the span is off.
 	sole := -1
-	for i := range k.comps {
-		if k.hintDue(i, now) {
-			if sole >= 0 {
-				return -1, 0
-			}
-			sole = i
+	if w := k.wake; w != 0 {
+		if w&(w-1) != 0 {
+			return -1, 0
 		}
+		sole = bits.TrailingZeros64(w)
 	}
-	// Phase 2: the sleepers. A moved watch signature either becomes the
-	// sole due component or disqualifies the span; a quiet sleeper
-	// contributes its timed wake to the span limit.
+	// The components whose cached hint is due; the others contribute
+	// their timed wakes to the span limit.
 	limit := ^uint64(0)
-	for i := range k.comps {
-		h := k.hints[i]
-		if i == sole {
-			continue
-		}
-		if k.comps[i].WatchSig() != k.sigs[i] {
+	for i, h := range k.hints[:k.n] {
+		switch {
+		case i == sole:
+		case k.hintDue(i, now):
 			if sole >= 0 {
 				return -1, 0
 			}
 			sole = i
-			continue
-		}
-		if h.Kind == WakeTimed && h.At < limit {
+		case h.Kind == WakeTimed && h.At < limit:
 			limit = h.At
 		}
 	}
@@ -393,17 +447,19 @@ func (k *Kernel) SoloReady(now uint64) (int, uint64) {
 // cycle is accounted — the caller's end-of-cycle work, as after Step.
 // The span is bit-exact with per-cycle stepping by construction — the
 // same Ticks run at the same cycles, and every peer provably sleeps
-// through the span just as ShouldTick would have decided. The span ends
-// at the first cycle where one of three things happens:
+// through the span just as ShouldTick would have decided. Whether a
+// peer woke is one test of the wake word against the mask of the peers
+// after, or before, the sole component. The span ends at the first
+// cycle where one of three things happens:
 //
 //   - A peer LATER in tick order wakes: in Step, a component whose
-//     watch signature the sole tick moved would have ticked that very
-//     same cycle. RetireSpan leaves that cycle open: it caches the sole
-//     component's hint and signature first — later peers' actions this
-//     cycle must be able to re-wake it against that snapshot, as after
-//     Step's in-loop AfterTick — counts the earlier peers as slept, and
-//     returns open. The caller finishes the cycle with Step's own tick
-//     loop from sole+1 on and closes it.
+//     signal the sole tick raised would have ticked that very same
+//     cycle. RetireSpan leaves that cycle open: it settles the sole
+//     component's hint and wake bit first — later peers' raises this
+//     cycle must be able to re-wake it, as after Step's in-loop
+//     AfterTick — counts the earlier peers as slept, and returns open.
+//     The caller finishes the cycle with Step's own tick loop from
+//     sole+1 on and closes it.
 //   - A peer EARLIER in tick order wakes, or the sole component's own
 //     hint says it would not tick next cycle: the span ends after the
 //     current cycle; the woken peer ticks next cycle under the normal
@@ -420,12 +476,14 @@ func (k *Kernel) SoloReady(now uint64) (int, uint64) {
 // itself.
 func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(uint64) error, closed func(uint64)) (uint64, bool, error) {
 	c := k.comps[sole]
-	ncomps := len(k.comps)
+	ncomps := k.n
+	earlier := uint64(1)<<sole - 1
+	later := ^(earlier<<1 | 1)
 	n := uint64(0)
 	if !k.hintDue(sole, now) {
-		// SoloReady found the component due by its moved watch
-		// signature: count that wake here, where its tick runs, as
-		// ShouldTick counts it in Step.
+		// SoloReady found the component due by a raised signal: count
+		// that wake here, where its tick runs, as ShouldTick counts it
+		// in Step.
 		k.Stats.SigWakes++
 	}
 	for t := now; t < limit; t++ {
@@ -433,13 +491,11 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(uint64) error
 			return n, false, err
 		}
 		// Same-cycle wakes: does a later peer need this cycle?
-		for j := sole + 1; j < ncomps; j++ {
-			if k.comps[j].WatchSig() != k.sigs[j] {
-				k.AfterTick(sole, t)
-				k.Stats.CompSleeps += uint64(sole)
-				k.Stats.AddSpan(n + 1)
-				return n, true, nil
-			}
+		if k.wake&later != 0 {
+			k.AfterTick(sole, t)
+			k.Stats.CompSleeps += uint64(sole)
+			k.Stats.AddSpan(n + 1)
+			return n, true, nil
 		}
 		// Solo cycle: account it and decide whether the span continues.
 		k.last[sole] = int64(t)
@@ -449,14 +505,7 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(uint64) error
 		k.CountCycle(1)
 		closed(t)
 		n++
-		early := false
-		for j := 0; j < sole; j++ {
-			if k.comps[j].WatchSig() != k.sigs[j] {
-				early = true
-				break
-			}
-		}
-		if early {
+		if k.wake&earlier != 0 {
 			break
 		}
 		h := c.NextWake(t)
@@ -465,7 +514,7 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(uint64) error
 		}
 	}
 	k.hints[sole] = c.NextWake(uint64(k.last[sole]))
-	k.sigs[sole] = c.WatchSig()
+	k.settle(sole)
 	if n > 0 {
 		k.Stats.AddSpan(n)
 	}
@@ -498,7 +547,7 @@ func (k *Kernel) Jump(from, to uint64) {
 // stepping the machine — at completion, or when a cluster peer
 // outlives it — before reading any per-cycle statistic.
 func (k *Kernel) Flush(end uint64) {
-	for i := range k.comps {
+	for i := range k.n {
 		if s := k.skippers[i]; s != nil {
 			if from := uint64(k.last[i] + 1); from < end {
 				s.OnSkip(from, end)
