@@ -1,7 +1,13 @@
 // Command perfab summarizes the paired benchmark runs scripts/perf_ab.sh
 // collects: per metric, each side's median and quartiles, the ratio of
 // the medians, whether the gap between the medians exceeds the parent's
-// interquartile range, and in how many pairs the change did better.
+// interquartile range, in how many pairs the change did better, and
+// whether the runs support claiming the metric improved.
+//
+// The claim column reads "yes" only when all three hold: the change
+// did better in at least 9 of every 10 pairs (a tied pair is no win);
+// its median moved past the parent's interquartile range in the better
+// direction; and it failed no more operations than the parent.
 //
 //	go run ./scripts/perfab [-bench BENCHMARK.json] <results-dir>
 //
@@ -154,8 +160,13 @@ func summarize(w io.Writer, pairs []pair, higher map[string]bool) {
 		fmt.Fprintf(w, " %s", p.seed)
 	}
 	fmt.Fprintln(w, ")")
-	fmt.Fprintf(w, "%-18s %-9s %28s %28s %8s %8s %6s\n",
-		"metric", "unit", "parent median [q1-q3]", "change median [q1-q3]", "chg/par", "gap>IQR", "wins")
+	var pf, cf int
+	for _, p := range pairs {
+		pf += p.parent.Failed
+		cf += p.change.Failed
+	}
+	fmt.Fprintf(w, "%-18s %-9s %28s %28s %8s %8s %6s %6s\n",
+		"metric", "unit", "parent median [q1-q3]", "change median [q1-q3]", "chg/par", "gap>IQR", "wins", "claim")
 	for _, name := range order {
 		var par, chg []float64
 		wins := 0
@@ -172,14 +183,16 @@ func summarize(w io.Writer, pairs []pair, higher map[string]bool) {
 		}
 		pq1, pmed, pq3 := quartiles(par)
 		cq1, cmed, cq3 := quartiles(chg)
-		gap := "no"
-		if math.Abs(cmed-pmed) > pq3-pq1 {
-			gap = "yes"
+		gain := pmed - cmed // positive when the change's median is better
+		if higher[name] {
+			gain = -gain
 		}
-		fmt.Fprintf(w, "%-18s %-9s %28s %28s %8.3f %8s %3d/%-2d\n", name, names[name],
-			spread(pmed, pq1, pq3), spread(cmed, cq1, cq3), cmed/pmed, gap, wins, len(par))
+		claim := wins*10 >= 9*len(par) && gain > pq3-pq1 && cf <= pf
+		fmt.Fprintf(w, "%-18s %-9s %28s %28s %8.3f %8s %3d/%-2d %6s\n", name, names[name],
+			spread(pmed, pq1, pq3), spread(cmed, cq1, cq3), cmed/pmed,
+			yesNo(math.Abs(cmed-pmed) > pq3-pq1), wins, len(par), yesNo(claim))
 	}
-	var pc, cc, pf, cf int
+	var pc, cc int
 	for _, p := range pairs {
 		if p.parent.Correct {
 			pc++
@@ -187,11 +200,16 @@ func summarize(w io.Writer, pairs []pair, higher map[string]bool) {
 		if p.change.Correct {
 			cc++
 		}
-		pf += p.parent.Failed
-		cf += p.change.Failed
 	}
 	fmt.Fprintf(w, "correct runs: parent %d/%d, change %d/%d; failed operations: parent %d, change %d\n",
 		pc, len(pairs), cc, len(pairs), pf, cf)
+}
+
+func yesNo(b bool) string {
+	if b {
+		return "yes"
+	}
+	return "no"
 }
 
 func spread(med, q1, q3 float64) string {
