@@ -175,9 +175,9 @@ type Dispatcher struct {
 	repeatPos      int
 	repeatResource bool
 
-	// Wake signals (see sim.Signal). EnqSeq counts accepted enqueues —
-	// the dispatcher's own watch includes it so a command arriving from
-	// the core wakes a sleeping dispatcher. StateVer counts every
+	// Wake signals (see sim.Signal). EnqSeq is raised by every accepted
+	// enqueue — the dispatcher watches it so a command arriving from
+	// the core wakes a sleeping dispatcher. StateVer is raised by every
 	// scoreboard or queue change — the control core watches it, since
 	// BlocksCore can only clear when the dispatcher changes state.
 	EnqSeq   sim.Signal
