@@ -59,8 +59,9 @@ bench:
 # (docs/SIMKERNEL.md §7) — its inputs are whole .dfg texts, so it caps
 # the minimization of a new input at 100 runs, which otherwise spends
 # most of a short budget; FuzzSpanEquivalence runs a seeded generated program —
-# optionally under a fault profile — per-cycle and in the default
-# span-retirement mode and demands identical statistics and memory;
+# optionally under a fault profile, or maimed so that it may hang —
+# per-cycle and in the default span-retirement mode and demands
+# identical statistics and memory, or the same hang diagnosis;
 # FuzzClusterEquivalence runs 2–8 units, each under its own generated
 # program, per-cycle and with default scheduling and demands identical
 # memory, per-unit statistics and metrics dumps (docs/SIMKERNEL.md).

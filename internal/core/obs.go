@@ -166,7 +166,6 @@ func (m *Machine) finishMetrics(run counters) {
 type ProgressReport struct {
 	Cycle        uint64
 	Commands     uint64 // stream commands issued so far this run
-	Progress     uint64 // the machine's monotone progress counter
 	RetiredBytes uint64 // bytes moved by the engines so far this run (mem + scratch + recurrence)
 	StallMix     string // current attribution mix, "" when metrics are off
 }
@@ -178,7 +177,6 @@ func report(units []*Machine, now uint64) ProgressReport {
 	for _, u := range units {
 		run := u.counters().since(u.base)
 		r.Commands += run.Commands
-		r.Progress += u.kern.Progress()
 		r.RetiredBytes += run.memBytes + run.scratchBytes + run.RecurrenceBytes
 		attrs = append(attrs, u.reg.Attributions()...)
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"context"
-
-	"softbrain/internal/sim"
-)
+import "context"
 
 const defaultWatchdog = 50_000
 
@@ -43,25 +39,27 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 		return nil, ce
 	}
 	// Per-unit frozen jumps: wake[i] is the next cycle unit i steps at.
-	// While it lies ahead the unit is frozen — the loop skips its Step,
-	// progress read and wake probe — and Step replays the window when
-	// the unit resumes. prog[i] is the unit's progress counter as of its
-	// last step; a frozen unit's cannot move.
+	// While it lies ahead the unit is frozen — the loop skips its Step
+	// and wake probe — and Step replays the window when the unit
+	// resumes. lastChange is the last cycle a tick of any unit made
+	// progress (Machine.progressAt). A frozen unit ticks nothing, and
+	// the ticks of a retired span date their own progress, so the hang
+	// checks below measure idleness from the cycle a per-cycle run
+	// would.
 	wake := make([]uint64, len(units))
-	prog := make([]uint64, len(units))
-	var lastProgress, lastChange, hbIter uint64
+	var lastChange, hbIter uint64
 	diagnosed := false
 	for running(units) {
-		var progSum uint64
 		for i, u := range units {
 			if wake[i] <= now && !u.Done() {
 				cur = i
 				if err := u.Step(now); err != nil {
 					return nil, atUnit(err, i)
 				}
-				prog[i] = u.progress()
+				if u.progressAt > lastChange {
+					lastChange, diagnosed = u.progressAt, false
+				}
 			}
-			progSum += prog[i]
 		}
 		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
 			if ce := canceled(ctx, now); ce != nil {
@@ -70,10 +68,7 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 			hb.beat(units, now)
 		}
 		stillRunning := running(units) // a Step may have just finished its unit
-		if progSum != lastProgress {
-			lastProgress, lastChange = progSum, now
-			diagnosed = false
-		} else if stillRunning {
+		if stillRunning {
 			idle := now - lastChange
 			// Quiescence: no progress for the grace period and no timed
 			// event pending in any running unit — provably stuck, so
@@ -100,32 +95,39 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 		}
 		next := now + 1
 		if stillRunning {
-			// Freeze each unit stepped this cycle whose wake is a known
-			// future cycle: the loop skips it until then, capped at the
-			// cycle the watchdog would fire, so a hung run diagnoses at
-			// exactly the cycle the unskipped run would. Peers cannot
-			// thaw it early: a unit's wake hints and stall causes read
-			// only its own state (cache, MSHRs, accept port, ports,
-			// engines), only its own components raise the signals it
-			// watches, and the backing memory and DRAM token bucket it
-			// shares are reached only through its own ticks. A unit
-			// with wake scheduling disabled reports Ready and never
-			// freezes; an Idle (hung) unit neither freezes nor holds
-			// back the jump below.
+			// Probe each unit stepped this cycle once (sim.Kernel.Due) and
+			// let the answer pick its next move. Two due components step
+			// the next cycle. None due, with a timed wake ahead, freezes
+			// the unit: the loop skips it until then, capped at the cycle
+			// the watchdog would fire, so a hung run diagnoses at exactly
+			// the cycle the unskipped run would. Peers cannot thaw it
+			// early: a unit's wake hints and stall causes read only its
+			// own state (cache, MSHRs, accept port, ports, engines), only
+			// its own components raise the signals it watches, and the
+			// backing memory and DRAM token bucket it shares are reached
+			// only through its own ticks. None due and no timed wake is an
+			// Idle (hung) unit: it neither freezes nor holds back the jump
+			// below. A unit with wake scheduling disabled steps every
+			// cycle; one due component may retire a span (below).
 			deadline := lastChange + watchdog + 1
 			target := ^uint64(0) // the earliest wake of a unit that is not idle
+			sole, limit := -1, uint64(0)
 			for i, u := range units {
 				if wake[i] <= now { // stepped this cycle, or done
 					if u.Done() {
 						continue
 					}
-					h := u.NextWake(now)
-					if h.Kind == sim.WakeIdle {
-						continue
-					}
 					wake[i] = next
-					if h.Kind == sim.WakeTimed && h.At > next {
-						wake[i] = min(h.At, deadline)
+					if !u.noSkip {
+						n, s, l := u.kern.Due(next)
+						switch {
+						case n == 1:
+							sole, limit = s, l
+						case n == 0 && l == ^uint64(0):
+							continue
+						case n == 0:
+							wake[i] = min(l, deadline)
+						}
 					}
 				}
 				target = min(target, wake[i])
@@ -136,13 +138,13 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 				// cycle (a timed event is pending throughout), so no
 				// quiescence check is bypassed.
 				next = target
-			} else if len(units) == 1 {
+			} else if len(units) == 1 && sole >= 0 {
 				// Span retirement, for lone units only: peers share DRAM
 				// arbitration, which a batched unit could reorder. When
 				// one component is due and the rest sleep, its ticks
 				// batch in one call (see Machine.retireSpan), capped at
 				// the watchdog deadline like a frozen unit.
-				n, err := units[0].retireSpan(next, deadline)
+				n, err := units[0].retireSpan(next, sole, min(limit, deadline))
 				if err != nil {
 					return nil, atUnit(err, 0)
 				}

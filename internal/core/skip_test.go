@@ -115,23 +115,11 @@ func TestSkipAheadExamples(t *testing.T) {
 	}
 }
 
-// runTraced runs p on a fresh machine with traced metrics (stall
-// slices and stream lifetimes recorded) and the memory pools seeded
-// deterministically, returning the machine and statistics.
+// runTraced is runSeeded with traced metrics (stall slices and stream
+// lifetimes recorded), failing the test on a run error.
 func runTraced(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
 	t.Helper()
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
-	line := make([]byte, 64)
-	irng := rand.New(rand.NewSource(seed + 1000))
-	for _, base := range progen.MemPools {
-		irng.Read(line)
-		m.Sys.Mem.Write(base, line)
-	}
-	stats, err := m.Run(p)
+	m, stats, err := runSeeded(t, cfg, p, seed, true)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}

@@ -35,22 +35,12 @@ func soakSeeds(t *testing.T) int64 {
 	return 12
 }
 
-// runSoak builds a machine (optionally fault-injected), seeds the
-// memory pools deterministically, and runs p.
+// runSoak runs p on a machine fault-injected with fc (nil for none)
+// and its memory pools seeded deterministically (see runSeeded).
 func runSoak(t *testing.T, cfg core.Config, fc *faults.Config, p *core.Program, seed int64) (*mem.Memory, error) {
 	t.Helper()
 	cfg.Faults = fc
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := make([]byte, 64)
-	irng := rand.New(rand.NewSource(seed + 1000))
-	for _, base := range progen.MemPools {
-		irng.Read(line)
-		m.Sys.Mem.Write(base, line)
-	}
-	_, err = m.Run(p)
+	m, _, err := runSeeded(t, cfg, p, seed, false)
 	return m.Sys.Mem, err
 }
 
@@ -117,17 +107,7 @@ func TestSoakFaultInjection(t *testing.T) {
 		// Maimed variant: drop one non-barrier command and run without
 		// repair. The unbalanced program may still complete; when it
 		// hangs, the failure must be a structured diagnosis.
-		maimed, mports, err := progen.Addpair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mrng := rand.New(rand.NewSource(seed))
-		for _, c := range progen.Maim(progen.Commands(mrng, mports), int(seed)) {
-			maimed.Emit(c)
-		}
-		if err := maimed.Err(); err != nil {
-			t.Fatalf("seed %d: maimed program: %v", seed, err)
-		}
+		maimed := maimedProgram(t, cfg, seed)
 		if _, err := runSoak(t, cfg, nil, maimed, seed); err != nil && !typedFailure(err) {
 			t.Fatalf("seed %d: maimed run returned an untyped error: %v", seed, err)
 		}

@@ -281,10 +281,10 @@ func ClusterPrograms(cfg core.Config, sets [][]isa.Command) ([]*core.Program, er
 	return progs, nil
 }
 
-// Maim removes the i-th (mod count) non-barrier command from cmds,
-// returning a copy — the classic way to wreck a balanced program and
-// provoke a hang for the diagnoser to classify. It returns cmds
-// unchanged when there is nothing to remove.
+// Maim removes the i-th (mod count, so any i, negative too) non-barrier
+// command from cmds, returning a copy — the classic way to wreck a
+// balanced program and provoke a hang for the diagnoser to classify. It
+// returns cmds unchanged when there is nothing to remove.
 func Maim(cmds []isa.Command, i int) []isa.Command {
 	var idxs []int
 	for j, c := range cmds {
@@ -297,7 +297,8 @@ func Maim(cmds []isa.Command, i int) []isa.Command {
 	if len(idxs) == 0 {
 		return cmds
 	}
-	drop := idxs[i%len(idxs)]
+	n := len(idxs)
+	drop := idxs[(i%n+n)%n]
 	out := make([]isa.Command, 0, len(cmds)-1)
 	out = append(out, cmds[:drop]...)
 	return append(out, cmds[drop+1:]...)

@@ -147,8 +147,10 @@ type Component interface {
 	// the machine state after the current cycle's ticks.
 	NextWake(now uint64) Hint
 	// Progress is a monotone counter that increases iff the component
-	// has done observable work; the run loop's hang detection watches
-	// the sum across components.
+	// has done observable work. It may move only inside the component's
+	// own Tick: the machine reads it after each of those ticks and dates
+	// the run's last progress, which hang detection watches, from the
+	// cycles it moved on.
 	Progress() uint64
 	// Watch is the wake-set subscription: it appends to dst the Signals
 	// the component's hints depend on and returns the extended slice.
@@ -303,15 +305,6 @@ func (k *Kernel) Reset() {
 	k.Stats = SchedStats{}
 }
 
-// Progress sums the components' monotone progress counters.
-func (k *Kernel) Progress() uint64 {
-	var p uint64
-	for _, c := range k.comps[:k.n] {
-		p += c.Progress()
-	}
-	return p
-}
-
 // ShouldTick decides whether component i needs its tick at cycle now:
 // its cached hint says Ready, its timed wake has arrived, or a signal
 // it watches was raised since its last tick.
@@ -376,69 +369,47 @@ func (k *Kernel) settle(i int) {
 	k.wake &^= bit
 }
 
-// NextWake combines the components' effective hints after a full
-// cycle: Ready if any component will tick next cycle (a wake bit set,
-// cached hint Ready, or timed wake due), otherwise the earliest timed
-// wake, otherwise Idle. This is the frozen-jump probe: a WakeTimed
-// answer proves no component can act before At.
-func (k *Kernel) NextWake(now uint64) Hint {
-	if k.wake != 0 {
-		return ReadyNow()
-	}
-	h := Idle()
-	for _, hi := range k.hints[:k.n] {
-		switch hi.Kind {
-		case WakeReady:
-			return ReadyNow()
-		case WakeTimed:
-			if hi.At <= now+1 {
-				return ReadyNow()
-			}
-			h = h.Earliest(hi)
-		}
-	}
-	return h
-}
-
-// SoloReady probes whether exactly one component is due to tick at
-// cycle now — the entry condition for span retirement. It returns the
-// index of the sole due component and a limit: the earliest cycle at
-// which a sleeping component's timed wake arrives (MaxUint64 when
-// every other component is idle). It returns (-1, 0) when zero or
-// several components are due. The due test mirrors
-// ShouldTick exactly, so a span starts only on a cycle where Step
-// would have ticked exactly one component. The probe counts nothing:
-// a signal wake is counted where the woken tick runs (RetireSpan,
-// or ShouldTick when the caller declines the span).
-func (k *Kernel) SoloReady(now uint64) (int, uint64) {
+// Due is the run loop's one probe of a machine after a stepped cycle:
+// how many components are due to tick at cycle next — by a raised
+// watched signal or a cached hint that is Ready or timed at or before
+// next, each component counted once — and, when exactly one is, its
+// index sole (-1 otherwise). n stops at 2: two due components decide
+// the answer, and sole and limit are then meaningless. limit is the
+// earliest timed wake among the components that are not due,
+// MaxUint64 when every one of them is idle. The answer picks the
+// unit's next move: n == 0 with a finite limit proves no component
+// acts before limit (a frozen jump); n == 0 without one means every
+// component is idle; n == 1 is span retirement's entry condition, with
+// limit as the span's bound; n == 2 steps the next cycle. The due test
+// mirrors ShouldTick exactly, so a span starts only on a cycle where
+// Step would have ticked exactly one component. The probe counts
+// nothing: a signal wake is counted where the woken tick runs
+// (RetireSpan, or ShouldTick when the caller steps instead).
+func (k *Kernel) Due(next uint64) (n, sole int, limit uint64) {
+	sole, limit = -1, ^uint64(0)
 	// The components a raise woke: one of them is the sole due
-	// component, or the span is off.
-	sole := -1
+	// component, or two are due at once.
 	if w := k.wake; w != 0 {
 		if w&(w-1) != 0 {
-			return -1, 0
+			return 2, -1, limit
 		}
-		sole = bits.TrailingZeros64(w)
+		n, sole = 1, bits.TrailingZeros64(w)
 	}
 	// The components whose cached hint is due; the others contribute
-	// their timed wakes to the span limit.
-	limit := ^uint64(0)
+	// their timed wakes to the limit.
 	for i, h := range k.hints[:k.n] {
 		switch {
 		case i == sole:
-		case k.hintDue(i, now):
-			if sole >= 0 {
-				return -1, 0
+		case k.hintDue(i, next):
+			if n == 1 {
+				return 2, -1, limit
 			}
-			sole = i
+			n, sole = 1, i
 		case h.Kind == WakeTimed && h.At < limit:
 			limit = h.At
 		}
 	}
-	if sole < 0 {
-		return -1, 0
-	}
-	return sole, limit
+	return n, sole, limit
 }
 
 // RetireSpan batches consecutive solo ticks of component sole starting
@@ -481,9 +452,9 @@ func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(uint64) error
 	later := ^(earlier<<1 | 1)
 	n := uint64(0)
 	if !k.hintDue(sole, now) {
-		// SoloReady found the component due by a raised signal: count
-		// that wake here, where its tick runs, as ShouldTick counts it
-		// in Step.
+		// Due found the component due by a raised signal: count that
+		// wake here, where its tick runs, as ShouldTick counts it in
+		// Step.
 		k.Stats.SigWakes++
 	}
 	for t := now; t < limit; t++ {

@@ -28,7 +28,6 @@ func TestHintEarliest(t *testing.T) {
 type fake struct {
 	name string
 	hint Hint
-	prog uint64
 
 	ticks []uint64
 	skips []ated
@@ -39,7 +38,7 @@ type ated struct{ from, to uint64 }
 func (f *fake) Name() string                  { return f.name }
 func (f *fake) Tick(now uint64) error         { f.ticks = append(f.ticks, now); return nil }
 func (f *fake) NextWake(now uint64) Hint      { return f.hint }
-func (f *fake) Progress() uint64              { return f.prog }
+func (f *fake) Progress() uint64              { return 0 }
 func (f *fake) OnSkip(from, to uint64)        { f.skips = append(f.skips, ated{from, to}) }
 func (f *fake) Watch(dst []*Signal) []*Signal { return dst }
 
@@ -51,15 +50,6 @@ type watched struct {
 }
 
 func (w *watched) Watch(dst []*Signal) []*Signal { return append(dst, &w.sig) }
-
-func TestKernelProgress(t *testing.T) {
-	var k Kernel
-	k.Register(&fake{name: "a", prog: 3})
-	k.Register(&fake{name: "b", prog: 4})
-	if got := k.Progress(); got != 7 {
-		t.Errorf("Progress() = %d, want 7", got)
-	}
-}
 
 // tick runs one kernel cycle over the registry the way Machine.Step
 // does: ShouldTick gate, lazy replay, tick, settle.
@@ -94,7 +84,7 @@ func TestKernelShouldTick(t *testing.T) {
 		}
 	}
 
-	// Cycle 1: the watcher sleeps (Idle, signature unchanged), the
+	// Cycle 1: the watcher sleeps (Idle, no watched signal raised), the
 	// timed component sleeps until cycle 5.
 	tick(t, &k, 1)
 	if len(w.ticks) != 1 {
@@ -140,7 +130,7 @@ func TestKernelLazyReplay(t *testing.T) {
 		t.Errorf("ticks %v, want second tick at 4", w.ticks)
 	}
 	// Outstanding sleep at run end is replayed by Flush, exactly once.
-	tick(t, &k, 5) // asleep again (signature re-snapshotted at 4)
+	tick(t, &k, 5) // asleep again (its wake bit cleared by its tick at 4)
 	k.Flush(6)
 	if len(w.skips) != 2 || w.skips[1] != (ated{5, 6}) {
 		t.Errorf("flushed spans %v, want [{1 4} {5 6}]", w.skips)
@@ -151,58 +141,83 @@ func TestKernelLazyReplay(t *testing.T) {
 	}
 }
 
+// TestKernelNextWake checks Kernel.Due, the one probe of when a kernel
+// next needs a cycle, after a cycle's ticks: how many components are
+// due next cycle, the sole one, and the earliest timed wake of the rest.
 func TestKernelNextWake(t *testing.T) {
 	const now = 10
+	const never = ^uint64(0)
+	due := func(t *testing.T, k *Kernel, n, sole int, limit uint64) {
+		t.Helper()
+		gn, gsole, glimit := k.Due(now + 1)
+		if gn != n || (n < 2 && (gsole != sole || glimit != limit)) {
+			t.Errorf("Due = (%d, %d, %d), want (%d, %d, %d)", gn, gsole, glimit, n, sole, limit)
+		}
+	}
 	t.Run("ready dominates", func(t *testing.T) {
 		var k Kernel
 		k.Register(&fake{name: "a", hint: ReadyNow()})
 		k.Register(&fake{name: "b", hint: WakeAt(500)})
 		seed(t, &k, now)
-		if h := k.NextWake(now); h.Kind != WakeReady {
-			t.Errorf("NextWake = %v, want ready", h)
-		}
+		due(t, &k, 1, 0, 500)
 	})
 	t.Run("watched idle plus timed jumps", func(t *testing.T) {
 		var k Kernel
 		k.Register(&watched{fake: fake{name: "w", hint: Idle()}})
 		k.Register(&fake{name: "t", hint: WakeAt(500)})
 		seed(t, &k, now)
-		if h := k.NextWake(now); h != WakeAt(500) {
-			t.Errorf("NextWake = %v, want WakeAt(500)", h)
-		}
+		due(t, &k, 0, -1, 500)
 	})
 	t.Run("signature change vetoes", func(t *testing.T) {
+		// A raise makes its watcher due: no jump.
 		var k Kernel
 		w := &watched{fake: fake{name: "w", hint: Idle()}}
 		k.Register(w)
 		k.Register(&fake{name: "t", hint: WakeAt(500)})
 		seed(t, &k, now)
 		w.sig.Raise()
-		if h := k.NextWake(now); h.Kind != WakeReady {
-			t.Errorf("NextWake = %v, want ready after raise", h)
-		}
+		due(t, &k, 1, 0, 500)
 	})
 	t.Run("due next cycle is no jump", func(t *testing.T) {
 		var k Kernel
 		k.Register(&fake{name: "t", hint: WakeAt(now + 1)})
 		seed(t, &k, now)
-		if h := k.NextWake(now); h.Kind != WakeReady {
-			t.Errorf("NextWake = %v, want ready (due next cycle)", h)
-		}
+		due(t, &k, 1, 0, never)
 	})
 	t.Run("all watched idle is idle", func(t *testing.T) {
 		var k Kernel
 		k.Register(&watched{fake: fake{name: "w", hint: Idle()}})
 		seed(t, &k, now)
-		if h := k.NextWake(now); h.Kind != WakeIdle {
-			t.Errorf("NextWake = %v, want idle", h)
-		}
+		due(t, &k, 0, -1, never)
+	})
+	t.Run("two raised bits", func(t *testing.T) {
+		// Two raises answer n = 2 from the wake word alone.
+		var k Kernel
+		a := &watched{fake: fake{name: "a", hint: Idle()}}
+		b := &watched{fake: fake{name: "b", hint: Idle()}}
+		k.Register(a)
+		k.Register(b)
+		seed(t, &k, now)
+		a.sig.Raise()
+		b.sig.Raise()
+		due(t, &k, 2, -1, 0)
+	})
+	t.Run("raised and due counts once", func(t *testing.T) {
+		// A component both raised and due by its hint is one due
+		// component, not two: the span may start.
+		var k Kernel
+		w := &watched{fake: fake{name: "w", hint: WakeAt(now + 1)}}
+		k.Register(w)
+		k.Register(&fake{name: "t", hint: WakeAt(500)})
+		seed(t, &k, now)
+		w.sig.Raise()
+		due(t, &k, 1, 0, 500)
 	})
 }
 
 // seed runs one cycle so every component's hint is cached and its
-// watch set declared (NextWake reads the cached state, as the run loop
-// does after Step).
+// watch set declared (Due reads the cached state, as the run loop does
+// after Step).
 func seed(t *testing.T, k *Kernel, now uint64) {
 	t.Helper()
 	tick(t, k, now)
@@ -240,7 +255,7 @@ func TestSchedStatsAddSpan(t *testing.T) {
 	}
 }
 
-// TestSignatureWakeCountedOnce checks that a signature wake is counted
+// TestSignatureWakeCountedOnce checks that a signal wake is counted
 // once, where the woken tick runs: by RetireSpan when the span is
 // retired, by ShouldTick when the caller declines a one-cycle span.
 func TestSignatureWakeCountedOnce(t *testing.T) {
@@ -261,9 +276,9 @@ func TestSignatureWakeCountedOnce(t *testing.T) {
 			seed(t, &k, now-1)
 			k.Stats = SchedStats{}
 			w.sig.Raise()
-			sole, limit := k.SoloReady(now)
-			if sole != 0 || limit != tc.limit {
-				t.Fatalf("SoloReady = (%d, %d), want (0, %d)", sole, limit, tc.limit)
+			due, sole, limit := k.Due(now)
+			if due != 1 || sole != 0 || limit != tc.limit {
+				t.Fatalf("Due = (%d, %d, %d), want (1, 0, %d)", due, sole, limit, tc.limit)
 			}
 			if limit <= now+1 {
 				tick(t, &k, now)
@@ -388,9 +403,9 @@ func TestRetireSpanPeerRaise(t *testing.T) {
 			}
 			seed(t, &k, now-1)
 
-			s, limit := k.SoloReady(now)
-			if s != 1 || limit != ^uint64(0) {
-				t.Fatalf("SoloReady = (%d, %d), want (1, max)", s, limit)
+			due, s, limit := k.Due(now)
+			if due != 1 || s != 1 || limit != ^uint64(0) {
+				t.Fatalf("Due = (%d, %d, %d), want (1, 1, max)", due, s, limit)
 			}
 			k.BeforeTick(s, now)
 			n, open, err := k.RetireSpan(s, now, now+100, sole.Tick, func(uint64) {})

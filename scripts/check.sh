@@ -43,7 +43,8 @@
 #  12. fuzz smoke    a short slice of `make fuzz-smoke`: the footprint-
 #                    algebra fuzz targets, the DFG evaluator against its
 #                    reference interpreter, the two-mode scheduling
-#                    equivalence fuzz and the per-cycle vs default
+#                    equivalence fuzz (maimed, hanging programs
+#                    included) and the per-cycle vs default
 #                    cluster equivalence fuzz (docs/SIMKERNEL.md), plus the
 #                    barrier-interval slide verification (docs/LINT.md);
 #                    `make fuzz-smoke` runs the full budget
