@@ -13,12 +13,12 @@ import (
 // Machine.Step is a thin loop over that registry. The adapters carry
 // the machine-level concerns the raw units do not know about: the
 // fault-injected engine stall gate, the deferred configuration error,
-// and the control core's stall accounting. Progress methods partition
-// the machine's monotone progress counter (hang detection) among the
-// components that own each term. Each adapter, and the ports adapter
-// the kernel never ticks, is also attributed (see obs.go): work is the
-// counter whose moves mark a Busy cycle, stallCause classifies the
-// other cycles.
+// and the control core's stall accounting. A Progress method is the
+// counter whose move on the component's own tick dates the machine's
+// progress (hang detection, Machine.tick). Each adapter, and the ports
+// adapter the kernel never ticks, is also attributed (see obs.go): work
+// is the counter whose moves mark a Busy cycle, stallCause classifies
+// the other cycles.
 
 // cgraComp adapts the CGRA executor.
 type cgraComp struct{ m *Machine }

@@ -25,8 +25,9 @@ import (
 
 // progenCluster builds one program per command sequence: unit u's
 // commands rebased into its own span (u*progen.UnitSpan), materialized
-// over the addpair graph, and passed through sdfix for legal barriers.
-func progenCluster(t *testing.T, cfg core.Config, sets [][]isa.Command) []*core.Program {
+// over the addpair graph, and passed through sdfix for legal barriers —
+// except unit raw's (-1 for none), which runs unrepaired.
+func progenCluster(t *testing.T, cfg core.Config, sets [][]isa.Command, raw int) []*core.Program {
 	t.Helper()
 	rebased := make([][]isa.Command, len(sets))
 	for u, cmds := range sets {
@@ -37,6 +38,9 @@ func progenCluster(t *testing.T, cfg core.Config, sets [][]isa.Command) []*core.
 		t.Fatal(err)
 	}
 	for u, p := range progs {
+		if u == raw {
+			continue
+		}
 		if progs[u], _, err = fix.Fix(p, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +104,7 @@ func TestClusterNoWorklessSteps(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		cmds := progen.Commands(rand.New(rand.NewSource(seed)), ports)
-		progs := progenCluster(t, cfg, [][]isa.Command{cmds, cmds, cmds, cmds})
+		progs := progenCluster(t, cfg, [][]isa.Command{cmds, cmds, cmds, cmds}, -1)
 		cases = append(cases, clusterCase{fmt.Sprintf("progen%d", seed), cfg, progs, progenInit(seed, 4)})
 	}
 	for _, c := range cases {
@@ -169,6 +173,6 @@ func FuzzClusterEquivalence(f *testing.F) {
 			c.Faults = &fc
 		}
 		label := fmt.Sprintf("seed %d, %d units, faults %q", seed, units, profile)
-		compareClusterModes(t, label, c, progenCluster(t, cfg, sets), progenInit(seed, units))
+		compareClusterModes(t, label, c, progenCluster(t, cfg, sets, -1), progenInit(seed, units))
 	})
 }
