@@ -10,6 +10,17 @@ test:
 check:
 	sh scripts/check.sh
 
+# Run every example binary (examples/*/main.go). Each verifies its
+# results against a host computation and exits non-zero on a mismatch,
+# so a run that fails any check fails the target. check.sh runs this in
+# stage 3.
+.PHONY: examples
+examples:
+	@for f in examples/*/main.go; do \
+		d=$${f%/main.go}; echo "== $$d"; \
+		go run ./$$d >/dev/null || exit 1; \
+	done
+
 # Lint the built-in workload and example programs only: machine scope
 # per program, then cluster scope per program set (docs/LINT.md).
 .PHONY: lint
@@ -102,9 +113,11 @@ obs-check:
 	go run ./cmd/sdobs -validate-trace /tmp/obs_class1p.trace.json -check /tmp/obs_class1p.json
 
 # sdserve self-test (docs/SERVE.md): start the service on a loopback
-# port, submit a workload, verify the cache hit on resubmission, the
-# typed rejection of a bad submission, and a clean drain with a request
-# in flight. check.sh runs this as stage 13.
+# port, submit a workload, verify the cache hit on resubmission, stream
+# a run over SSE (progress frames, then a result byte-identical to the
+# unary response), scrape /metrics through the exposition lint against
+# /statusz, and check the typed rejection of a bad submission and a
+# clean drain with a request in flight. check.sh runs this as stage 13.
 .PHONY: serve-smoke
 serve-smoke:
 	go run ./cmd/sdserve -smoke

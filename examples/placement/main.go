@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -100,24 +101,24 @@ func main() {
 // run executes one placement variant against the example's inputs and
 // golden checker, optionally with metrics for the drain profile.
 func run(ex programs.Example, p *softbrain.Program, metrics bool) (*softbrain.Stats, obs.Dump, error) {
-	m, err := softbrain.NewMachine(ex.Cfg)
+	cl, err := softbrain.NewCluster(ex.Cfg, 1)
 	if err != nil {
 		return nil, obs.Dump{}, err
 	}
 	if metrics {
-		m.EnableMetrics(obs.New(0, obs.Options{}))
+		cl.EnableMetrics(obs.Options{})
 	}
-	ex.Init(m.Sys.Mem)
-	stats, err := m.Run(p)
+	ex.Init(cl.Mem)
+	stats, err := cl.RunContext(context.Background(), []*softbrain.Program{p})
 	if err != nil {
 		return nil, obs.Dump{}, err
 	}
-	if err := ex.Check(m.Sys.Mem); err != nil {
+	if err := ex.Check(cl.Mem); err != nil {
 		return nil, obs.Dump{}, err
 	}
 	var d obs.Dump
 	if metrics {
-		d = m.MetricsDump()
+		d = cl.MetricsDump()
 	}
 	return stats, d, nil
 }

@@ -7,6 +7,8 @@
 package programs
 
 import (
+	"context"
+
 	"softbrain"
 )
 
@@ -27,21 +29,22 @@ type Example struct {
 	Report func(m *softbrain.Memory, stats *softbrain.Stats)
 }
 
-// Run executes the example on a fresh machine: initialize, run, verify.
+// Run executes the example on a fresh one-unit cluster: initialize,
+// run, verify.
 func (e Example) Run() (*softbrain.Memory, *softbrain.Stats, error) {
-	m, err := softbrain.NewMachine(e.Cfg)
+	cl, err := softbrain.NewCluster(e.Cfg, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.Init(m.Sys.Mem)
-	stats, err := m.Run(e.Prog)
+	e.Init(cl.Mem)
+	stats, err := cl.RunContext(context.Background(), []*softbrain.Program{e.Prog})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := e.Check(m.Sys.Mem); err != nil {
+	if err := e.Check(cl.Mem); err != nil {
 		return nil, nil, err
 	}
-	return m.Sys.Mem, stats, nil
+	return cl.Mem, stats, nil
 }
 
 // All returns every example, built fresh.

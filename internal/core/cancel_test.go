@@ -1,7 +1,7 @@
 // Cancellation-semantics audit for the context-bounded run path
-// (RunContext / Cluster.RunContext): a canceled run returns the typed
+// (Cluster.RunContext): a canceled run returns the typed
 // *CanceledError, leaves no goroutines behind, and abandoning a
-// machine mid-run has no effect on later runs — a fresh machine
+// cluster mid-run has no effect on later runs — a fresh cluster
 // re-running the same program is byte-identical to one that was never
 // interrupted.
 package core_test
@@ -37,41 +37,43 @@ func buildGemm(t *testing.T) (*workloads.Instance, core.Config) {
 	return inst, cfg
 }
 
-// runMachine executes one program on a fresh machine and returns the
-// stats and the machine's memory for byte comparison.
-func runMachine(t *testing.T, ctx context.Context, inst *workloads.Instance, cfg core.Config) (*core.Stats, *mem.Memory, error) {
+// newLone builds a one-unit cluster for inst, its memory initialized.
+func newLone(t *testing.T, inst *workloads.Instance, cfg core.Config) *core.Cluster {
 	t.Helper()
-	m, err := core.NewMachine(cfg)
+	cl, err := core.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
+		inst.Init(cl.Mem)
 	}
-	stats, err := m.RunContext(ctx, inst.Progs[0])
-	return stats, m.Sys.Mem, err
+	return cl
 }
 
-// cancelMidRun builds a machine for inst and cancels its context from
-// the heartbeat callback, which only fires once the run is genuinely
-// underway — a deterministic mid-run cancellation with no sleeps.
+// runMachine executes one program on a fresh one-unit cluster and
+// returns the stats and the cluster's memory for byte comparison.
+func runMachine(t *testing.T, ctx context.Context, inst *workloads.Instance, cfg core.Config) (*core.Stats, *mem.Memory, error) {
+	t.Helper()
+	cl := newLone(t, inst, cfg)
+	stats, err := cl.RunContext(ctx, inst.Progs[:1])
+	return stats, cl.Mem, err
+}
+
+// cancelMidRun builds a one-unit cluster for inst and cancels its
+// context from the heartbeat callback, which only fires once the run is
+// genuinely underway — a deterministic mid-run cancellation with no
+// sleeps.
 func cancelMidRun(t *testing.T, inst *workloads.Instance, cfg core.Config, cause error) error {
 	t.Helper()
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newLone(t, inst, cfg)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	m.SetHeartbeat(0, func(r core.ProgressReport) {
+	cl.SetHeartbeat(0, func(r core.ProgressReport) {
 		if r.Cycle > 0 {
 			cancel(cause)
 		}
 	})
-	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
-	}
-	_, err = m.RunContext(ctx, inst.Progs[0])
+	_, err := cl.RunContext(ctx, inst.Progs[:1])
 	return err
 }
 
@@ -128,7 +130,7 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 // TestCancelRerunByteIdentical is the abandonment contract: canceling
-// one machine mid-run must not perturb a later run on a fresh machine.
+// one cluster mid-run must not perturb a later run on a fresh cluster.
 // The re-run's cycle count, full memory image, and golden verification
 // must match an uninterrupted baseline.
 func TestCancelRerunByteIdentical(t *testing.T) {

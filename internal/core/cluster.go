@@ -12,12 +12,14 @@ import (
 	"softbrain/internal/sim"
 )
 
-// Cluster is several Softbrain units sharing one backing memory and one
-// DRAM channel — the 8-unit configuration of the DianNao comparison
-// (Section 7.1). Each unit has a private cache and memory port; units
-// contend only for DRAM bandwidth, and run in lockstep: every cycle
-// steps the units in unit order, which is also the order the shared
-// DRAM channel grants their requests (see docs/SIMKERNEL.md).
+// Cluster is one or more Softbrain units sharing one backing memory and
+// one DRAM channel — the 8-unit configuration of the DianNao comparison
+// (Section 7.1), or a lone unit as a one-unit cluster. Each unit has a
+// private cache and memory port; units contend only for DRAM
+// bandwidth, and run in lockstep: every cycle steps the units in unit
+// order, which is also the order the shared DRAM channel grants their
+// requests (see docs/SIMKERNEL.md). RunContext is the one way to run
+// programs, RunPipeline runs a phased set.
 type Cluster struct {
 	Units []*Machine
 	Mem   *mem.Memory
@@ -33,25 +35,21 @@ type Cluster struct {
 	// (core cannot import the linter: lint analyzes core.Program).
 	Lint func(phases [][]*Program) error
 
-	cfg       Config
-	haveCfg   bool
 	unitStats []*Stats
-
-	// Cluster-level heartbeat (see Machine.SetHeartbeat), reporting
-	// across the units; the units' own heartbeats stay silent.
-	hb heartbeat
+	hb        heartbeat // see SetHeartbeat
 }
 
 // EnableMetrics attaches one registry per unit (unit index = registry
-// unit). Call before Run; MetricsDump merges the units afterwards.
+// unit). Call before RunContext; MetricsDump merges the units
+// afterwards.
 func (c *Cluster) EnableMetrics(opts obs.Options) {
 	for i, u := range c.Units {
-		u.EnableMetrics(obs.New(i, opts))
+		u.enableMetrics(obs.New(i, opts))
 	}
 }
 
 // MetricsDump merges the per-unit registries, in unit order, into one
-// dump with a cluster-wide total. Valid after a completed Run.
+// dump with a cluster-wide total. Valid after a completed run.
 func (c *Cluster) MetricsDump() obs.Dump {
 	units := make([]obs.UnitDump, 0, len(c.Units))
 	for _, u := range c.Units {
@@ -61,7 +59,7 @@ func (c *Cluster) MetricsDump() obs.Dump {
 }
 
 // SchedStats sums the wake-set scheduler counters across the units
-// (see Machine.SchedStats). Valid after a completed Run.
+// (see Machine.SchedStats). Valid after a completed run.
 func (c *Cluster) SchedStats() sim.SchedStats {
 	var total sim.SchedStats
 	for _, u := range c.Units {
@@ -82,15 +80,19 @@ func (c *Cluster) SchedTickBy() map[string]uint64 {
 	return total
 }
 
-// SetHeartbeat installs a progress callback on the cluster's run loop,
-// reporting aggregate progress across the units.
+// SetHeartbeat installs a progress callback invoked from the run loop
+// roughly every interval of host time (checked every heartbeatStride
+// run-loop iterations, so a hot loop pays one counter increment),
+// reporting aggregate progress across the units. Each run's first
+// check only arms the clock, so no report fires before its second one.
+// For long soaks and sdsim -progress; purely observational.
 func (c *Cluster) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
 	c.hb.every, c.hb.fn = every, fn
 }
 
 // Progress is the point-in-time aggregate report at cycle now — what a
 // heartbeat would deliver — exported so callers can snapshot final run
-// telemetry (retired bytes, stall mix) after a completed Run.
+// telemetry (retired bytes, stall mix) after a completed run.
 func (c *Cluster) Progress(now uint64) ProgressReport { return report(c.Units, now) }
 
 // NewCluster builds n identical units over a shared backing store.
@@ -100,13 +102,13 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	}
 	backing := mem.NewMemory()
 	dram := mem.NewDRAM(cfg.Mem.MissInterval)
-	c := &Cluster{Mem: backing, cfg: cfg, haveCfg: true}
+	c := &Cluster{Mem: backing}
 	for i := 0; i < n; i++ {
 		sys, err := mem.NewSystemShared(cfg.Mem, backing, dram)
 		if err != nil {
 			return nil, err
 		}
-		u, err := NewMachineShared(cfg, sys)
+		u, err := newMachine(cfg, sys)
 		if err != nil {
 			return nil, err
 		}
@@ -115,21 +117,17 @@ func NewCluster(cfg Config, n int) (*Cluster, error) {
 	return c, nil
 }
 
-// validateUnits checks that every unit runs the same configuration —
-// the cluster-wide controls (watchdog, skip-ahead, fault profile) are
-// taken from it, so a mismatched unit would silently run under another
-// unit's policy. A cluster assembled literally (not via NewCluster)
-// adopts the uniform config it finds.
+// validateUnits checks that every unit runs unit 0's configuration —
+// the run loop takes the cluster-wide controls (watchdog, skip-ahead,
+// fault profile) from unit 0, so a mismatched unit would silently run
+// under another unit's policy.
 func (c *Cluster) validateUnits() error {
 	if len(c.Units) == 0 {
 		return fmt.Errorf("core: cluster has no units")
 	}
-	if !c.haveCfg {
-		c.cfg, c.haveCfg = c.Units[0].cfg, true
-	}
-	for i, u := range c.Units {
-		if u.cfg != c.cfg {
-			return fmt.Errorf("core: cluster unit %d config differs from the cluster's; all units must share one Config", i)
+	for i, u := range c.Units[1:] {
+		if u.cfg != c.Units[0].cfg {
+			return fmt.Errorf("core: cluster unit %d config differs from unit 0's; all units must share one Config", i+1)
 		}
 	}
 	return nil
@@ -150,23 +148,21 @@ func (c *Cluster) FaultStats() faults.Stats {
 	return total
 }
 
-// UnitStats returns the per-unit statistics of the last successful Run,
+// UnitStats returns the per-unit statistics of the last successful run,
 // in unit order.
 func (c *Cluster) UnitStats() []*Stats { return c.unitStats }
 
-// Run executes one program per unit in lockstep and returns aggregated
-// statistics (Cycles is the wall-clock of the slowest unit). Like
-// Machine.Run, it never lets an invariant panic escape: the recovered
-// MachineError names the unit whose Step failed.
-func (c *Cluster) Run(progs []*Program) (*Stats, error) {
-	return c.RunContext(context.Background(), progs)
-}
-
-// RunContext is Run bounded by a context: cancellation or deadline
-// expiry mid-run stops the run loop within one heartbeat stride and
-// returns a *CanceledError wrapping the context cause. See
-// Machine.RunContext. With a Lint hook installed the program set is
-// vetted first: per-unit hazards and inter-unit races (overlapping
+// RunContext executes one program per unit in lockstep to completion
+// and returns aggregated statistics (Cycles is the wall-clock of the
+// slowest unit). It never lets an invariant panic escape: the recovered
+// MachineError names the unit whose Step failed. When ctx is canceled
+// or its deadline expires mid-run, the loop stops within one heartbeat
+// stride and returns a *CanceledError wrapping the context cause. The
+// cycle watchdog bounds simulated time; the context bounds host
+// wall-clock time — a hung simulation is caught by the former, a slow
+// host by the latter. The units' partial state is abandoned; build a
+// fresh cluster to re-run. With a Lint hook installed the program set
+// is vetted first: per-unit hazards and inter-unit races (overlapping
 // DRAM footprints across units, unordered shared-region access) are
 // refused before any unit loads.
 func (c *Cluster) RunContext(ctx context.Context, progs []*Program) (*Stats, error) {

@@ -8,7 +8,7 @@ import (
 )
 
 // This file adapts the machine's units to the sim.Component interface.
-// NewMachineShared registers them with the machine's kernel in tick
+// newMachine registers them with the machine's kernel in tick
 // order — CGRA, MSE, SSE, RSE, dispatcher, control core — and
 // Machine.Step is a thin loop over that registry. The adapters carry
 // the machine-level concerns the raw units do not know about: the

@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -45,7 +46,7 @@ func runCluster(t *testing.T, cfg core.Config, progs []*core.Program, init func(
 	if init != nil {
 		init(cl.Mem)
 	}
-	total, err := cl.Run(progs)
+	total, err := cl.RunContext(context.Background(), progs)
 	if err != nil {
 		t.Fatalf("noSkip=%v: %v", noSkip, err)
 	}
@@ -165,22 +166,23 @@ func TestClusterDeterminismProgen(t *testing.T) {
 	}
 }
 
-// TestClusterConfigMismatch: a cluster assembled from units with
-// different configurations must be rejected up front, not silently run
-// under unit 0's watchdog and fault policy.
+// TestClusterConfigMismatch: a cluster whose units have different
+// configurations — here a unit spliced in from a second cluster — must
+// be rejected up front, not silently run under unit 0's watchdog and
+// fault policy.
 func TestClusterConfigMismatch(t *testing.T) {
 	cfgA := core.DefaultConfig()
 	cfgB := cfgA
 	cfgB.PadBufEntries++
-	mA, err := core.NewMachine(cfgA)
+	cl, err := core.NewCluster(cfgA, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mB, err := core.NewMachine(cfgB)
+	other, err := core.NewCluster(cfgB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &core.Cluster{Units: []*core.Machine{mA, mB}}
+	cl.Units[1] = other.Units[0]
 	pa, _, err := progen.Addpair(cfgA)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +191,7 @@ func TestClusterConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = cl.Run([]*core.Program{pa, pb})
+	_, err = cl.RunContext(context.Background(), []*core.Program{pa, pb})
 	if err == nil || !strings.Contains(err.Error(), "config differs") {
 		t.Fatalf("mismatched cluster ran anyway: err=%v", err)
 	}
@@ -213,10 +215,10 @@ func TestClusterConfigClash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Run([]*core.Program{pa, pb}); err == nil || !strings.Contains(err.Error(), "different configuration bitstreams") {
+	if _, err := cl.RunContext(context.Background(), []*core.Program{pa, pb}); err == nil || !strings.Contains(err.Error(), "different configuration bitstreams") {
 		t.Fatalf("clashing program set ran anyway: err=%v", err)
 	}
-	if _, err := cl.Run([]*core.Program{pa, pa}); err != nil {
+	if _, err := cl.RunContext(context.Background(), []*core.Program{pa, pa}); err != nil {
 		t.Fatalf("equal bitstreams at one address: %v", err)
 	}
 }

@@ -19,7 +19,7 @@ type DeadlockError struct {
 	Class  HangClass
 	Stream string   // culprit stream ("MemPort#3"), or the requester
 	Port   string   // culprit port ("in2", "out0")
-	Unit   int      // cluster unit index; 0 for a single machine
+	Unit   int      // cluster unit index; 0 in a one-unit cluster
 	Detail string   // one-sentence explanation
 	Chain  []string // the wait chain from requester to root cause
 	State  string   // machine snapshot at diagnosis
@@ -108,7 +108,7 @@ func (c HangClass) String() string {
 type MachineError struct {
 	Cycle     uint64
 	Component string // "port", "ports", "padbuf", "cgra", "mse", ...
-	Unit      int    // cluster unit index; 0 for a single machine
+	Unit      int    // cluster unit index; 0 in a one-unit cluster
 	State     string // machine snapshot at failure
 	Err       error  // underlying error, if the failure was an error
 	Panic     any    // recovered panic value, if the failure was a panic

@@ -76,11 +76,7 @@ var schedModes = []struct {
 // runHang runs p expecting a deadlock and returns the diagnosis.
 func runHang(t *testing.T, p *Program, cfg Config) *DeadlockError {
 	t.Helper()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = m.Run(p)
+	_, err := runLone(newLone(t, cfg), p)
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("Run = %v, want a DeadlockError", err)
@@ -291,12 +287,12 @@ func TestQuiescenceBeatsWatchdog(t *testing.T) {
 func TestWatchdogValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WatchdogCycles = 50
-	if _, err := NewMachine(cfg); err == nil || !strings.Contains(err.Error(), "WatchdogCycles") {
-		t.Fatalf("NewMachine(watchdog=50) = %v, want a WatchdogCycles error", err)
+	if _, err := NewCluster(cfg, 1); err == nil || !strings.Contains(err.Error(), "WatchdogCycles") {
+		t.Fatalf("NewCluster(watchdog=50) = %v, want a WatchdogCycles error", err)
 	}
 	cfg.WatchdogCycles = 2000
-	if _, err := NewMachine(cfg); err != nil {
-		t.Fatalf("NewMachine(watchdog=2000) = %v", err)
+	if _, err := NewCluster(cfg, 1); err != nil {
+		t.Fatalf("NewCluster(watchdog=2000) = %v", err)
 	}
 }
 
@@ -305,15 +301,13 @@ func TestWatchdogValidation(t *testing.T) {
 func TestRunRecoversPanic(t *testing.T) {
 	p, cfg := addpairProg(t)
 	p.Emit(isa.MemPort{Src: isa.Linear(0x1000, 16), Dst: p.In("A")})
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newLone(t, cfg)
+	m := cl.Units[0]
 	if err := m.Load(p); err != nil {
 		t.Fatal(err)
 	}
 	m.Ports.In = nil // corrupt the machine: the MSE will index a nil slice
-	_, err = runUnits(context.Background(), []*Machine{m}, &m.hb)
+	_, err := runUnits(context.Background(), cl.Units, &cl.hb)
 	var me *MachineError
 	if !errors.As(err, &me) {
 		t.Fatalf("run over corrupted state = %v, want a MachineError", err)
@@ -325,10 +319,7 @@ func TestRunRecoversPanic(t *testing.T) {
 
 // TestRecoverPanicAttribution: typed invariants name their component.
 func TestRecoverPanicAttribution(t *testing.T) {
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newLone(t, DefaultConfig()).Units[0]
 	me := m.recoverPanic(port.Invariant{Port: "in0", Op: "push", Msg: "overflow"}, 42)
 	if me.Component != "port" || me.Cycle != 42 {
 		t.Fatalf("recoverPanic = %+v, want component port at cycle 42", me)

@@ -9,6 +9,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -118,7 +119,7 @@ func TestClusterNoWorklessSteps(t *testing.T) {
 			if c.init != nil {
 				c.init(cl.Mem)
 			}
-			total, err := cl.Run(c.progs)
+			total, err := cl.RunContext(context.Background(), c.progs)
 			if err != nil {
 				t.Fatal(err)
 			}

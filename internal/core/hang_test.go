@@ -8,6 +8,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -118,7 +119,7 @@ func TestHangDiagnosisModes(t *testing.T) {
 					t.Fatal(err)
 				}
 				progenInit(seed, units)(cl.Mem)
-				_, err = cl.Run(progs)
+				_, err = cl.RunContext(context.Background(), progs)
 				return err
 			}) {
 				hangs++

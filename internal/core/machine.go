@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -48,18 +47,9 @@ type Stats struct {
 	MSEBusy, SSEBusy, RSEBusy uint64
 }
 
-// Machine is one Softbrain unit.
+// Machine is one Softbrain unit of a Cluster, which builds and runs it.
 type Machine struct {
 	cfg Config
-
-	// Lint, when set, vets every program Load accepts: a program the
-	// hook reports a hazard in is refused before anything runs. Install
-	// internal/lint's checker with
-	//
-	//	m.Lint = lint.Hook(m.Config())
-	//
-	// (core cannot import the linter: lint analyzes core.Program).
-	Lint func(*Program) error
 
 	Sys    *mem.System
 	Pad    *scratch.Pad
@@ -99,31 +89,20 @@ type Machine struct {
 
 	configErr error // deferred error from the config-install callback
 
-	// Observability (see obs.go in this package). All nil/zero unless
-	// EnableMetrics / SetHeartbeat are called; the tick path pays one
-	// nil check and allocates nothing when disabled.
+	// Observability (see obs.go in this package). Both nil unless
+	// enableMetrics is called; the tick path pays one nil check and
+	// allocates nothing when disabled.
 	reg   *obs.Registry
 	attrs []attribution // nil unless metrics are enabled
-	hb    heartbeat
 }
 
-// numComps is how many components NewMachineShared registers with a
+// numComps is how many components newMachine registers with a
 // machine's kernel.
 const numComps = 6
 
-// NewMachine builds a unit with a private memory system.
-func NewMachine(cfg Config) (*Machine, error) {
-	sys, err := mem.NewSystem(cfg.Mem)
-	if err != nil {
-		return nil, err
-	}
-	return NewMachineShared(cfg, sys)
-}
-
-// NewMachineShared builds a unit over an existing memory system, so
-// several units can share cache and DRAM bandwidth (the 8-unit DNN
-// configuration).
-func NewMachineShared(cfg Config, sys *mem.System) (*Machine, error) {
+// newMachine builds a unit over the memory system NewCluster gives it,
+// so the units share the backing memory and DRAM bandwidth.
+func newMachine(cfg Config, sys *mem.System) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,9 +158,6 @@ func NewMachineShared(cfg Config, sys *mem.System) (*Machine, error) {
 	return m, nil
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // onConfig decodes the configuration bitstream the SD_Config stream
 // just finished loading — read back from the memory image, so the
 // machine runs exactly what was stored there.
@@ -203,20 +179,15 @@ func (m *Machine) onConfig(addr uint64) {
 	}
 }
 
-// Load prepares the machine to run p, vetting it through the Lint hook
-// first when one is installed. The program is sealed first: its command
-// stream round-trips through the binary ISA encoding once per program,
-// before its first run, so the machine executes the architecturally
-// encodable program, not arbitrary Go values. Load never modifies p
-// otherwise, so machines may load one program concurrently.
+// Load prepares the machine to run p. The program is sealed first: its
+// command stream round-trips through the binary ISA encoding once per
+// program, before its first run, so the machine executes the
+// architecturally encodable program, not arbitrary Go values. Load
+// never modifies p otherwise, so machines may load one program
+// concurrently.
 func (m *Machine) Load(p *Program) error {
 	if err := p.Err(); err != nil {
 		return err
-	}
-	if m.Lint != nil {
-		if err := m.Lint(p); err != nil {
-			return fmt.Errorf("core: refusing to load %s: %w", p.Name, err)
-		}
 	}
 	if err := p.seal(); err != nil {
 		return err
@@ -471,29 +442,6 @@ func (m *Machine) snapshot() string {
 		}
 	}
 	return b.String()
-}
-
-// Run executes the program to completion and returns statistics.
-func (m *Machine) Run(p *Program) (*Stats, error) {
-	return m.RunContext(context.Background(), p)
-}
-
-// RunContext is Run bounded by a context: when ctx is canceled or its
-// deadline expires mid-run, the loop stops within one heartbeat stride
-// and returns a *CanceledError wrapping the context cause. The cycle
-// watchdog bounds simulated time; the context bounds host wall-clock
-// time — a hung simulation is caught by the former, a slow host by the
-// latter. The machine's partial state is abandoned; load a fresh
-// machine to re-run.
-func (m *Machine) RunContext(ctx context.Context, p *Program) (*Stats, error) {
-	if err := m.Load(p); err != nil {
-		return nil, err
-	}
-	stats, err := runUnits(ctx, []*Machine{m}, &m.hb) // a one-unit cluster
-	if err != nil {
-		return nil, err
-	}
-	return stats[0], nil
 }
 
 // counters is a snapshot of a unit's monotone activity counters: the

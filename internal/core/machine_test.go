@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -41,29 +42,42 @@ func dotProdGraph(t testing.TB) *dfg.Graph {
 	return g
 }
 
+// newLone builds a one-unit cluster, the way every lone unit runs.
+func newLone(t testing.TB, cfg Config) *Cluster {
+	t.Helper()
+	cl, err := NewCluster(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// runLone runs p on one-unit cluster cl.
+func runLone(cl *Cluster, p *Program) (*Stats, error) {
+	return cl.RunContext(context.Background(), []*Program{p})
+}
+
 // TestFigure4DotProduct runs the paper's first example program: load
 // a[0:n] and b[0:n] to ports, store the per-instance dot products, and
 // barrier. Output must match the golden computation exactly.
 func TestFigure4DotProduct(t *testing.T) {
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cl := newLone(t, cfg)
 	const n = 48 // words per input; 16 instances of width 3
 	const aAddr, bAddr, rAddr = 0x1000, 0x2000, 0x3000
 	for i := uint64(0); i < n; i++ {
-		m.Sys.Mem.WriteU64(aAddr+8*i, i+1)
-		m.Sys.Mem.WriteU64(bAddr+8*i, 2*i+3)
+		cl.Mem.WriteU64(aAddr+8*i, i+1)
+		cl.Mem.WriteU64(bAddr+8*i, 2*i+3)
 	}
 
 	p := NewProgram("dotprod")
-	p.CompileAndConfigure(m.Config().Fabric, dotProdGraph(t))
+	p.CompileAndConfigure(cfg.Fabric, dotProdGraph(t))
 	p.Emit(isa.MemPort{Src: isa.Linear(aAddr, n*8), Dst: p.In("A")})
 	p.Emit(isa.MemPort{Src: isa.Linear(bAddr, n*8), Dst: p.In("B")})
 	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(rAddr, n/3*8)})
 	p.Emit(isa.BarrierAll{})
 
-	stats, err := m.Run(p)
+	stats, err := runLone(cl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +87,7 @@ func TestFigure4DotProduct(t *testing.T) {
 			k := 3*i + j
 			want += (k + 1) * (2*k + 3)
 		}
-		if got := m.Sys.Mem.ReadU64(rAddr + 8*i); got != want {
+		if got := cl.Mem.ReadU64(rAddr + 8*i); got != want {
 			t.Errorf("r[%d] = %d, want %d", i, got, want)
 		}
 	}
@@ -125,10 +139,8 @@ func sigmoid16(x int64) uint16 {
 // scratch-write barrier, the accumulator is driven by a constant reset
 // stream, partial sums are cleaned, and 16-bit outputs stored.
 func TestFigure6Classifier(t *testing.T) {
-	m, err := NewMachine(DNNConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DNNConfig()
+	cl := newLone(t, cfg)
 	const (
 		Ni = 64 // input neurons
 		Nn = 4  // output neurons
@@ -141,19 +153,19 @@ func TestFigure6Classifier(t *testing.T) {
 	neuron := make([]int16, Ni)
 	for i := range neuron {
 		neuron[i] = int16(i%7 - 3)
-		m.Sys.Mem.WriteUint(inAddr+2*uint64(i), 2, uint64(uint16(neuron[i])))
+		cl.Mem.WriteUint(inAddr+2*uint64(i), 2, uint64(uint16(neuron[i])))
 	}
 	for o := range synapse {
 		synapse[o] = make([]int16, Ni)
 		for i := range synapse[o] {
 			w := int16((o*31+i*13)%11 - 5)
 			synapse[o][i] = w
-			m.Sys.Mem.WriteUint(synAddr+uint64(o*Ni*2+i*2), 2, uint64(uint16(w)))
+			cl.Mem.WriteUint(synAddr+uint64(o*Ni*2+i*2), 2, uint64(uint16(w)))
 		}
 	}
 
 	p := NewProgram("classifier")
-	p.CompileAndConfigure(m.Config().Fabric, classifierGraph(t))
+	p.CompileAndConfigure(cfg.Fabric, classifierGraph(t))
 	// Load all synapses to Port_S and input neurons to the scratchpad.
 	p.Emit(isa.MemPort{Src: isa.Linear(synAddr, Nn*Ni*2), Dst: p.In("S")})
 	p.Emit(isa.MemScratch{Src: isa.Linear(inAddr, Ni*2), ScratchAddr: 0})
@@ -169,7 +181,7 @@ func TestFigure6Classifier(t *testing.T) {
 	}
 	p.Emit(isa.BarrierAll{})
 
-	stats, err := m.Run(p)
+	stats, err := runLone(cl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +191,7 @@ func TestFigure6Classifier(t *testing.T) {
 			sum += int64(synapse[o][i]) * int64(neuron[i])
 		}
 		want := sigmoid16(sum)
-		got := uint16(m.Sys.Mem.ReadUint(outAddr+2*uint64(o), 2))
+		got := uint16(cl.Mem.ReadUint(outAddr+2*uint64(o), 2))
 		if got != want {
 			t.Errorf("neuron_n[%d] = %d, want %d (sum %d)", o, got, want, sum)
 		}
@@ -195,10 +207,8 @@ func TestFigure6Classifier(t *testing.T) {
 // TestRecurrenceReduction sums a long vector with SD_Port_Port feeding
 // the accumulated value back per block.
 func TestRecurrenceReduction(t *testing.T) {
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cl := newLone(t, cfg)
 	// DFG: acc += redadd of 4 words per instance; recurrence not needed
 	// for direct accumulation, so use Port_Port for a two-phase sum:
 	// phase 1 reduces blocks, phase 2 re-consumes block sums.
@@ -216,23 +226,23 @@ func TestRecurrenceReduction(t *testing.T) {
 	const vAddr, rAddr = 0x1000, 0x8000
 	var want uint64
 	for i := uint64(0); i < n; i++ {
-		m.Sys.Mem.WriteU64(vAddr+8*i, i*i+1)
+		cl.Mem.WriteU64(vAddr+8*i, i*i+1)
 		want += i*i + 1
 	}
 	blocks := uint64(n / 4)
 
 	p := NewProgram("blocksum")
-	p.CompileAndConfigure(m.Config().Fabric, g)
+	p.CompileAndConfigure(cfg.Fabric, g)
 	p.Emit(isa.MemPort{Src: isa.Linear(vAddr, n*8), Dst: p.In("V")})
 	// Never reset within phase 1; the final value is the total.
 	p.Emit(isa.ConstPort{Value: 0, Elem: isa.Elem64, Count: blocks, Dst: p.In("R")})
 	p.Emit(isa.CleanPort{Src: p.Out("S"), Elem: isa.Elem64, Count: blocks - 1})
 	p.Emit(isa.PortMem{Src: p.Out("S"), Dst: isa.Linear(rAddr, 8)})
 	p.Emit(isa.BarrierAll{})
-	if _, err := m.Run(p); err != nil {
+	if _, err := runLone(cl, p); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Sys.Mem.ReadU64(rAddr); got != want {
+	if got := cl.Mem.ReadU64(rAddr); got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
 }
@@ -240,10 +250,8 @@ func TestRecurrenceReduction(t *testing.T) {
 // TestPortPortRecurrence exercises the recurrence stream engine inside a
 // full program: stream data out of one DFG port and back into another.
 func TestPortPortRecurrence(t *testing.T) {
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultConfig()
+	cl := newLone(t, cfg)
 	// y = (a+b); second pass: z = y*2 via recurrence of Y into port A2.
 	b := dfg.NewBuilder("twopass")
 	a := b.Input("A", 1)
@@ -254,11 +262,11 @@ func TestPortPortRecurrence(t *testing.T) {
 	const n = 16
 	const aAddr, bAddr, zAddr = 0x1000, 0x2000, 0x3000
 	for i := uint64(0); i < n; i++ {
-		m.Sys.Mem.WriteU64(aAddr+8*i, 10+i)
-		m.Sys.Mem.WriteU64(bAddr+8*i, 100*i)
+		cl.Mem.WriteU64(aAddr+8*i, 10+i)
+		cl.Mem.WriteU64(bAddr+8*i, 100*i)
 	}
 	p := NewProgram("twopass")
-	p.CompileAndConfigure(m.Config().Fabric, g)
+	p.CompileAndConfigure(cfg.Fabric, g)
 	// Pass 1: y = a + b -> recurrence back to port A; b gets a constant 5.
 	p.Emit(isa.MemPort{Src: isa.Linear(aAddr, n*8), Dst: p.In("A")})
 	p.Emit(isa.MemPort{Src: isa.Linear(bAddr, n*8), Dst: p.In("B")})
@@ -266,12 +274,12 @@ func TestPortPortRecurrence(t *testing.T) {
 	p.Emit(isa.ConstPort{Value: 5, Elem: isa.Elem64, Count: n, Dst: p.In("B")})
 	p.Emit(isa.PortMem{Src: p.Out("Y"), Dst: isa.Linear(zAddr, n*8)})
 	p.Emit(isa.BarrierAll{})
-	if _, err := m.Run(p); err != nil {
+	if _, err := runLone(cl, p); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < n; i++ {
 		want := (10 + i) + 100*i + 5
-		if got := m.Sys.Mem.ReadU64(zAddr + 8*i); got != want {
+		if got := cl.Mem.ReadU64(zAddr + 8*i); got != want {
 			t.Errorf("z[%d] = %d, want %d", i, got, want)
 		}
 	}
@@ -290,10 +298,7 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	cfg.Fabric = f
 	cfg.WatchdogCycles = 2000
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newLone(t, cfg)
 	b := dfg.NewBuilder("loop")
 	a := b.Input("A", 1)
 	bb := b.Input("B", 1)
@@ -310,7 +315,7 @@ func TestDeadlockDetection(t *testing.T) {
 	p.Emit(isa.PortMem{Src: p.Out("Y"), Dst: isa.Linear(0x9000, n*8)})
 	p.Emit(isa.BarrierAll{})
 
-	_, err = m.Run(p)
+	_, err := runLone(cl, p)
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("expected DeadlockError, got %v", err)
@@ -324,8 +329,7 @@ func TestProgramErrors(t *testing.T) {
 	if p.Err() == nil {
 		t.Error("In before Configure not reported")
 	}
-	m, _ := NewMachine(DefaultConfig())
-	if err := m.Load(p); err == nil {
+	if err := newLone(t, DefaultConfig()).Units[0].Load(p); err == nil {
 		t.Error("Load accepted a broken program")
 	}
 
@@ -370,7 +374,7 @@ func TestClusterSharesBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := single.Run([]*Program{mkProg(cfg.Fabric, 0x100000)})
+	s1, err := runLone(single, mkProg(cfg.Fabric, 0x100000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +382,7 @@ func TestClusterSharesBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := quad.Run([]*Program{
+	s4, err := quad.RunContext(context.Background(), []*Program{
 		mkProg(cfg.Fabric, 0x1000000), mkProg(cfg.Fabric, 0x2000000),
 		mkProg(cfg.Fabric, 0x3000000), mkProg(cfg.Fabric, 0x4000000),
 	})
@@ -418,20 +422,17 @@ func TestExecutionTrace(t *testing.T) {
 	for _, sched := range []SchedMode{SchedPerCycle, SchedSpans} {
 		cfg := DefaultConfig()
 		cfg.Sched = sched
-		m, err := NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
+		cl := newLone(t, cfg)
+		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
 		for i := uint64(0); i < n; i++ {
-			m.Sys.Mem.WriteU64(0x1000+8*i, i)
-			m.Sys.Mem.WriteU64(0x2000+8*i, i)
+			cl.Mem.WriteU64(0x1000+8*i, i)
+			cl.Mem.WriteU64(0x2000+8*i, i)
 		}
-		stats, err := m.Run(p)
+		stats, err := runLone(cl, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := m.TraceInput(stats.Cycles)
+		in := cl.TraceInputs(stats.Cycles)[0]
 		if len(in.Spans) != 4 { // config + 2 loads + 1 store
 			t.Fatalf("mode %d: %d spans, want 4", sched, len(in.Spans))
 		}
@@ -469,13 +470,9 @@ func laneRow(gantt, lane string) string {
 // of Ni fewer control instructions than the scalar loop (which runs
 // ~Ni*Nn iterations of several instructions each).
 func TestControlInstructionReduction(t *testing.T) {
-	m, err := NewMachine(DNNConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const Ni, Nn = 256, 8
 	p := NewProgram("classifier")
-	p.CompileAndConfigure(m.Config().Fabric, classifierGraph(t))
+	p.CompileAndConfigure(DNNConfig().Fabric, classifierGraph(t))
 	p.Emit(isa.MemPort{Src: isa.Linear(0x10000, Nn*Ni*2), Dst: p.In("S")})
 	p.Emit(isa.MemScratch{Src: isa.Linear(0x20000, Ni*2), ScratchAddr: 0})
 	p.Emit(isa.BarrierScratchWr{})
@@ -502,7 +499,7 @@ func TestControlInstructionReduction(t *testing.T) {
 }
 
 // TestFaultStatsPerRun checks that FaultStats reports the current run
-// alone: a cold and a warm run of one machine each draw faults, and
+// alone: a cold and a warm run of one unit each draw faults, and
 // their counts sum to the injector's lifetime count (the random stream
 // itself spans the runs).
 func TestFaultStatsPerRun(t *testing.T) {
@@ -512,29 +509,26 @@ func TestFaultStatsPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Faults = &fc
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newLone(t, cfg)
 	const n = 480
 	p := NewProgram("dotprod")
-	p.CompileAndConfigure(m.Config().Fabric, dotProdGraph(t))
+	p.CompileAndConfigure(cfg.Fabric, dotProdGraph(t))
 	p.Emit(isa.MemPort{Src: isa.Linear(0x1000, n*8), Dst: p.In("A")})
 	p.Emit(isa.MemPort{Src: isa.Linear(0x8000, n*8), Dst: p.In("B")})
 	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x10000, n/3*8)})
 	p.Emit(isa.BarrierAll{})
 	var runs []faults.Stats
 	for i := 0; i < 2; i++ {
-		if _, err := m.Run(p); err != nil {
+		if _, err := runLone(cl, p); err != nil {
 			t.Fatal(err)
 		}
-		runs = append(runs, m.FaultStats())
+		runs = append(runs, cl.FaultStats())
 	}
 	cold, warm := runs[0], runs[1]
 	if cold.MemDelays == 0 || warm.MemDelays == 0 {
 		t.Fatalf("want delays in both runs: cold %v, warm %v", cold, warm)
 	}
-	if life := m.faults.Stats(); life.Since(cold) != warm {
+	if life := cl.Units[0].faults.Stats(); life.Since(cold) != warm {
 		t.Errorf("cold %v + warm %v != lifetime %v", cold, warm, life)
 	}
 }
@@ -550,10 +544,7 @@ func (fakeCmd) String() string { return "fake" }
 // seals the program, the emitters reopen the seal, and a program that
 // fails the round trip keeps failing on every Load.
 func TestProgramSeal(t *testing.T) {
-	m, err := NewMachine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newLone(t, DefaultConfig()).Units[0]
 	p := NewProgram("sealed")
 	p.Emit(isa.BarrierAll{})
 	if err := m.Load(p); err != nil {

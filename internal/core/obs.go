@@ -46,11 +46,11 @@ type attribution struct {
 	prev uint64
 }
 
-// EnableMetrics attaches a registry: attributions for every component,
+// enableMetrics attaches a registry: attributions for every component,
 // the dispatcher's issue-to-retire latency histogram, and per-stream
-// data-movement rows reported by the engines as streams retire. Call
-// before Run; the registry is finalized by the run's stats collection.
-func (m *Machine) EnableMetrics(reg *obs.Registry) {
+// data-movement rows reported by the engines as streams retire. The
+// registry is finalized by the run's stats collection.
+func (m *Machine) enableMetrics(reg *obs.Registry) {
 	m.reg = reg
 	comps := m.kern.Components()
 	m.attrs = make([]attribution, 0, len(comps)+1)
@@ -68,17 +68,11 @@ func (m *Machine) EnableMetrics(reg *obs.Registry) {
 	m.rse.Retired = retired
 }
 
-// MetricsDump finalizes and returns the machine's metrics as a
-// single-unit dump. Valid after a completed run.
-func (m *Machine) MetricsDump() obs.Dump {
-	return obs.Merge([]obs.UnitDump{m.reg.Dump()})
-}
-
-// TraceInput assembles this unit's contribution to the Perfetto export
+// traceInput assembles this unit's contribution to the Perfetto export
 // (obs.WriteTrace) and the timeline (obs.Gantt): the registry's stream
 // lifetimes and stall slices, both recorded only on traced runs.
 // endCycle closes still-open spans.
-func (m *Machine) TraceInput(endCycle uint64) obs.TraceInput {
+func (m *Machine) traceInput(endCycle uint64) obs.TraceInput {
 	return obs.TraceInput{Unit: m.reg.Unit(), Spans: m.reg.Lifetimes().Spans(), Attrs: m.reg.Attributions(), EndCycle: endCycle}
 }
 
@@ -86,7 +80,7 @@ func (m *Machine) TraceInput(endCycle uint64) obs.TraceInput {
 func (c *Cluster) TraceInputs(endCycle uint64) []obs.TraceInput {
 	out := make([]obs.TraceInput, 0, len(c.Units))
 	for _, u := range c.Units {
-		out = append(out, u.TraceInput(endCycle))
+		out = append(out, u.traceInput(endCycle))
 	}
 	return out
 }
@@ -235,22 +229,12 @@ func stallMix(attrs []*obs.Attribution) string {
 	return strings.Join(parts, " ")
 }
 
-// SetHeartbeat installs a progress callback invoked from the run loop
-// roughly every interval of host time (checked every heartbeatStride
-// run-loop iterations, so a hot loop pays one counter increment). The
-// first check only arms the clock, so no report fires before the
-// second one. For long soaks and sdsim -progress; purely
-// observational.
-func (m *Machine) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
-	m.hb.every, m.hb.fn = every, fn
-}
-
-// heartbeat is a run's progress callback (see SetHeartbeat) and the
-// host-time throttle that paces it.
+// heartbeat is a run's progress callback (see Cluster.SetHeartbeat)
+// and the host-time throttle that paces it.
 type heartbeat struct {
 	every time.Duration
 	fn    func(ProgressReport)
-	last  time.Time
+	last  time.Time // zero until the run's first stride check arms it
 }
 
 // heartbeatStride bounds how often the run loop consults the host
@@ -261,8 +245,9 @@ const heartbeatStride = 1 << 12
 
 // beat fires the callback with the units' aggregate report when the
 // interval elapsed; the run loop calls it every heartbeatStride
-// iterations. The first call only arms the clock, so no report fires
-// before the second: a run of fewer than two strides reports nothing.
+// iterations. The first call of each run only arms the clock (runUnits
+// clears it), so no report fires before the second: a run of fewer
+// than two strides reports nothing, on a fresh cluster or a reused one.
 func (h *heartbeat) beat(units []*Machine, now uint64) {
 	if h.fn == nil {
 		return

@@ -157,7 +157,7 @@ func TestMetricsClusterParSeq(t *testing.T) {
 				if inst.Init != nil {
 					inst.Init(cl.Mem)
 				}
-				stats, err := cl.Run(inst.Progs)
+				stats, err := cl.RunContext(context.Background(), inst.Progs)
 				if err != nil {
 					t.Fatalf("noSkip=%v: %v", noSkip, err)
 				}
@@ -214,21 +214,21 @@ func TestMetricsProgen(t *testing.T) {
 		run := func(noSkip bool) []byte {
 			c := cfg
 			c.Sched = schedFor(noSkip)
-			m, err := core.NewMachine(c)
+			cl, err := core.NewCluster(c, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
+			cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
 			line := make([]byte, 64)
 			irng := rand.New(rand.NewSource(seed + 1000))
 			for _, base := range progen.MemPools {
 				irng.Read(line)
-				m.Sys.Mem.Write(base, line)
+				cl.Mem.Write(base, line)
 			}
-			if _, err := m.Run(fixed); err != nil {
+			if _, err := cl.RunContext(context.Background(), []*core.Program{fixed}); err != nil {
 				t.Fatalf("seed %d (noSkip=%v): %v", seed, noSkip, err)
 			}
-			dump := m.MetricsDump()
+			dump := cl.MetricsDump()
 			if err := obs.CheckConservation(dump); err != nil {
 				t.Fatalf("seed %d (noSkip=%v): %v", seed, noSkip, err)
 			}
@@ -258,20 +258,20 @@ func TestMetricsTraceExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.NewMachine(cfg)
+	cl, err := core.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
+	cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
 	if inst.Init != nil {
-		inst.Init(m.Sys.Mem)
+		inst.Init(cl.Mem)
 	}
-	stats, err := m.Run(inst.Progs[0])
+	stats, err := cl.RunContext(context.Background(), inst.Progs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteTrace(&buf, []obs.TraceInput{m.TraceInput(stats.Cycles)}); err != nil {
+	if err := obs.WriteTrace(&buf, cl.TraceInputs(stats.Cycles)); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateTrace(buf.Bytes()); err != nil {
@@ -396,7 +396,7 @@ func TestHeartbeat(t *testing.T) {
 	if inst.Init != nil {
 		inst.Init(cl.Mem)
 	}
-	if _, err := cl.Run(inst.Progs); err != nil {
+	if _, err := cl.RunContext(context.Background(), inst.Progs); err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) == 0 {

@@ -9,11 +9,11 @@ import (
 	"softbrain/internal/isa"
 )
 
-// TestConcurrentMachines runs independent machines in parallel
+// TestConcurrentMachines runs independent one-unit clusters in parallel
 // goroutines. The simulator itself is single-threaded (Cluster steps
-// its units in lockstep), but users may simulate separate machines
+// its units in lockstep), but users may simulate separate clusters
 // concurrently — sweeps do — and the only shared state allowed between
-// machines is the package-global configuration-slot allocator. Under
+// them is the package-global configuration-slot allocator. Under
 // `go test -race` this smoke test keeps that property honest.
 func TestConcurrentMachines(t *testing.T) {
 	const workers = 8
@@ -24,7 +24,7 @@ func TestConcurrentMachines(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			cfg := DefaultConfig()
-			m, err := NewMachine(cfg)
+			cl, err := NewCluster(cfg, 1)
 			if err != nil {
 				errs <- err
 				return
@@ -42,8 +42,8 @@ func TestConcurrentMachines(t *testing.T) {
 
 			const n, aAddr, bAddr, rAddr = 32, 0x1000, 0x2000, 0x3000
 			for i := uint64(0); i < n; i++ {
-				m.Sys.Mem.WriteU64(aAddr+8*i, i)
-				m.Sys.Mem.WriteU64(bAddr+8*i, 100*uint64(w)+i)
+				cl.Mem.WriteU64(aAddr+8*i, i)
+				cl.Mem.WriteU64(bAddr+8*i, 100*uint64(w)+i)
 			}
 			p := NewProgram(g.Name)
 			p.CompileAndConfigure(cfg.Fabric, g)
@@ -52,13 +52,13 @@ func TestConcurrentMachines(t *testing.T) {
 			p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(rAddr, n*8)})
 			p.Emit(isa.BarrierAll{})
 
-			if _, err := m.Run(p); err != nil {
+			if _, err := runLone(cl, p); err != nil {
 				errs <- fmt.Errorf("worker %d: %w", w, err)
 				return
 			}
 			for i := uint64(0); i < n; i++ {
 				want := i + 100*uint64(w) + i
-				if got := m.Sys.Mem.ReadU64(rAddr + 8*i); got != want {
+				if got := cl.Mem.ReadU64(rAddr + 8*i); got != want {
 					errs <- fmt.Errorf("worker %d: r[%d] = %d, want %d", w, i, got, want)
 					return
 				}

@@ -35,7 +35,7 @@ func runRandomProgram(cfg Config, rng *rand.Rand) error {
 	}
 	instances := uint64(8 + rng.Intn(120))
 
-	m, err := NewMachine(cfg)
+	cl, err := NewCluster(cfg, 1)
 	if err != nil {
 		return err
 	}
@@ -65,7 +65,7 @@ func runRandomProgram(cfg Config, rng *rand.Rand) error {
 			s.data[i] = uint64(rng.Intn(10000))
 		}
 		for i, v := range s.data {
-			m.Sys.Mem.WriteU64(s.addr+uint64(8*i), v)
+			cl.Mem.WriteU64(s.addr+uint64(8*i), v)
 		}
 		srcs[pi] = s
 	}
@@ -98,7 +98,7 @@ func runRandomProgram(cfg Config, rng *rand.Rand) error {
 		return nil
 	}
 
-	if _, err := m.Run(p); err != nil {
+	if _, err := runLone(cl, p); err != nil {
 		return fmt.Errorf("run: %w\n%s", err, g.String())
 	}
 
@@ -128,7 +128,7 @@ func runRandomProgram(cfg Config, rng *rand.Rand) error {
 		for po, out := range g.Outs {
 			for w := 0; w < out.Width(); w++ {
 				addr := outAddrs[po] + (inst*uint64(out.Width())+uint64(w))*8
-				if got := m.Sys.Mem.ReadU64(addr); got != outs[po][w] {
+				if got := cl.Mem.ReadU64(addr); got != outs[po][w] {
 					return fmt.Errorf("out %s inst %d word %d = %d, want %d\n%s",
 						out.Name, inst, w, got, outs[po][w], g.String())
 				}
@@ -188,10 +188,7 @@ func randomStreamableGraph(rng *rand.Rand) (*dfg.Graph, error) {
 // a[b[c[i]]], the pattern Section 3.3 describes for indirect chaining.
 func TestMultiLevelIndirection(t *testing.T) {
 	cfg := DefaultConfig()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := newLone(t, cfg)
 	bld := dfg.NewBuilder("passthrough")
 	x := bld.Input("X", 1)
 	bld.Output("Y", bld.N(dfg.Abs(64), x.W(0)))
@@ -207,9 +204,9 @@ func TestMultiLevelIndirection(t *testing.T) {
 		cArr[i] = uint32(rng.Intn(n))
 		bArr[i] = uint32(rng.Intn(n))
 		aArr[i] = int64(rng.Intn(2000) - 1000)
-		m.Sys.Mem.WriteUint(cAddr+uint64(4*i), 4, uint64(cArr[i]))
-		m.Sys.Mem.WriteUint(bAddr+uint64(4*i), 4, uint64(bArr[i]))
-		m.Sys.Mem.WriteU64(aAddr+uint64(8*i), uint64(aArr[i]))
+		cl.Mem.WriteUint(cAddr+uint64(4*i), 4, uint64(cArr[i]))
+		cl.Mem.WriteUint(bAddr+uint64(4*i), 4, uint64(bArr[i]))
+		cl.Mem.WriteU64(aAddr+uint64(8*i), uint64(aArr[i]))
 	}
 
 	p := NewProgram("chain")
@@ -229,7 +226,7 @@ func TestMultiLevelIndirection(t *testing.T) {
 	p.Emit(isa.PortMem{Src: p.Out("Y"), Dst: isa.Linear(rAddr, n*8)})
 	p.Emit(isa.BarrierAll{})
 
-	if _, err := m.Run(p); err != nil {
+	if _, err := runLone(cl, p); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -237,7 +234,7 @@ func TestMultiLevelIndirection(t *testing.T) {
 		if want < 0 {
 			want = -want
 		}
-		if got := int64(m.Sys.Mem.ReadU64(rAddr + uint64(8*i))); got != want {
+		if got := int64(cl.Mem.ReadU64(rAddr + uint64(8*i))); got != want {
 			t.Errorf("r[%d] = %d, want %d (a[b[c[%d]]])", i, got, want, i)
 		}
 	}

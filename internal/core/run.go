@@ -1,6 +1,9 @@
 package core
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 const defaultWatchdog = 50_000
 
@@ -8,14 +11,15 @@ const defaultWatchdog = 50_000
 // in lockstep, in unit order, until every unit is done, and returns
 // each unit's statistics with Cycles set to the cycle the last unit
 // finished. Units share the backing memory and the DRAM channel, so
-// unit order within a cycle is the DRAM grant order. A Machine runs
+// unit order within a cycle is the DRAM grant order. A lone unit runs
 // through here as a one-unit cluster.
 //
 // Invariant panics from any component are recovered into a
 // MachineError naming the unit — the execution contract is that a run
 // returns, it never takes the host process down. Step errors name
-// their unit the same way (0 for a machine).
+// their unit the same way.
 func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*Stats, err error) {
+	hb.last = time.Time{} // each run's first stride check re-arms the heartbeat
 	anyFaults := false
 	for _, u := range units {
 		anyFaults = anyFaults || u.faults != nil

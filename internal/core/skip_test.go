@@ -117,21 +117,21 @@ func TestSkipAheadExamples(t *testing.T) {
 
 // runTraced is runSeeded with traced metrics (stall slices and stream
 // lifetimes recorded), failing the test on a run error.
-func runTraced(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
+func runTraced(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Cluster, *core.Stats) {
 	t.Helper()
-	m, stats, err := runSeeded(t, cfg, p, seed, true)
+	cl, stats, err := runSeeded(t, cfg, p, seed, true)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return m, stats
+	return cl, stats
 }
 
-// metricsDump marshals the machine's metrics, failing on conservation
+// metricsDump marshals the cluster's metrics, failing on conservation
 // violations first — the byte-for-byte diffs below compare only dumps
 // that are individually sound.
-func metricsDump(t *testing.T, m *core.Machine) []byte {
+func metricsDump(t *testing.T, cl *core.Cluster) []byte {
 	t.Helper()
-	d := m.MetricsDump()
+	d := cl.MetricsDump()
 	if err := obs.CheckConservation(d); err != nil {
 		t.Error(err)
 	}
@@ -168,24 +168,24 @@ func TestSkipAheadTraces(t *testing.T) {
 
 		offCfg, onCfg := cfg, cfg
 		offCfg.Sched = core.SchedPerCycle
-		mOff, sOff := runTraced(t, offCfg, fixed, seed)
-		mOn, sOn := runTraced(t, onCfg, fixed, seed)
-		skipped += mOn.SchedStats().Skipped
+		clOff, sOff := runTraced(t, offCfg, fixed, seed)
+		clOn, sOn := runTraced(t, onCfg, fixed, seed)
+		skipped += clOn.SchedStats().Skipped
 
 		if !reflect.DeepEqual(sOff, sOn) {
 			t.Errorf("seed %d: stats differ with skip-ahead:\n  off: %+v\n  on:  %+v", seed, sOff, sOn)
 		}
-		if addr, diff := mOn.Sys.Mem.FirstDiff(mOff.Sys.Mem); diff {
+		if addr, diff := clOn.Mem.FirstDiff(clOff.Mem); diff {
 			t.Errorf("seed %d: memory differs at %#x with skip-ahead", seed, addr)
 		}
-		inOff, inOn := mOff.TraceInput(sOff.Cycles), mOn.TraceInput(sOn.Cycles)
+		inOff, inOn := clOff.TraceInputs(sOff.Cycles)[0], clOn.TraceInputs(sOn.Cycles)[0]
 		if !reflect.DeepEqual(inOff.Spans, inOn.Spans) {
 			t.Errorf("seed %d: stream lifetime spans differ with skip-ahead", seed)
 		}
 		if off, on := obs.Gantt(inOff, 100), obs.Gantt(inOn, 100); off != on {
 			t.Errorf("seed %d: activity lanes differ with skip-ahead:\noff:\n%son:\n%s", seed, off, on)
 		}
-		if off, on := metricsDump(t, mOff), metricsDump(t, mOn); !bytes.Equal(off, on) {
+		if off, on := metricsDump(t, clOff), metricsDump(t, clOn); !bytes.Equal(off, on) {
 			t.Errorf("seed %d: metrics dump differs with skip-ahead:\noff:\n%son:\n%s", seed, off, on)
 		}
 	}
@@ -226,15 +226,15 @@ func TestSkipAheadUnderFaults(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				run := func(noSkip bool) (*core.Machine, *core.Stats, faults.Stats) {
+				run := func(noSkip bool) (*core.Cluster, *core.Stats, faults.Stats) {
 					c := cfg
 					c.Sched = schedFor(noSkip)
 					c.Faults = &fc
-					m, s := runTraced(t, c, fixed, seed)
-					return m, s, m.FaultStats()
+					cl, s := runTraced(t, c, fixed, seed)
+					return cl, s, cl.FaultStats()
 				}
-				mOff, sOff, fOff := run(true)
-				mOn, sOn, fOn := run(false)
+				clOff, sOff, fOff := run(true)
+				clOn, sOn, fOn := run(false)
 
 				if !reflect.DeepEqual(sOff, sOn) {
 					t.Errorf("seed %d: stats differ with skip-ahead under %s faults:\n  off: %+v\n  on:  %+v",
@@ -244,15 +244,15 @@ func TestSkipAheadUnderFaults(t *testing.T) {
 					t.Errorf("seed %d: fault schedule differs with skip-ahead under %s:\n  off: %+v\n  on:  %+v",
 						seed, profile, fOff, fOn)
 				}
-				if addr, diff := mOn.Sys.Mem.FirstDiff(mOff.Sys.Mem); diff {
+				if addr, diff := clOn.Mem.FirstDiff(clOff.Mem); diff {
 					t.Errorf("seed %d: memory differs at %#x under %s faults", seed, addr, profile)
 				}
-				if off, on := metricsDump(t, mOff), metricsDump(t, mOn); !bytes.Equal(off, on) {
+				if off, on := metricsDump(t, clOff), metricsDump(t, clOn); !bytes.Equal(off, on) {
 					t.Errorf("seed %d: metrics dump differs with skip-ahead under %s faults", seed, profile)
 				}
-				if profile == "stall" && mOn.SchedStats().Skipped != 0 {
+				if profile == "stall" && clOn.SchedStats().Skipped != 0 {
 					t.Errorf("seed %d: skipped %d cycles under per-cycle stall draws; skip must self-disable",
-						seed, mOn.SchedStats().Skipped)
+						seed, clOn.SchedStats().Skipped)
 				}
 			}
 		})

@@ -35,13 +35,13 @@ func soakSeeds(t *testing.T) int64 {
 	return 12
 }
 
-// runSoak runs p on a machine fault-injected with fc (nil for none)
+// runSoak runs p on a one-unit cluster fault-injected with fc (nil for none)
 // and its memory pools seeded deterministically (see runSeeded).
 func runSoak(t *testing.T, cfg core.Config, fc *faults.Config, p *core.Program, seed int64) (*mem.Memory, error) {
 	t.Helper()
 	cfg.Faults = fc
-	m, _, err := runSeeded(t, cfg, p, seed, false)
-	return m.Sys.Mem, err
+	cl, _, err := runSeeded(t, cfg, p, seed, false)
+	return cl.Mem, err
 }
 
 // typedFailure reports whether err is one of the two structured error

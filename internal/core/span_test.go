@@ -11,6 +11,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -98,7 +99,7 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 					if inst.Init != nil {
 						inst.Init(cl.Mem)
 					}
-					stats, err := cl.Run(inst.Progs)
+					stats, err := cl.RunContext(context.Background(), inst.Progs)
 					if err != nil {
 						t.Fatalf("%s: %v", schedModes[mode].name, err)
 					}
@@ -133,39 +134,39 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 	}
 }
 
-// runSeeded runs p on a fresh machine with the memory pools seeded
-// deterministically and returns the machine, its statistics and the
-// run's error. With traced set the machine carries a traced metrics
+// runSeeded runs p on a fresh one-unit cluster with the memory pools
+// seeded deterministically and returns the cluster, its statistics and
+// the run's error. With traced set the cluster carries a traced metrics
 // registry (stall slices and stream lifetimes recorded); it is
 // scheduled the same way either way.
-func runSeeded(t *testing.T, cfg core.Config, p *core.Program, seed int64, traced bool) (*core.Machine, *core.Stats, error) {
+func runSeeded(t *testing.T, cfg core.Config, p *core.Program, seed int64, traced bool) (*core.Cluster, *core.Stats, error) {
 	t.Helper()
-	m, err := core.NewMachine(cfg)
+	cl, err := core.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if traced {
-		m.EnableMetrics(obs.New(0, obs.Options{Slices: obs.DefaultSlices}))
+		cl.EnableMetrics(obs.Options{Slices: obs.DefaultSlices})
 	}
 	line := make([]byte, 64)
 	irng := rand.New(rand.NewSource(seed + 1000))
 	for _, base := range progen.MemPools {
 		irng.Read(line)
-		m.Sys.Mem.Write(base, line)
+		cl.Mem.Write(base, line)
 	}
-	stats, err := m.Run(p)
-	return m, stats, err
+	stats, err := cl.RunContext(context.Background(), []*core.Program{p})
+	return cl, stats, err
 }
 
 // runPlain is runSeeded with no observers attached, failing the test on
 // a run error.
-func runPlain(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Machine, *core.Stats) {
+func runPlain(t *testing.T, cfg core.Config, p *core.Program, seed int64) (*core.Cluster, *core.Stats) {
 	t.Helper()
-	m, stats, err := runSeeded(t, cfg, p, seed, false)
+	cl, stats, err := runSeeded(t, cfg, p, seed, false)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return m, stats
+	return cl, stats
 }
 
 // genProgram builds the seeded generated program the skip-ahead tests
@@ -203,26 +204,26 @@ func TestSpanEquivalenceSeeds(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		fixed := genProgram(t, cfg, seed)
 
-		mRef, sRef := runPlain(t, applyMode(cfg, 0), fixed, seed)
+		clRef, sRef := runPlain(t, applyMode(cfg, 0), fixed, seed)
 		for mode := 1; mode < len(schedModes); mode++ {
-			m, s := runPlain(t, applyMode(cfg, mode), fixed, seed)
+			cl, s := runPlain(t, applyMode(cfg, mode), fixed, seed)
 			if !reflect.DeepEqual(sRef, s) {
 				t.Errorf("seed %d: stats differ between %s and %s:\n  %+v\n  %+v",
 					seed, schedModes[0].name, schedModes[mode].name, sRef, s)
 			}
-			if addr, diff := m.Sys.Mem.FirstDiff(mRef.Sys.Mem); diff {
+			if addr, diff := cl.Mem.FirstDiff(clRef.Mem); diff {
 				t.Errorf("seed %d: memory differs at %#x between %s and %s",
 					seed, addr, schedModes[0].name, schedModes[mode].name)
 			}
 			if mode == 1 {
-				spans += m.SchedStats().Spans
+				spans += cl.SchedStats().Spans
 			}
 		}
 
 		var dumpRef []byte
 		for mode := range schedModes {
-			m, _ := runTraced(t, applyMode(cfg, mode), fixed, seed)
-			dump := metricsDump(t, m)
+			cl, _ := runTraced(t, applyMode(cfg, mode), fixed, seed)
+			dump := metricsDump(t, cl)
 			if mode == 0 {
 				dumpRef = dump
 				continue
@@ -257,15 +258,15 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				run := func(mode int) (*core.Machine, *core.Stats, faults.Stats) {
+				run := func(mode int) (*core.Cluster, *core.Stats, faults.Stats) {
 					c := applyMode(cfg, mode)
 					c.Faults = &fc
-					m, s := runPlain(t, c, fixed, seed)
-					return m, s, m.FaultStats()
+					cl, s := runPlain(t, c, fixed, seed)
+					return cl, s, cl.FaultStats()
 				}
-				mRef, sRef, fRef := run(0)
+				clRef, sRef, fRef := run(0)
 				for mode := 1; mode < len(schedModes); mode++ {
-					m, s, f := run(mode)
+					cl, s, f := run(mode)
 					if !reflect.DeepEqual(sRef, s) {
 						t.Errorf("seed %d: stats differ between %s and %s under %s:\n  %+v\n  %+v",
 							seed, schedModes[0].name, schedModes[mode].name, profile, sRef, s)
@@ -274,13 +275,13 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 						t.Errorf("seed %d: fault schedule differs between %s and %s under %s:\n  %+v\n  %+v",
 							seed, schedModes[0].name, schedModes[mode].name, profile, fRef, f)
 					}
-					if addr, diff := m.Sys.Mem.FirstDiff(mRef.Sys.Mem); diff {
+					if addr, diff := cl.Mem.FirstDiff(clRef.Mem); diff {
 						t.Errorf("seed %d: memory differs at %#x between %s and %s under %s",
 							seed, addr, schedModes[0].name, schedModes[mode].name, profile)
 					}
-					if profile == "stall" && mode == 1 && m.SchedStats().Spans != 0 {
+					if profile == "stall" && mode == 1 && cl.SchedStats().Spans != 0 {
 						t.Errorf("seed %d: retired %d spans under per-cycle stall draws; spans must self-disable",
-							seed, m.SchedStats().Spans)
+							seed, cl.SchedStats().Spans)
 					}
 				}
 			}
@@ -319,16 +320,16 @@ func FuzzSpanEquivalence(f *testing.F) {
 			}
 			c.Faults = &fc
 		}
-		run := func(mode int) (*core.Machine, *core.Stats, string) {
-			m, s, err := runSeeded(t, applyMode(c, mode), p, seed, traced)
+		run := func(mode int) (*core.Cluster, *core.Stats, string) {
+			cl, s, err := runSeeded(t, applyMode(c, mode), p, seed, traced)
 			if err != nil && !maim {
 				t.Fatalf("seed %d, %s: %v", seed, schedModes[mode].name, err)
 			}
-			return m, s, outcome(err)
+			return cl, s, outcome(err)
 		}
-		mRef, sRef, eRef := run(0)
+		clRef, sRef, eRef := run(0)
 		for mode := 1; mode < len(schedModes); mode++ {
-			m, s, e := run(mode)
+			cl, s, e := run(mode)
 			if e != eRef {
 				t.Errorf("seed %d: outcomes differ between %s and %s:\n%s:\n%s\n%s:\n%s",
 					seed, schedModes[0].name, schedModes[mode].name, schedModes[0].name, eRef, schedModes[mode].name, e)
@@ -340,11 +341,11 @@ func FuzzSpanEquivalence(f *testing.F) {
 				t.Errorf("seed %d: stats differ between %s and %s:\n  %+v\n  %+v",
 					seed, schedModes[0].name, schedModes[mode].name, sRef, s)
 			}
-			if addr, diff := m.Sys.Mem.FirstDiff(mRef.Sys.Mem); diff {
+			if addr, diff := cl.Mem.FirstDiff(clRef.Mem); diff {
 				t.Errorf("seed %d: memory differs at %#x between %s and %s",
 					seed, addr, schedModes[0].name, schedModes[mode].name)
 			}
-			if traced && !bytes.Equal(metricsDump(t, mRef), metricsDump(t, m)) {
+			if traced && !bytes.Equal(metricsDump(t, clRef), metricsDump(t, cl)) {
 				t.Errorf("seed %d: metrics dump differs between %s and %s",
 					seed, schedModes[0].name, schedModes[mode].name)
 			}

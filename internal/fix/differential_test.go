@@ -1,6 +1,7 @@
 package fix_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,7 +53,7 @@ func runCluster(t *testing.T, inst *workloads.Instance, cfg core.Config, progs [
 	if inst.Init != nil {
 		inst.Init(cl.Mem)
 	}
-	if _, err := cl.Run(progs); err != nil {
+	if _, err := cl.RunContext(context.Background(), progs); err != nil {
 		t.Fatalf("running: %v", err)
 	}
 	return cl.Mem
@@ -105,15 +106,15 @@ func TestFixPreservesExamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(e programs.Example, p *core.Program) (*mem.Memory, error) {
-		m, err := core.NewMachine(e.Cfg)
+		cl, err := core.NewCluster(e.Cfg, 1)
 		if err != nil {
 			return nil, err
 		}
-		e.Init(m.Sys.Mem)
-		if _, err := m.Run(p); err != nil {
+		e.Init(cl.Mem)
+		if _, err := cl.RunContext(context.Background(), []*core.Program{p}); err != nil {
 			return nil, fmt.Errorf("running: %w", err)
 		}
-		return m.Sys.Mem, nil
+		return cl.Mem, nil
 	}
 	for _, e := range exs {
 		e := e

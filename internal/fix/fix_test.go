@@ -1,6 +1,7 @@
 package fix_test
 
 import (
+	"context"
 	"testing"
 
 	"softbrain/internal/core"
@@ -287,7 +288,7 @@ func TestEliminateScratchRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		inst.Init(cl.Mem)
-		stats, err := cl.Run(progs)
+		stats, err := cl.RunContext(context.Background(), progs)
 		if err != nil {
 			t.Fatal(err)
 		}

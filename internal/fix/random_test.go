@@ -1,6 +1,7 @@
 package fix_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -53,18 +54,18 @@ func TestFixMatchesSerialized(t *testing.T) {
 		init := make([]byte, 64)
 		irng := rand.New(rand.NewSource(seed + 1000))
 		run := func(prog *core.Program) *mem.Memory {
-			m, err := core.NewMachine(cfg)
+			cl, err := core.NewCluster(cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, base := range progen.MemPools {
 				irng.Read(init)
-				m.Sys.Mem.Write(base, init)
+				cl.Mem.Write(base, init)
 			}
-			if _, err := m.Run(prog); err != nil {
+			if _, err := cl.RunContext(context.Background(), []*core.Program{prog}); err != nil {
 				t.Fatalf("seed %d: running %s: %v", seed, prog.Name, err)
 			}
-			return m.Sys.Mem
+			return cl.Mem
 		}
 		irng.Seed(seed + 1000)
 		want := run(ser)

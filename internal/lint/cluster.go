@@ -12,7 +12,7 @@ import (
 // This file is the cluster-scope analysis: the machine checker proves a
 // single unit's streams ordered, but a core.Cluster runs several units
 // over one backing memory with no inter-unit ordering primitive at all
-// — units synchronize only when a Run returns, i.e. at pipeline phase
+// — units synchronize only when a run returns, i.e. at pipeline phase
 // boundaries. The parallel scheduler is byte-identical to the
 // sequential one *only because* clustered workloads keep their DRAM
 // footprints disjoint; nothing at runtime verifies that convention, so
@@ -338,9 +338,9 @@ func (c *clusterChecker) pairSweep() {
 // regionRules enforces the checked shared-region pipeline contract over
 // the whole phase sequence: exactly one unit writes a region, and every
 // foreign reader runs in a phase strictly after the writer's last write
-// — the phase boundary (Cluster.Run returning) is the only inter-unit
-// barrier, so same-phase or earlier reads observe a schedule-dependent
-// mix of old and new bytes.
+// — the phase boundary (a Cluster.RunPipeline phase completing) is the
+// only inter-unit barrier, so same-phase or earlier reads observe a
+// schedule-dependent mix of old and new bytes.
 func (c *clusterChecker) regionRules(phases int) {
 	for ri, r := range c.opts.Regions {
 		firstWriter := -1

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 	"softbrain/internal/lint"
 )
 
-// TestHookedLoad exercises the machine-side integration: a machine with
-// the Lint hook installed refuses hazardous programs at Load, and so at
-// Run, and accepts and runs clean ones.
+// TestHookedLoad exercises the run-side integration on a lone unit: a
+// one-unit cluster with the cluster hook installed, which runs the
+// machine-scope checks on every program, refuses a hazardous program
+// before it loads, and accepts and runs a clean one.
 func TestHookedLoad(t *testing.T) {
 	racy, cfg := newProg(t)
 	emit(t, racy, isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: racy.In("A")})
@@ -19,20 +21,16 @@ func TestHookedLoad(t *testing.T) {
 	emit(t, racy, isa.PortMem{Src: racy.Out("C"), Dst: isa.Linear(0x1020, 64)})
 	emit(t, racy, isa.BarrierAll{})
 
-	m, err := core.NewMachine(cfg)
+	cl, err := core.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Lint = lint.Hook(m.Config())
-	err = m.Load(racy)
-	if err == nil {
-		t.Fatal("hooked Load accepted a racy program")
+	cl.Lint = lint.ClusterHook(cfg, lint.ClusterOpts{})
+	run := func(p *core.Program) (*core.Stats, error) {
+		return cl.RunContext(context.Background(), []*core.Program{p})
 	}
-	if !strings.Contains(err.Error(), lint.CheckRace) {
-		t.Fatalf("hooked Load error %q does not name the race check", err)
-	}
-	if _, err := m.Run(racy); err == nil || !strings.Contains(err.Error(), lint.CheckRace) {
-		t.Fatalf("hooked Run(racy) = %v, want the race refusal", err)
+	if _, err := run(racy); err == nil || !strings.Contains(err.Error(), lint.CheckRace) {
+		t.Fatalf("hooked run(racy) = %v, want the race refusal", err)
 	}
 
 	clean, _ := newProg(t)
@@ -41,18 +39,18 @@ func TestHookedLoad(t *testing.T) {
 	emit(t, clean, isa.PortMem{Src: clean.Out("C"), Dst: isa.Linear(0x3000, 64)})
 	emit(t, clean, isa.BarrierAll{})
 	for i := uint64(0); i < 8; i++ {
-		m.Sys.Mem.WriteU64(0x1000+8*i, i)
-		m.Sys.Mem.WriteU64(0x2000+8*i, 10*i)
+		cl.Mem.WriteU64(0x1000+8*i, i)
+		cl.Mem.WriteU64(0x2000+8*i, 10*i)
 	}
-	stats, err := m.Run(clean)
+	stats, err := run(clean)
 	if err != nil {
-		t.Fatalf("hooked Run(clean) = %v", err)
+		t.Fatalf("hooked run(clean) = %v", err)
 	}
 	if stats.Instances != 8 {
 		t.Fatalf("instances = %d, want 8", stats.Instances)
 	}
 	for i := uint64(0); i < 8; i++ {
-		if got := m.Sys.Mem.ReadU64(0x3000 + 8*i); got != 11*i {
+		if got := cl.Mem.ReadU64(0x3000 + 8*i); got != 11*i {
 			t.Fatalf("r[%d] = %d, want %d", i, got, 11*i)
 		}
 	}

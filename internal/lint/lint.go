@@ -49,7 +49,6 @@ package lint
 
 import (
 	"fmt"
-	"strings"
 
 	"softbrain/internal/core"
 	"softbrain/internal/isa"
@@ -218,29 +217,4 @@ func Errors(fs []Finding) []Finding {
 		}
 	}
 	return out
-}
-
-// Hook adapts the linter to the core.Machine Lint hook: it refuses any
-// program with error-severity findings. Install it with
-//
-//	m.Lint = lint.Hook(m.Config())
-//
-// and every Machine.Load (and so every Run) vets its program.
-func Hook(cfg core.Config) func(*core.Program) error {
-	return func(p *core.Program) error {
-		fs, err := Check(p, cfg)
-		if err != nil {
-			return err
-		}
-		errs := Errors(fs)
-		if len(errs) == 0 {
-			return nil
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "lint: program %s has %d hazard(s):", p.Name, len(errs))
-		for _, f := range errs {
-			fmt.Fprintf(&b, "\n  %v", f)
-		}
-		return fmt.Errorf("%s", b.String())
-	}
 }

@@ -56,24 +56,32 @@ func (c *Client) Submit(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eb ErrorBody
-		if jerr := json.Unmarshal(data, &eb); jerr != nil || eb.Error.Kind == "" {
-			return nil, &apiError{Status: resp.StatusCode, Kind: KindTransport,
-				Msg: fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))}
-		}
-		ae := &apiError{Status: resp.StatusCode, Kind: eb.Error.Kind, Msg: eb.Error.Message}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, ae
+		return nil, rejection(resp, data)
 	}
 	var out Response
 	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// rejection decodes the body of a rejected exchange, read into data:
+// an error envelope becomes its *apiError, with the Retry-After delay
+// when the server sent one; any other body becomes a KindTransport
+// error quoting the status and the body.
+func rejection(resp *http.Response, data []byte) *apiError {
+	var eb ErrorBody
+	if jerr := json.Unmarshal(data, &eb); jerr != nil || eb.Error.Kind == "" {
+		return &apiError{Status: resp.StatusCode, Kind: KindTransport,
+			Msg: fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))}
+	}
+	ae := &apiError{Status: resp.StatusCode, Kind: eb.Error.Kind, Msg: eb.Error.Message}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, perr := strconv.Atoi(ra); perr == nil {
+			ae.RetryAfter = time.Duration(secs) * time.Second
+		}
+	}
+	return ae
 }
 
 // SubmitRetry is Submit under the retry policy. It returns the number

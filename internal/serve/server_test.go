@@ -168,9 +168,9 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
-// TestAdmissionShed fills the worker pool and queue, then requires the
-// overflow request to be shed with 429 + Retry-After, immediately —
-// never queued unboundedly, never hung.
+// TestAdmissionShed fills the worker pool and queue, then requires an
+// overflow request, unary or streamed, to be shed with 429 +
+// Retry-After, immediately — never queued unboundedly, never hung.
 func TestAdmissionShed(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
@@ -197,23 +197,34 @@ func TestAdmissionShed(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	start := time.Now()
-	_, err := cl.Submit(ctx, Request{Workload: "gemm", Scale: 3})
-	var ae *apiError
-	if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ae.Kind != KindOverload {
-		t.Fatalf("overflow submission: err = %v, want 429 overloaded", err)
+	// A unary and a streamed overflow each meet the same typed
+	// rejection; the streamed one gets it before any stream starts.
+	overflow := []struct {
+		name   string
+		submit func(Request) error
+	}{
+		{"unary", func(req Request) error { _, err := cl.Submit(ctx, req); return err }},
+		{"streamed", func(req Request) error { _, err := cl.SubmitStream(ctx, req); return err }},
 	}
-	if !ae.Kind.Retryable() {
-		t.Fatal("overload not marked retryable")
-	}
-	if ae.RetryAfter <= 0 {
-		t.Fatal("429 carried no Retry-After")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("shed request took %v; shedding must be immediate", waited)
-	}
-	if c := s.Counters(); c.Shed != 1 {
-		t.Fatalf("counters: %+v", c)
+	for i, o := range overflow {
+		start := time.Now()
+		err := o.submit(Request{Workload: "gemm", Scale: 3})
+		var ae *apiError
+		if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ae.Kind != KindOverload {
+			t.Fatalf("%s overflow submission: err = %v, want 429 overloaded", o.name, err)
+		}
+		if !ae.Kind.Retryable() {
+			t.Fatalf("%s: overload not marked retryable", o.name)
+		}
+		if ae.RetryAfter <= 0 {
+			t.Fatalf("%s: 429 carried no Retry-After", o.name)
+		}
+		if waited := time.Since(start); waited > 2*time.Second {
+			t.Fatalf("%s: shed request took %v; shedding must be immediate", o.name, waited)
+		}
+		if c := s.Counters(); c.Shed != uint64(i+1) {
+			t.Fatalf("after the %s overflow: counters: %+v", o.name, c)
+		}
 	}
 	releaseAll()
 	wg.Wait()

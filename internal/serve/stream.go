@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"softbrain/internal/core"
 )
@@ -329,18 +328,7 @@ func (c *Client) SubmitStream(ctx context.Context, req Request) (*StreamOutcome,
 		if rerr != nil {
 			return nil, rerr
 		}
-		var eb ErrorBody
-		if jerr := json.Unmarshal(data, &eb); jerr != nil || eb.Error.Kind == "" {
-			return nil, &apiError{Status: resp.StatusCode, Kind: KindTransport,
-				Msg: fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))}
-		}
-		ae := &apiError{Status: resp.StatusCode, Kind: eb.Error.Kind, Msg: eb.Error.Message}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, perr := strconv.Atoi(ra); perr == nil {
-				ae.RetryAfter = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, ae
+		return nil, rejection(resp, data)
 	}
 
 	out := &StreamOutcome{RunID: resp.Header.Get("X-Run-Id")}

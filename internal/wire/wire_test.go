@@ -67,11 +67,11 @@ func TestRoundTripGenerated(t *testing.T) {
 		}
 		// The decoded program must be loadable: the binary ISA round
 		// trip at Load time is the final arbiter of encodability.
-		m, err := core.NewMachine(core.DefaultConfig())
+		cl, err := core.NewCluster(core.DefaultConfig(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Load(q); err != nil {
+		if err := cl.Units[0].Load(q); err != nil {
 			t.Fatalf("seed %d: loading decoded program: %v", seed, err)
 		}
 	}

@@ -4,8 +4,12 @@
 #   1. gofmt         every tracked .go file is formatted
 #   2. go vet        standard static analysis, of the root module and of
 #                    the benchmark module (perfbench/ has its own go.mod,
-#                    so the root ./... never reaches it)
-#   3. go build      everything compiles, including the example binaries
+#                    so the root ./... never reaches it), then the
+#                    benchmark's self-tests: every workload driven
+#                    briefly through its correctness gate against this
+#                    checkout's code
+#   3. go build      everything compiles, and every example binary
+#                    (make examples) runs to a verified result
 #   4. go test -race full test suite under the race detector
 #   5. golangci-lint supplementary static analysis with the pinned
 #                    .golangci.yml config — runs only when the binary
@@ -75,11 +79,12 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== go vet (perfbench module)"
-(cd perfbench && go vet ./...)
+echo "== go vet + self-tests (perfbench module)"
+(cd perfbench && go vet ./... && go test .)
 
-echo "== go build"
+echo "== go build + examples"
 go build ./...
+make examples
 
 echo "== go test -race"
 go test -race ./...

@@ -6,13 +6,13 @@
 // The package is a facade over the implementation packages: it exposes
 // everything needed to build dataflow graphs, compile them onto the
 // CGRA, write stream-dataflow programs (the full Table 2 command set),
-// and run them on a simulated Softbrain unit or multi-unit cluster with
-// power and area models.
+// and run them on a simulated cluster of one or more Softbrain units
+// with power and area models. A lone unit is a one-unit cluster.
 //
 // A minimal program (the paper's Figure 4 dot product):
 //
 //	cfg := softbrain.DefaultConfig()
-//	m, _ := softbrain.NewMachine(cfg)
+//	cl, _ := softbrain.NewCluster(cfg, 1)
 //
 //	b := softbrain.NewGraph("dotprod")
 //	a, v := b.Input("A", 3), b.Input("B", 3)
@@ -29,7 +29,7 @@
 //	p.Emit(softbrain.MemPort{Src: softbrain.Linear(bAddr, n*8), Dst: p.In("B")})
 //	p.Emit(softbrain.PortMem{Src: p.Out("C"), Dst: softbrain.Linear(rAddr, n/3*8)})
 //	p.Emit(softbrain.BarrierAll{})
-//	stats, _ := m.Run(p)
+//	stats, _ := cl.RunContext(context.Background(), []*softbrain.Program{p})
 package softbrain
 
 import (
@@ -50,11 +50,13 @@ type (
 	// Config parameterizes one Softbrain unit: fabric, memory timing,
 	// scratchpad size, queue depths and issue costs.
 	Config = core.Config
-	// Machine is one Softbrain unit: control core, dispatcher, stream
-	// engines, vector ports, scratchpad and CGRA over a memory system.
+	// Machine is one Softbrain unit of a Cluster: control core,
+	// dispatcher, stream engines, vector ports, scratchpad and CGRA over
+	// a memory system.
 	Machine = core.Machine
-	// Cluster is several units sharing backing memory and DRAM
-	// bandwidth, each with a private cache.
+	// Cluster is one or more units sharing backing memory and DRAM
+	// bandwidth, each with a private cache; RunContext runs programs on
+	// it.
 	Cluster = core.Cluster
 	// Program is a stream-dataflow program: configurations plus the
 	// command trace the control core replays.
@@ -71,9 +73,9 @@ type (
 	DeadlockError = core.DeadlockError
 	// HangClass classifies a DeadlockError.
 	HangClass = core.HangClass
-	// MachineError is an invariant violation recovered at Run: the
-	// machine is wedged, but the failure arrives as an error naming the
-	// component and cycle, never as a panic.
+	// MachineError is an invariant violation recovered by RunContext:
+	// the machine is wedged, but the failure arrives as an error naming
+	// the unit, component and cycle, never as a panic.
 	MachineError = core.MachineError
 	// CanceledError is a run ended early by its context (caller cancel
 	// or wall-clock deadline): the machine was healthy, the host gave
@@ -169,10 +171,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // DNNConfig is the DianNao-comparison configuration of Section 7.1.
 func DNNConfig() Config { return core.DNNConfig() }
 
-// NewMachine builds one Softbrain unit.
-func NewMachine(cfg Config) (*Machine, error) { return core.NewMachine(cfg) }
-
-// NewCluster builds n units over shared memory.
+// NewCluster builds n units over shared memory; n = 1 is one Softbrain
+// unit.
 func NewCluster(cfg Config, n int) (*Cluster, error) { return core.NewCluster(cfg, n) }
 
 // NewProgram starts an empty stream-dataflow program.
@@ -202,12 +202,6 @@ type LintFinding = lint.Finding
 // that would run it; findings are returned in trace order.
 func LintProgram(p *Program, cfg Config) ([]LintFinding, error) { return lint.Check(p, cfg) }
 
-// LintHook adapts the linter to Machine.Lint; once installed, every
-// Load (and so every Run) refuses a hazardous program:
-//
-//	m.Lint = softbrain.LintHook(m.Config())
-func LintHook(cfg Config) func(*Program) error { return lint.Hook(cfg) }
-
 // LintResult is a full analysis result: findings plus the per-check
 // bytes-checked totals.
 type LintResult = lint.Result
@@ -235,7 +229,8 @@ func LintPipeline(phases [][]*Program, cfg Config, o ClusterLintOpts) (LintResul
 
 // ClusterLintHook adapts the cluster analysis to Cluster.Lint; once
 // installed, RunContext and RunPipeline refuse a racy program set
-// before any unit loads:
+// before any unit loads. It runs LintProgram's checks on every program
+// too, so it vets a one-unit cluster's lone program as well:
 //
 //	cl.Lint = softbrain.ClusterLintHook(cfg, softbrain.ClusterLintOpts{})
 func ClusterLintHook(cfg Config, o ClusterLintOpts) func([][]*Program) error {

@@ -1,6 +1,7 @@
 package softbrain_test
 
 import (
+	"context"
 	"testing"
 
 	"softbrain"
@@ -11,7 +12,7 @@ import (
 // and the power model.
 func TestPublicAPIDotProduct(t *testing.T) {
 	cfg := softbrain.DefaultConfig()
-	m, err := softbrain.NewMachine(cfg)
+	cl, err := softbrain.NewCluster(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +41,8 @@ func TestPublicAPIDotProduct(t *testing.T) {
 
 	const n, aAddr, bAddr, rAddr = 24, 0x1000, 0x2000, 0x3000
 	for i := uint64(0); i < n; i++ {
-		m.Sys.Mem.WriteU64(aAddr+8*i, i)
-		m.Sys.Mem.WriteU64(bAddr+8*i, i+1)
+		cl.Mem.WriteU64(aAddr+8*i, i)
+		cl.Mem.WriteU64(bAddr+8*i, i+1)
 	}
 	p := softbrain.NewProgram("dotprod")
 	p.CompileAndConfigure(cfg.Fabric, g)
@@ -50,7 +51,7 @@ func TestPublicAPIDotProduct(t *testing.T) {
 	p.Emit(softbrain.PortMem{Src: p.Out("C"), Dst: softbrain.Linear(rAddr, n/3*8)})
 	p.Emit(softbrain.BarrierAll{})
 
-	stats, err := m.Run(p)
+	stats, err := cl.RunContext(context.Background(), []*softbrain.Program{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestPublicAPIDotProduct(t *testing.T) {
 			k := 3*i + j
 			want += k * (k + 1)
 		}
-		if got := m.Sys.Mem.ReadU64(rAddr + 8*i); got != want {
+		if got := cl.Mem.ReadU64(rAddr + 8*i); got != want {
 			t.Errorf("r[%d] = %d, want %d", i, got, want)
 		}
 	}
