@@ -172,14 +172,14 @@ func (c coreComp) stallCause(now uint64) obs.Cause {
 }
 
 // Watch: a core blocked on the dispatcher (queue full or barrier
-// pending) can only unblock when the dispatcher's state changes. Once
-// the trace is exhausted the core can never act again, so it watches
+// pending) can only unblock when a command leaves the queue. Once the
+// trace is exhausted the core can never act again, so it watches
 // nothing and dispatcher churn stops waking it.
 func (c coreComp) Watch(dst []*sim.Signal) []*sim.Signal {
 	if c.m.replayed() {
 		return dst
 	}
-	return append(dst, &c.m.disp.StateVer)
+	return append(dst, &c.m.disp.Dequeued)
 }
 
 // OnSkip replays the core's stall counter: a skip happens only while

@@ -177,11 +177,12 @@ type Dispatcher struct {
 
 	// Wake signals (see sim.Signal). EnqSeq is raised by every accepted
 	// enqueue — the dispatcher watches it so a command arriving from
-	// the core wakes a sleeping dispatcher. StateVer is raised by every
-	// scoreboard or queue change — the control core watches it, since
-	// BlocksCore can only clear when the dispatcher changes state.
+	// the core wakes a sleeping dispatcher. Dequeued is raised by every
+	// command leaving the queue (an issue or a barrier pop) — the
+	// control core watches it, since BlocksCore (a full queue, or an
+	// SD_Barrier_All queued) can only clear when the queue shrinks.
 	EnqSeq   sim.Signal
-	StateVer sim.Signal
+	Dequeued sim.Signal
 
 	// Scan stamps for the dispatch window's port-conflict check: a port
 	// stamped with the current generation is referenced by an older
@@ -343,7 +344,7 @@ func (d *Dispatcher) Tick(now uint64) error {
 				d.dequeue(0)
 				d.Issued++
 				d.tickProgress = true
-				d.StateVer.Raise()
+				d.Dequeued.Raise()
 			} else if i == 0 {
 				d.ResourceStall++
 				d.repeatResource = true
@@ -354,7 +355,7 @@ func (d *Dispatcher) Tick(now uint64) error {
 			if i == 0 && d.barrierMet(cmd.Kind()) {
 				d.dequeue(0)
 				d.tickProgress = true
-				d.StateVer.Raise()
+				d.Dequeued.Raise()
 			} else if i == 0 {
 				d.BarrierCycles++
 				d.repeatBarrier, d.repeatPos = true, q.pos
@@ -412,7 +413,7 @@ func (d *Dispatcher) Tick(now uint64) error {
 		d.dequeue(i)
 		d.Issued++
 		d.tickProgress = true
-		d.StateVer.Raise()
+		d.Dequeued.Raise()
 		return nil
 	}
 	return nil
@@ -573,7 +574,6 @@ func (d *Dispatcher) retire(now uint64) {
 		}
 		r := d.active[i].res
 		d.tickProgress = true
-		d.StateVer.Raise()
 		if p := r.inWriter; p >= 0 {
 			for j := range d.inWriter[p] {
 				if d.inWriter[p][j].id == id {
@@ -602,7 +602,6 @@ func (d *Dispatcher) free(ids []int, now uint64) {
 			d.Lat.Observe(now - a.at)
 		}
 		d.tickProgress = true
-		d.StateVer.Raise()
 		r := a.res
 		if p := r.inWriter; p >= 0 {
 			hs := d.inWriter[p][:0]

@@ -8,6 +8,7 @@ import (
 	"softbrain/internal/mem"
 	"softbrain/internal/port"
 	"softbrain/internal/scratch"
+	"softbrain/internal/sim"
 )
 
 type rig struct {
@@ -222,6 +223,55 @@ func TestResourceStallCounted(t *testing.T) {
 	})
 	if r.d.ResourceStall == 0 {
 		t.Error("expected resource stalls for same-port streams")
+	}
+}
+
+// dequeueWatcher sleeps until the dispatcher raises Dequeued, as the
+// control core does while the dispatcher blocks it.
+type dequeueWatcher struct{ d *Dispatcher }
+
+func (w dequeueWatcher) Name() string             { return "watcher" }
+func (w dequeueWatcher) Tick(uint64) error        { return nil }
+func (w dequeueWatcher) NextWake(uint64) sim.Hint { return sim.Idle() }
+func (w dequeueWatcher) Progress() uint64         { return 0 }
+func (w dequeueWatcher) Watch(dst []*sim.Signal) []*sim.Signal {
+	return append(dst, &w.d.Dequeued)
+}
+
+// TestDequeuedWakesOnlyOnDequeue: what blocks the control core (a full
+// queue, or an SD_Barrier_All queued) clears only when a command leaves
+// the queue, so Dequeued is raised by an issue and by a barrier pop, and
+// not by a stream reaching all-requests-in-flight or retiring.
+func TestDequeuedWakesOnlyOnDequeue(t *testing.T) {
+	r := newRig(t)
+	var k sim.Kernel
+	k.Register(dequeueWatcher{r.d})
+	k.AfterTick(0, 0) // declare the watch set, then sleep
+	woken := func() bool {
+		n, _, _ := k.Due(r.now)
+		k.AfterTick(0, r.now)
+		return n == 1
+	}
+	must(t, r.d.Enqueue(isa.MemPort{Src: isa.Linear(0x1000, 64), Dst: 0}))
+	r.tick(t)
+	if !woken() {
+		t.Error("issuing a stream did not raise Dequeued")
+	}
+	drained := false
+	for !r.d.Idle() && r.now < 1000 {
+		r.tick(t)
+		if woken() {
+			t.Errorf("cycle %d raised Dequeued with nothing dequeued", r.now-1)
+		}
+		drained = drained || len(r.d.inWriter[0]) == 1 && r.d.inWriter[0][0].draining
+	}
+	if !drained || !r.d.Idle() {
+		t.Fatalf("the stream did not drain and retire (drained %v, idle %v)", drained, r.d.Idle())
+	}
+	must(t, r.d.Enqueue(isa.BarrierAll{}))
+	r.tick(t)
+	if !woken() || r.d.QueueLen() != 0 {
+		t.Error("popping a met SD_Barrier_All did not raise Dequeued")
 	}
 }
 

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"softbrain/internal/isa"
 	"softbrain/internal/mem"
 	"softbrain/internal/port"
 	"softbrain/internal/scratch"
+	"softbrain/internal/sim"
 )
 
 // rig is a small test bench: a memory system, scratchpad, ports and all
@@ -396,5 +398,83 @@ func TestEngineTableLimits(t *testing.T) {
 	}
 	if err := r.rse.Start(1, isa.MemPort{}); err == nil {
 		t.Error("RSE accepted a memory command")
+	}
+}
+
+// orderBlocked drives the all-requests-in-flight overlap on one input
+// port: SD_Mem_Port stream 1 reads a cold line (a DRAM miss) and, once
+// it has issued its only request, stream 2 reads a cached line into the
+// same port. Stream 2's response is ready long before stream 1's, but it
+// may only follow it into the port. The rig runs for cycles [0, end): on
+// every cycle, or, when hinted, only on the cycles the engine's own
+// wake hint or a stream start (which raises Kicks) makes due, with the
+// cycles in between replayed through OnSkip. It returns port 0's
+// occupancy after each cycle, the bytes delivered, the cycles the
+// engine ticked on and the hint after the tick at cycle wantAt.
+func orderBlocked(t *testing.T, end, wantAt uint64, hinted bool) (occ []int, got []byte, ticks []uint64, hint sim.Hint) {
+	t.Helper()
+	r := newRig(t)
+	const cold, warm = 0x1000, 0x8000
+	for i := range uint64(LineBytes) {
+		r.sys.Mem.StoreByte(cold+i, byte(i))
+		r.sys.Mem.StoreByte(warm+i, byte(0x80+i))
+	}
+	r.sys.Cache.Access(warm)
+	starts := map[uint64]isa.MemPort{
+		0: {Src: isa.Linear(cold, LineBytes), Dst: 0},
+		1: {Src: isa.Linear(warm, LineBytes), Dst: 0},
+	}
+	h, last := sim.ReadyNow(), int64(-1)
+	for now := range end {
+		cmd, kicked := starts[now]
+		if kicked {
+			if err := r.mse.StartRead(int(now)+1, cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		due := kicked || h.Kind == sim.WakeReady || h.Kind == sim.WakeTimed && now >= h.At
+		if !hinted || due {
+			if from := uint64(last + 1); from < now {
+				r.mse.OnSkip(from, now)
+			}
+			if err := r.mse.Tick(now); err != nil {
+				t.Fatal(err)
+			}
+			ticks, last = append(ticks, now), int64(now)
+			if h = r.mse.NextWake(now); now == wantAt {
+				hint = h
+			}
+		}
+		occ = append(occ, r.ports.In[0].Len())
+	}
+	return occ, r.ports.In[0].Pop(r.ports.In[0].Len()), ticks, hint
+}
+
+// TestNextWakeWaitsForOlderStreamToPort: a ready response queued behind
+// an older stream to the same port is not deliverable, so the engine's
+// hint is the older stream's in-flight response, and ticking only on
+// the hinted cycles delivers the same bytes on the same cycles as
+// ticking every cycle.
+func TestNextWakeWaitsForOlderStreamToPort(t *testing.T) {
+	cfg := mem.DefaultSysConfig()
+	missReady := cfg.HitLatency + cfg.MissLatency // stream 1 issues at cycle 0
+	hitReady := 1 + cfg.HitLatency                // stream 2 issues at cycle 1
+	end := missReady + 4
+	occ, got, _, hint := orderBlocked(t, end, hitReady, false)
+	if want := sim.WakeAt(missReady); hint != want {
+		t.Errorf("hint after cycle %d with stream 2 ready behind stream 1 = %+v, want %+v", hitReady, hint, want)
+	}
+	hOcc, hGot, hTicks, _ := orderBlocked(t, end, hitReady, true)
+	if !reflect.DeepEqual(hOcc, occ) {
+		t.Errorf("port occupancy per cycle differs:\nevery cycle %v\nhinted      %v", occ, hOcc)
+	}
+	if !bytes.Equal(hGot, got) || len(got) != 2*LineBytes || got[0] != 0 || got[LineBytes] != 0x80 {
+		t.Errorf("delivered bytes: every cycle %v, hinted %v; want the cold line, then the warm one", got, hGot)
+	}
+	for _, c := range hTicks {
+		if c > hitReady && c < missReady {
+			t.Errorf("hinted engine ticked at cycle %d, while only the blocked response was ready (ticks %v)", c, hTicks)
+			break
+		}
 	}
 }

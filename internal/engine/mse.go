@@ -214,9 +214,8 @@ func (e *MSE) Tick(now uint64) error {
 }
 
 // deliver moves ready read responses, in per-stream issue order, to
-// their destinations under the 64-byte bus budget. When several streams
-// target the same port (the all-requests-in-flight overlap), only the
-// oldest may deliver, preserving stream order into the port.
+// their destinations under the 64-byte bus budget. Only a stream in its
+// turn (inTurn) delivers.
 func (e *MSE) deliver(now uint64) bool {
 	budget := LineBytes
 	if e.Faults != nil {
@@ -226,11 +225,8 @@ func (e *MSE) deliver(now uint64) bool {
 	n := len(e.reads)
 	for i := 0; i < n && budget > 0; i++ {
 		s := e.reads[(e.rr+i)%n]
-		if s.pending.wake(now).Kind != sim.WakeReady {
-			continue // nothing deliverable: skip the order scan
-		}
-		if s.dstPort >= 0 && !e.oldestFor(s) {
-			continue
+		if s.pending.wake(now).Kind != sim.WakeReady || !e.inTurn(s) {
+			continue // testing readiness first skips the order scan
 		}
 		for budget > 0 {
 			head, ok := s.pending.take(now, budget)
@@ -255,11 +251,17 @@ func (e *MSE) deliver(now uint64) bool {
 	return moved
 }
 
-// oldestFor reports whether s is the oldest (smallest-id) active stream
-// targeting its destination port; only the oldest may deliver, so
-// overlapped successors stay in stream order. The table is tiny, so a
-// scan beats building a port map each cycle.
-func (e *MSE) oldestFor(s *memRead) bool {
+// inTurn reports whether read stream s may deliver its ready responses:
+// always when it does not target a vector port, otherwise only while it
+// is the oldest (smallest-id) active stream targeting that port, so the
+// successors the all-requests-in-flight overlap starts stay in stream
+// order. deliver and NextWake both ask it, so the tick and the wake hint
+// agree on what is deliverable. The table is tiny, so a scan beats
+// building a port map each cycle.
+func (e *MSE) inTurn(s *memRead) bool {
+	if s.dstPort < 0 {
+		return true
+	}
 	for _, o := range e.reads {
 		if o.dstPort == s.dstPort && o.id < s.id {
 			return false
@@ -632,13 +634,20 @@ func (e *MSE) watchIdx(dst []*sim.Signal, a *addrSource) []*sim.Signal {
 // next, the earliest timed event when every stream waits on one, Idle
 // when only another component's action can unblock the engine. The
 // hint may over-report Ready (a request rejected on a shared accept
-// port, say) — that is sound, it only forfeits a skip.
+// port, say) — that is sound, it only forfeits a skip. A ready response
+// counts only while its stream is in its turn, as in deliver: a
+// successor waiting behind an older stream to the same port wakes the
+// engine through that stream's hint, whose last delivery retires it. An
+// in-flight response counts either way, since StallCause changes when
+// it lands, and a frozen span is classified from its first cycle.
 func (e *MSE) NextWake(now uint64) sim.Hint {
 	h := sim.Idle()
 	for _, s := range e.reads {
-		resp := s.pending.wake(now)
-		if h = h.Earliest(resp); h.Kind == sim.WakeReady {
-			return h // deliverable
+		switch resp := s.pending.wake(now); {
+		case resp.Kind == sim.WakeReady && e.inTurn(s):
+			return resp // deliverable
+		case resp.Kind == sim.WakeTimed:
+			h = h.Earliest(resp)
 		}
 		switch e.readWait(s) {
 		case WaitNone:
@@ -646,7 +655,7 @@ func (e *MSE) NextWake(now uint64) sim.Hint {
 				return h // can issue the next line request
 			}
 		case waitIssued:
-			if resp.Kind == sim.WakeIdle {
+			if len(s.pending) == 0 {
 				return sim.ReadyNow() // retires next tick
 			}
 		}
