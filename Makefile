@@ -75,7 +75,10 @@ bench:
 # identical statistics and memory, or the same hang diagnosis;
 # FuzzClusterEquivalence runs 2–8 units, each under its own generated
 # program, per-cycle and with default scheduling and demands identical
-# memory, per-unit statistics and metrics dumps (docs/SIMKERNEL.md).
+# memory, per-unit statistics and metrics dumps (docs/SIMKERNEL.md);
+# FuzzLineReq drives the engines' run-form line requests (affine and
+# indirect AGUs, gather, scatter, rollback) against the per-byte
+# reference forms kept in internal/engine/linereq_test.go.
 # Go runs one -fuzz pattern per invocation, so the
 # targets run sequentially. Override the budget with FUZZTIME=30s.
 # Ends with the barrier-interval slide check (docs/LINT.md): every
@@ -90,6 +93,7 @@ fuzz-smoke:
 	go test ./internal/dfg -run '^$$' -fuzz '^FuzzEvaluator$$' -fuzztime $${FUZZTIME:-10s} -fuzzminimizetime 100x
 	go test ./internal/core -run '^$$' -fuzz '^FuzzSpanEquivalence$$' -fuzztime $${FUZZTIME:-10s}
 	go test ./internal/core -run '^$$' -fuzz '^FuzzClusterEquivalence$$' -fuzztime $${FUZZTIME:-10s}
+	go test ./internal/engine -run '^$$' -fuzz '^FuzzLineReq$$' -fuzztime $${FUZZTIME:-10s}
 	go test ./internal/fix -run '^TestIntervalSlide' -count=1 -v
 
 # Observability end-to-end check (docs/OBSERVABILITY.md): metrics +

@@ -48,8 +48,10 @@
 #                    algebra fuzz targets, the DFG evaluator against its
 #                    reference interpreter, the two-mode scheduling
 #                    equivalence fuzz (maimed, hanging programs
-#                    included) and the per-cycle vs default
-#                    cluster equivalence fuzz (docs/SIMKERNEL.md), plus the
+#                    included), the per-cycle vs default
+#                    cluster equivalence fuzz (docs/SIMKERNEL.md) and the
+#                    stream engines' line requests against their per-byte
+#                    reference forms, plus the
 #                    barrier-interval slide verification (docs/LINT.md);
 #                    `make fuzz-smoke` runs the full budget
 #  13. serve smoke   sdserve's in-process self-test (docs/SERVE.md):
