@@ -30,15 +30,15 @@ func TestAffineAGUCoversPatternExactly(t *testing.T) {
 			if !ok {
 				break
 			}
-			if len(req.Offsets) == 0 || len(req.Offsets) > max {
-				t.Logf("request size %d with budget %d", len(req.Offsets), max)
+			if len(reqOffsets(req)) == 0 || len(reqOffsets(req)) > max {
+				t.Logf("request size %d with budget %d", len(reqOffsets(req)), max)
 				return false
 			}
 			if req.Line%LineBytes != 0 {
 				t.Logf("unaligned line %#x", req.Line)
 				return false
 			}
-			for _, off := range req.Offsets {
+			for _, off := range reqOffsets(req) {
 				if off >= LineBytes {
 					t.Logf("offset %d out of line", off)
 					return false
@@ -89,7 +89,7 @@ func TestAffineAGUMinimalRequests(t *testing.T) {
 				return false
 			}
 			prevLine = req.Line
-			prevFull = len(req.Offsets) < LineBytes
+			prevFull = len(reqOffsets(req)) < LineBytes
 		}
 		return true
 	}
@@ -99,7 +99,10 @@ func TestAffineAGUMinimalRequests(t *testing.T) {
 }
 
 func TestLineReqMask(t *testing.T) {
-	r := LineReq{Line: 0, Offsets: []uint8{0, 1, 1, 63}}
+	var r LineReq
+	for _, off := range []int{0, 1, 1, 63} {
+		r.add(off, 1)
+	}
 	if r.Bytes() != 4 {
 		t.Errorf("Bytes = %d", r.Bytes())
 	}
@@ -132,7 +135,7 @@ func TestIndirectAGUOrderAndCoalescing(t *testing.T) {
 			if req.Line%LineBytes != 0 {
 				return false
 			}
-			for _, off := range req.Offsets {
+			for _, off := range reqOffsets(req) {
 				got = append(got, req.Line+uint64(off))
 			}
 		}

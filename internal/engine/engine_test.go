@@ -38,7 +38,7 @@ func mustPort(t *testing.T, name string, width, depth int) *port.Queue {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	cfg := mem.DefaultSysConfig()
-	sys, err := mem.NewSystem(cfg)
+	sys, err := mem.NewSystemShared(cfg, mem.NewMemory(), mem.NewDRAM(cfg.MissInterval))
 	if err != nil {
 		t.Fatal(err)
 	}
