@@ -6,7 +6,7 @@
 //	sdsim -list
 //	sdsim -w gemm -scale 2
 //	sdsim -w conv3p            # DNN layers run on the 8-unit cluster
-//	sdsim -w gemm -faults delay:7   # run under a seeded fault profile
+//	sdsim -w gemm -faults delay:7   # run under a seeded fault profile (no -metrics, -trace-out, -progress or -trace)
 //	sdsim -w gemm -metrics out.json            # stall attribution + bandwidth table
 //	sdsim -w gemm -trace-out out.trace.json    # Chrome/Perfetto trace
 //	sdsim -w gemm -trace                       # Figure 4(b)-style text timeline
@@ -33,6 +33,26 @@ import (
 	"softbrain/internal/workloads/catalog"
 )
 
+// faultConflicts names the set flags that a fault-profile run would
+// drop: it writes no metrics dump or trace and prints no heartbeat or
+// timeline.
+func faultConflicts(metricsPath, traceOut string, progress time.Duration, trace bool) []string {
+	var c []string
+	if metricsPath != "" {
+		c = append(c, "-metrics")
+	}
+	if traceOut != "" {
+		c = append(c, "-trace-out")
+	}
+	if progress > 0 {
+		c = append(c, "-progress")
+	}
+	if trace {
+		c = append(c, "-trace")
+	}
+	return c
+}
+
 func main() {
 	name := flag.String("w", "", "workload name (see -list)")
 	scale := flag.Int("scale", 1, "problem scale for MachSuite workloads")
@@ -42,9 +62,15 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the metrics dump (stall attribution, counters, per-stream bandwidth) as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (load in ui.perfetto.dev)")
 	progress := flag.Duration("progress", 0, "print a heartbeat (cycle, commands, stall mix) to stderr every interval, e.g. 2s")
-	faultSpec := flag.String("faults", "", "fault profile \"name\" or \"name:seed\" ("+strings.Join(faults.Profiles(), ", ")+")")
+	faultSpec := flag.String("faults", "", "fault profile \"name\" or \"name:seed\" ("+strings.Join(faults.Profiles(), ", ")+"); a faulted run writes no dump or trace, so it refuses -metrics, -trace-out, -progress and -trace")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run, e.g. 30s (0 = none; the cycle watchdog still applies)")
 	flag.Parse()
+	if *faultSpec != "" {
+		if c := faultConflicts(*metricsPath, *traceOut, *progress, *doTrace); len(c) > 0 {
+			fmt.Fprintf(os.Stderr, "sdsim: -faults cannot be combined with %s: a faulted run writes no dump or trace and prints no heartbeat or timeline\n", strings.Join(c, ", "))
+			os.Exit(2)
+		}
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -94,11 +120,11 @@ func main() {
 		cfg.Faults = &fc
 	}
 	// One run serves every mode; the flags pick what it carries and how
-	// it is reported. A fault profile takes precedence over the
-	// observability flags, and those over the timeline.
+	// it is reported. A fault profile excludes the observability flags
+	// (faultConflicts), and those take precedence over the timeline.
 	faulted := cfg.Faults != nil
-	observed := !faulted && (*metricsPath != "" || *traceOut != "" || *progress > 0)
-	timeline := !faulted && !observed && *doTrace
+	observed := *metricsPath != "" || *traceOut != "" || *progress > 0
+	timeline := !observed && *doTrace
 	cl, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{
 		Warm: *warm && !timeline, // the timeline shows the cold run
 		Prepare: func(cl *core.Cluster) {

@@ -147,9 +147,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// newSystem builds a memory system over a fresh Memory and a private
+// DRAM channel.
+func newSystem(cfg SysConfig) (*System, error) {
+	return NewSystemShared(cfg, NewMemory(), NewDRAM(cfg.MissInterval))
+}
+
 func TestSystemHitVsMissLatency(t *testing.T) {
 	cfg := DefaultSysConfig()
-	s, err := NewSystem(cfg)
+	s, err := newSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +178,7 @@ func TestSystemHitVsMissLatency(t *testing.T) {
 func TestSystemAcceptBandwidth(t *testing.T) {
 	cfg := DefaultSysConfig()
 	cfg.AcceptPerCyc = 1
-	s, _ := NewSystem(cfg)
+	s, _ := newSystem(cfg)
 	if _, ok := s.Request(5, 0, false, 64); !ok {
 		t.Fatal("request rejected")
 	}
@@ -188,7 +194,7 @@ func TestSystemMissBandwidthSerializes(t *testing.T) {
 	cfg := DefaultSysConfig()
 	cfg.CacheBytes = 0 // every access is DRAM
 	cfg.MissInterval = 10
-	s, _ := NewSystem(cfg)
+	s, _ := newSystem(cfg)
 	r1, _ := s.Request(0, 0, false, 64)
 	r2, _ := s.Request(1, 4096, false, 64)
 	if r2 < r1+cfg.MissInterval-1 {
@@ -201,7 +207,7 @@ func TestSystemMSHRLimit(t *testing.T) {
 	cfg.CacheBytes = 0
 	cfg.MaxInflight = 2
 	cfg.MissInterval = 1
-	s, _ := NewSystem(cfg)
+	s, _ := newSystem(cfg)
 	if _, ok := s.Request(0, 0, false, 64); !ok {
 		t.Fatal("first rejected")
 	}
@@ -219,7 +225,7 @@ func TestSystemMSHRLimit(t *testing.T) {
 }
 
 func TestSystemWriteCounts(t *testing.T) {
-	s, _ := NewSystem(DefaultSysConfig())
+	s, _ := newSystem(DefaultSysConfig())
 	s.Request(0, 0, true, 32)
 	s.Request(1, 64, false, 64)
 	if s.Writes != 1 || s.Reads != 1 || s.BytesWritten != 32 || s.BytesRead != 64 {
@@ -231,12 +237,12 @@ func TestSystemWriteCounts(t *testing.T) {
 func TestSystemConfigValidation(t *testing.T) {
 	bad := DefaultSysConfig()
 	bad.LineBytes = 0
-	if _, err := NewSystem(bad); err == nil {
+	if _, err := newSystem(bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 	bad = DefaultSysConfig()
 	bad.CacheBytes = 1000 // indivisible geometry
-	if _, err := NewSystem(bad); err == nil {
+	if _, err := newSystem(bad); err == nil {
 		t.Error("invalid cache geometry accepted")
 	}
 }

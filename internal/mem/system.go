@@ -71,12 +71,6 @@ type System struct {
 	BytesWritten uint64
 }
 
-// NewSystem builds a memory system over a fresh Memory and a private
-// DRAM channel.
-func NewSystem(cfg SysConfig) (*System, error) {
-	return NewSystemShared(cfg, NewMemory(), NewDRAM(cfg.MissInterval))
-}
-
 // NewSystemShared builds a memory system (private cache and accept
 // port) over a shared backing store and DRAM channel.
 func NewSystemShared(cfg SysConfig, backing *Memory, dram *DRAM) (*System, error) {
