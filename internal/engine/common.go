@@ -216,11 +216,24 @@ func (t *table) finish(id int, kind isa.Kind, bytes uint64) {
 	t.Stale.Mark()
 }
 
+// first is the index the round robin starts at this tick in a delivery
+// set of n streams: the pointer, wrapped only when the set shrank since
+// it last moved, so the common case divides nothing.
+func (t *table) first(n int) int {
+	if t.rr < n || n == 0 {
+		return t.rr
+	}
+	return t.rr % n
+}
+
 // rotate advances the round-robin pointer over a delivery set of n
 // streams, once per tick.
 func (t *table) rotate(n int) {
-	if n > 0 {
-		t.rr = (t.rr + 1) % n
+	if n == 0 {
+		return
+	}
+	if t.rr++; t.rr >= n {
+		t.rr %= n
 	}
 }
 
