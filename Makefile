@@ -71,7 +71,7 @@ bench:
 # the minimization of a new input at 100 runs, which otherwise spends
 # most of a short budget; FuzzSpanEquivalence runs a seeded generated program —
 # optionally under a fault profile, or maimed so that it may hang —
-# per-cycle and in the default span-retirement mode and demands
+# per-cycle and with the default wake-set scheduler and demands
 # identical statistics and memory, or the same hang diagnosis;
 # FuzzClusterEquivalence runs 2–8 units, each under its own generated
 # program, per-cycle and with default scheduling and demands identical

@@ -121,20 +121,20 @@ func runSimBench(ctx context.Context, smoke bool, out, goldens string, update bo
 		return err
 	}
 	w := tw()
-	fmt.Fprintln(w, "workload\tunits\tcycles\twall ms (no skip)\twall ms\tns/cycle\tspeedup\tticks/cycle\tspans")
+	fmt.Fprintln(w, "workload\tunits\tcycles\twall ms (no skip)\twall ms\tns/cycle\tspeedup\tticks/cycle")
 	for _, r := range rows {
 		if r.Workload == bench.GeomeanWorkload {
-			fmt.Fprintf(w, "%s\t\t\t\t\t%.1f\t%.2fx\t\t\n", r.Workload, r.NsPerCycle, r.Speedup)
+			fmt.Fprintf(w, "%s\t\t\t\t\t%.1f\t%.2fx\t\n", r.Workload, r.NsPerCycle, r.Speedup)
 			continue
 		}
-		spans, ticksPerCycle := uint64(0), 0.0
+		ticksPerCycle := 0.0
 		if r.Sched != nil {
-			spans, ticksPerCycle = r.Sched.Spans, r.Sched.TicksPerCycle
+			ticksPerCycle = r.Sched.TicksPerCycle
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.2fx\t%.2f\t%d\n",
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.2fx\t%.2f\n",
 			r.Workload, r.Units, r.Cycles,
 			float64(r.WallNsNoSkip)/1e6, float64(r.WallNs)/1e6,
-			r.NsPerCycle, r.Speedup, ticksPerCycle, spans)
+			r.NsPerCycle, r.Speedup, ticksPerCycle)
 	}
 	w.Flush()
 	if err := bench.WriteSimJSON(rows, out); err != nil {

@@ -9,7 +9,7 @@
 //	sdsim -w gemm -faults delay:7   # run under a seeded fault profile (no -metrics, -trace-out, -progress or -trace)
 //	sdsim -w gemm -metrics out.json            # stall attribution + bandwidth table
 //	sdsim -w gemm -trace-out out.trace.json    # Chrome/Perfetto trace
-//	sdsim -w gemm -trace                       # Figure 4(b)-style text timeline
+//	sdsim -w gemm -trace                       # Figure 4(b)-style text timeline (no -metrics, -trace-out or -progress)
 //	sdsim -w gemm -progress 2s                 # heartbeat to stderr
 package main
 
@@ -33,10 +33,9 @@ import (
 	"softbrain/internal/workloads/catalog"
 )
 
-// faultConflicts names the set flags that a fault-profile run would
-// drop: it writes no metrics dump or trace and prints no heartbeat or
-// timeline.
-func faultConflicts(metricsPath, traceOut string, progress time.Duration, trace bool) []string {
+// observeFlags names the set flags that attach the observability
+// layer to the run: a metrics dump, a Perfetto trace, a heartbeat.
+func observeFlags(metricsPath, traceOut string, progress time.Duration) []string {
 	var c []string
 	if metricsPath != "" {
 		c = append(c, "-metrics")
@@ -47,10 +46,28 @@ func faultConflicts(metricsPath, traceOut string, progress time.Duration, trace 
 	if progress > 0 {
 		c = append(c, "-progress")
 	}
+	return c
+}
+
+// faultConflicts names the set flags that a fault-profile run would
+// drop: it writes no metrics dump or trace and prints no heartbeat or
+// timeline.
+func faultConflicts(metricsPath, traceOut string, progress time.Duration, trace bool) []string {
+	c := observeFlags(metricsPath, traceOut, progress)
 	if trace {
 		c = append(c, "-trace")
 	}
 	return c
+}
+
+// traceConflicts names the set flags that -trace, when set, cannot be
+// combined with: a run prints either the timeline or the observability
+// reports.
+func traceConflicts(metricsPath, traceOut string, progress time.Duration, trace bool) []string {
+	if !trace {
+		return nil
+	}
+	return observeFlags(metricsPath, traceOut, progress)
 }
 
 func main() {
@@ -58,7 +75,7 @@ func main() {
 	scale := flag.Int("scale", 1, "problem scale for MachSuite workloads")
 	warm := flag.Bool("warm", false, "measure a cache-warm (second) run")
 	list := flag.Bool("list", false, "list available workloads")
-	doTrace := flag.Bool("trace", false, "print an execution timeline of the cold run, one per unit")
+	doTrace := flag.Bool("trace", false, "print an execution timeline of the cold run, one per unit; refuses -metrics, -trace-out and -progress")
 	metricsPath := flag.String("metrics", "", "write the metrics dump (stall attribution, counters, per-stream bandwidth) as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (load in ui.perfetto.dev)")
 	progress := flag.Duration("progress", 0, "print a heartbeat (cycle, commands, stall mix) to stderr every interval, e.g. 2s")
@@ -70,6 +87,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sdsim: -faults cannot be combined with %s: a faulted run writes no dump or trace and prints no heartbeat or timeline\n", strings.Join(c, ", "))
 			os.Exit(2)
 		}
+	}
+	if c := traceConflicts(*metricsPath, *traceOut, *progress, *doTrace); len(c) > 0 {
+		fmt.Fprintf(os.Stderr, "sdsim: -trace cannot be combined with %s: a run prints either the timeline or their reports\n", strings.Join(c, ", "))
+		os.Exit(2)
 	}
 
 	ctx := context.Background()
@@ -121,10 +142,11 @@ func main() {
 	}
 	// One run serves every mode; the flags pick what it carries and how
 	// it is reported. A fault profile excludes the observability flags
-	// (faultConflicts), and those take precedence over the timeline.
+	// and the timeline (faultConflicts), and those two exclude each
+	// other (traceConflicts).
 	faulted := cfg.Faults != nil
-	observed := *metricsPath != "" || *traceOut != "" || *progress > 0
-	timeline := !observed && *doTrace
+	observed := len(observeFlags(*metricsPath, *traceOut, *progress)) > 0
+	timeline := *doTrace
 	cl, stats, err := inst.Run(ctx, cfg, workloads.RunOpts{
 		Warm: *warm && !timeline, // the timeline shows the cold run
 		Prepare: func(cl *core.Cluster) {
@@ -278,7 +300,7 @@ func reportObserved(inst *workloads.Instance, cfg core.Config, units int,
 
 // printSched renders the wake-set scheduler counters of the reported
 // run: how many cycles were stepped vs jumped, how many component
-// ticks the wake sets elided, and what span retirement batched. These
+// ticks the wake sets elided, and what each component ticked. These
 // are host-performance diagnostics, deliberately kept out of the obs
 // metrics dump (dumps are byte-compared across scheduling modes).
 func printSched(s sim.SchedStats, by map[string]uint64, units int) {
@@ -292,26 +314,9 @@ func printSched(s sim.SchedStats, by map[string]uint64, units int) {
 	}
 	fmt.Fprintf(w, "component sleeps\t%d\n", s.CompSleeps)
 	fmt.Fprintf(w, "signal wakes\t%d\n", s.SigWakes)
-	fmt.Fprintf(w, "spans retired\t%d, covering %d cycles\n", s.Spans, s.SpanCycles)
 	names := []string{"cgra", "mse", "sse", "rse", "dispatch", "core"}
 	for _, n := range names {
 		fmt.Fprintf(w, "ticks: %s\t%d\n", n, by[n])
 	}
 	w.Flush()
-	if s.Spans > 0 {
-		fmt.Printf("span lengths (log2 buckets):")
-		for b, n := range s.SpanHist {
-			if n == 0 {
-				continue
-			}
-			lo := uint64(1) << b
-			hi := lo*2 - 1
-			if b == 0 {
-				fmt.Printf("  1:%d", n)
-			} else {
-				fmt.Printf("  %d-%d:%d", lo, hi, n)
-			}
-		}
-		fmt.Println()
-	}
 }

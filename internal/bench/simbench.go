@@ -43,11 +43,10 @@ type SimRow struct {
 	MemBytesPerCyc float64                      `json:"mem_bytes_per_cycle,omitempty"`
 	MemUtilization float64                      `json:"mem_utilization,omitempty"` // 0..1
 
-	// Sched summarizes the wake-set scheduler's behavior on a full-
-	// featured (skip-ahead and span retirement enabled) run: where the
-	// host-time win comes from. Deliberately outside the obs dump —
-	// dumps are byte-compared across scheduling modes, and these
-	// counters exist to differ between modes.
+	// Sched summarizes the wake-set scheduler's behavior on a default-
+	// scheduled run: where the host-time win comes from. Deliberately
+	// outside the obs dump — dumps are byte-compared across scheduling
+	// modes, and these counters exist to differ between modes.
 	Sched *SchedSummary `json:"sched,omitempty"`
 }
 
@@ -60,8 +59,6 @@ type SchedSummary struct {
 	CompTicks     uint64 `json:"comp_ticks"`
 	CompSleeps    uint64 `json:"comp_sleeps"`
 	SigWakes      uint64 `json:"sig_wakes"` // wakes caused by a raised watched signal
-	Spans         uint64 `json:"spans"`
-	SpanCycles    uint64 `json:"span_cycles"`
 
 	// TicksPerCycle is CompTicks over all simulated cycles (stepped +
 	// skipped): the average number of components the scheduler actually
@@ -69,10 +66,8 @@ type SchedSummary struct {
 	TicksPerCycle float64 `json:"ticks_per_cycle"`
 
 	// TickHist[k] counts stepped cycles with exactly k component ticks
-	// (last bucket absorbs larger counts); SpanHist buckets retired span
-	// lengths by floor(log2(n)).
+	// (last bucket absorbs larger counts).
 	TickHist []uint64 `json:"tick_hist"`
-	SpanHist []uint64 `json:"span_hist"`
 
 	// TicksBy is the executed tick count per component name.
 	TicksBy map[string]uint64 `json:"ticks_by"`
@@ -81,12 +76,9 @@ type SchedSummary struct {
 // newSchedSummary converts the kernel counters to the JSON shape,
 // trimming trailing zero histogram buckets.
 func newSchedSummary(s sim.SchedStats, by map[string]uint64) *SchedSummary {
-	trim := func(h []uint64) []uint64 {
-		n := len(h)
-		for n > 0 && h[n-1] == 0 {
-			n--
-		}
-		return append([]uint64(nil), h[:n]...)
+	n := len(s.TickHist)
+	for n > 0 && s.TickHist[n-1] == 0 {
+		n--
 	}
 	sum := &SchedSummary{
 		SteppedCycles: s.Cycles,
@@ -95,10 +87,7 @@ func newSchedSummary(s sim.SchedStats, by map[string]uint64) *SchedSummary {
 		CompTicks:     s.CompTicks,
 		CompSleeps:    s.CompSleeps,
 		SigWakes:      s.SigWakes,
-		Spans:         s.Spans,
-		SpanCycles:    s.SpanCycles,
-		TickHist:      trim(s.TickHist[:]),
-		SpanHist:      trim(s.SpanHist[:]),
+		TickHist:      append([]uint64(nil), s.TickHist[:n]...),
 		TicksBy:       by,
 	}
 	if total := s.Cycles + s.Skipped; total > 0 {
@@ -232,7 +221,7 @@ func SimBench(ctx context.Context, smokeOnly bool, every time.Duration, hb func(
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s (no skip): %w", e.name, err)
 		}
-		onCycles, onNs, err := run(core.SchedSpans)
+		onCycles, onNs, err := run(core.SchedWakeSet)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.name, err)
 		}
@@ -466,7 +455,6 @@ type Work struct {
 	SkippedCycles uint64 `json:"skipped_cycles"`
 	CompTicks     uint64 `json:"comp_ticks"`
 	SigWakes      uint64 `json:"sig_wakes"`
-	SpanCycles    uint64 `json:"span_cycles"`
 	Mallocs       uint64 `json:"mallocs"`
 
 	// Stalls is the metrics run's attribution: per component, cause ->
@@ -508,7 +496,6 @@ func MeasureWork(ctx context.Context, smokeOnly bool) (map[string]Work, error) {
 				SkippedCycles: s.Skipped,
 				CompTicks:     s.CompTicks,
 				SigWakes:      s.SigWakes,
-				SpanCycles:    s.SpanCycles,
 			}
 			mallocs := after.Mallocs - before.Mallocs
 			if rep == 0 {

@@ -60,7 +60,7 @@ type Config struct {
 type SchedMode uint8
 
 const (
-	SchedSpans    SchedMode = iota // the default: wake-set scheduler, idle skip-ahead, span retirement (Machine.retireSpan)
+	SchedWakeSet  SchedMode = iota // the default: the wake-set scheduler with frozen jumps (Machine.Step, sim.Kernel.Due)
 	SchedPerCycle                  // every component ticks every cycle: the reference the default reproduces
 )
 

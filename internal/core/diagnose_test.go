@@ -71,7 +71,7 @@ func tinyProg(t *testing.T) (*Program, Config) {
 var schedModes = []struct {
 	name  string
 	sched SchedMode
-}{{"per-cycle", SchedPerCycle}, {"spans", SchedSpans}}
+}{{"per-cycle", SchedPerCycle}, {"wake-set", SchedWakeSet}}
 
 // runHang runs p expecting a deadlock and returns the diagnosis.
 func runHang(t *testing.T, p *Program, cfg Config) *DeadlockError {

@@ -1,8 +1,8 @@
-// Per-unit frozen jumps: the run loop freezes a cluster unit whose wake
-// is a known future cycle and does not step it until then, while its
-// peers keep working. TestClusterNoWorklessSteps pins the saving: no
-// unit is stepped through a cycle in which none of its components
-// ticks. FuzzClusterEquivalence checks the soundness side on clusters
+// Per-unit frozen jumps: the run loop freezes a unit whose wake is a
+// known future cycle and does not step it until then, while its peers,
+// if any, keep working. TestClusterNoWorklessSteps pins the saving: no
+// unit, in a cluster or alone, is stepped through a cycle in which none
+// of its components ticks. FuzzClusterEquivalence checks the soundness side on clusters
 // whose units run different programs, so one unit sleeps through
 // frozen windows while a peer works — the case the one-program sets of
 // determinism_test.go rarely reach.
@@ -20,6 +20,7 @@ import (
 	"softbrain/internal/isa"
 	"softbrain/internal/mem"
 	"softbrain/internal/progen"
+	"softbrain/internal/workloads/catalog"
 	"softbrain/internal/workloads/dnn"
 	"softbrain/internal/workloads/machsuite"
 )
@@ -64,10 +65,11 @@ func progenInit(seed int64, units int) func(*mem.Memory) {
 }
 
 // TestClusterNoWorklessSteps runs every DNN layer on 8 units, gemm
-// replicated on 4 units, and 20 generated four-unit program sets under
-// default scheduling. Per unit, no stepped cycle may tick zero
-// components, and stepped plus skipped cycles must cover every cycle
-// up to the unit's last step exactly once.
+// replicated on 4 units, 20 generated four-unit program sets, and, as
+// lone units, every single-unit catalog workload at scales 1 and 2 and
+// 4 generated programs, under default scheduling. Per unit, no stepped
+// cycle may tick zero components, and stepped plus skipped cycles must
+// cover every cycle up to the unit's last step exactly once.
 func TestClusterNoWorklessSteps(t *testing.T) {
 	type clusterCase struct {
 		name  string
@@ -107,6 +109,24 @@ func TestClusterNoWorklessSteps(t *testing.T) {
 		cmds := progen.Commands(rand.New(rand.NewSource(seed)), ports)
 		progs := progenCluster(t, cfg, [][]isa.Command{cmds, cmds, cmds, cmds}, -1)
 		cases = append(cases, clusterCase{fmt.Sprintf("progen%d", seed), cfg, progs, progenInit(seed, 4)})
+	}
+	for _, e := range catalog.All() {
+		if e.Suite == "dnn" {
+			continue
+		}
+		for scale := 1; scale <= 2; scale++ {
+			ecfg := e.Config()
+			inst, err := e.Build(ecfg, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, clusterCase{fmt.Sprintf("%s-s%d", e.Name, scale), ecfg, inst.Progs, inst.Init})
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		cmds := progen.Commands(rand.New(rand.NewSource(seed)), ports)
+		progs := progenCluster(t, cfg, [][]isa.Command{cmds}, -1)
+		cases = append(cases, clusterCase{fmt.Sprintf("lone-progen%d", seed), cfg, progs, progenInit(seed, 1)})
 	}
 	for _, c := range cases {
 		c := c

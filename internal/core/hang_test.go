@@ -2,7 +2,7 @@
 // be diagnosed identically — cycle, class, culprit, wait chain and
 // snapshot — whether the run loop steps every component every cycle
 // (SchedPerCycle, the reference) or schedules by wake hints with frozen
-// jumps and retired spans (the default). The hanging programs are the
+// jumps (the default). The hanging programs are the
 // soak's maimed variants: a generated balanced command sequence with
 // one non-barrier command dropped, run without repair.
 package core_test
@@ -65,7 +65,7 @@ func TestHangDiagnosisModes(t *testing.T) {
 	}
 	compare := func(t *testing.T, label string, run func(core.SchedMode) error) bool {
 		t.Helper()
-		ref, got := outcome(run(core.SchedPerCycle)), outcome(run(core.SchedSpans))
+		ref, got := outcome(run(core.SchedPerCycle)), outcome(run(core.SchedWakeSet))
 		if ref != got {
 			t.Errorf("%s: outcomes differ between schedules:\nper-cycle:\n%s\ndefault:\n%s", label, ref, got)
 		}

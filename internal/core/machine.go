@@ -248,16 +248,9 @@ func (m *Machine) Step(now uint64) error {
 	if m.configErr != nil {
 		return m.stepError("program", now, m.configErr)
 	}
-	return m.tickFrom(0, 0, now)
-}
-
-// tickFrom is Step's tick loop: it runs cycle now from component first
-// on, ticking each component the kernel says is due, and closes the
-// cycle. ticked counts the components that already ticked this cycle:
-// a span hands over the cycle its sole tick left open (see retireSpan).
-func (m *Machine) tickFrom(first, ticked int, now uint64) error {
 	comps := m.kern.Components()
-	for i := first; i < len(comps); i++ {
+	ticked := 0
+	for i := range comps {
 		if !m.kern.ShouldTick(i, now) {
 			m.kern.Stats.CompSleeps++
 			continue
@@ -294,9 +287,9 @@ func (m *Machine) tick(i int, now uint64) error {
 	return nil
 }
 
-// closeCycle ends a cycle the unit was stepped through, by Step or
-// inside a span: the cycle is the unit's last stepped one, and with
-// metrics enabled every component's stall cause is attributed for it.
+// closeCycle ends a cycle the unit was stepped through: the cycle is
+// the unit's last stepped one, and with metrics enabled every
+// component's stall cause is attributed for it.
 func (m *Machine) closeCycle(now uint64) {
 	m.lastStepped = int64(now)
 	if m.attrs != nil {
@@ -321,46 +314,9 @@ func (m *Machine) stepAll(now uint64) error {
 	return nil
 }
 
-// retireSpan retires a batched span of cycles starting at cycle now,
-// with component sole the only one due (sim.Kernel.Due): its ticks run
-// in a tight loop — identical Tick calls at identical cycles, so the
-// span is bit-exact with per-cycle stepping — until a raised signal
-// wakes a peer, the component goes quiet, or the exclusive limit
-// arrives (a peer's timed wake, or the cycle the caller's watchdog
-// would fire, mirroring the frozen-jump cap). The fast path skips the
-// per-cycle run-loop and scheduler machinery: no Step dispatch, no
-// ShouldTick scan, no hang probes per cycle. Each retired cycle closes
-// as a stepped one does (closeCycle), stall attribution included, and
-// its tick dates progress as a stepped tick does (tick). When the sole
-// tick wakes a later peer, Step's tick loop finishes that cycle. It
-// returns the number of cycles retired, 0 when no span is eligible.
-func (m *Machine) retireSpan(now uint64, sole int, limit uint64) (uint64, error) {
-	if m.configErr != nil || limit <= now+1 {
-		return 0, nil // a pending program error, or a span of one cycle: just Step
-	}
-	m.kern.BeforeTick(sole, now)
-	n, open, err := m.kern.RetireSpan(sole, now, limit, func(t uint64) error {
-		// Mirror Step's deferred-error protocol exactly: an error set by
-		// the core (the last component) surfaces at the next cycle's
-		// top-of-step check — which for a span cycle is the moment just
-		// before the sole component's tick.
-		if m.configErr != nil {
-			return m.stepError("program", t, m.configErr)
-		}
-		return m.tick(sole, t)
-	}, m.closeCycle)
-	if open && err == nil {
-		// The sole tick woke a later peer: Step's loop finishes the cycle.
-		if err = m.tickFrom(sole+1, 1, now+n); err == nil {
-			n++
-		}
-	}
-	return n, err
-}
-
 // SchedStats reports the wake-set scheduler's counters for this unit:
 // cycles simulated, components ticked and slept, signal-triggered
-// wakes, whole-machine jumps, and retired-span shape.
+// wakes, and frozen jumps.
 func (m *Machine) SchedStats() sim.SchedStats { return m.kern.Stats }
 
 // SchedTickBy reports the executed tick count per component name, the

@@ -419,7 +419,7 @@ func TestExecutionTrace(t *testing.T) {
 	p.Emit(isa.PortMem{Src: p.Out("C"), Dst: isa.Linear(0x3000, n/3*8)})
 	p.Emit(isa.BarrierAll{})
 	var ref string
-	for _, sched := range []SchedMode{SchedPerCycle, SchedSpans} {
+	for _, sched := range []SchedMode{SchedPerCycle, SchedWakeSet} {
 		cfg := DefaultConfig()
 		cfg.Sched = sched
 		cl := newLone(t, cfg)

@@ -88,7 +88,7 @@ func (c *Cluster) TraceInputs(endCycle uint64) []obs.TraceInput {
 // classifyCycle attributes cycle now for every component: Busy when
 // its work counter moved since the last classification, its state-
 // based stallCause otherwise. Called when metrics are enabled, as each
-// stepped cycle closes — by Step or inside a span (closeCycle).
+// stepped cycle closes (closeCycle).
 func (m *Machine) classifyCycle(now uint64) {
 	for i := range m.attrs {
 		a := &m.attrs[i]
@@ -239,8 +239,8 @@ type heartbeat struct {
 
 // heartbeatStride bounds how often the run loop consults the host
 // clock: every 4096 run-loop iterations. An iteration is one stepped
-// cycle, or one frozen jump or retired span covering many, so the
-// stride is at least 4096 simulated cycles.
+// cycle, or one frozen jump covering many, so the stride is at least
+// 4096 simulated cycles.
 const heartbeatStride = 1 << 12
 
 // beat fires the callback with the units' aggregate report when the

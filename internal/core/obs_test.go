@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"softbrain/internal/core"
@@ -61,15 +60,8 @@ func obsBuilds() []struct {
 // two runs, and (c) unchanged cycle counts versus a plain run (metrics
 // must not perturb the simulation). Attaching metrics must not change
 // the scheduling either: (d) the default-mode metrics run reports the
-// plain run's scheduler counters and per-component ticks, and (e) some
-// workload retires spans with metrics attached.
+// plain run's scheduler counters and per-component ticks.
 func TestMetricsWorkloads(t *testing.T) {
-	var spans atomic.Uint64
-	t.Cleanup(func() { // after every parallel subtest
-		if spans.Load() == 0 {
-			t.Error("no workload retired a span with metrics attached")
-		}
-	})
 	for _, b := range obsBuilds() {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
@@ -123,7 +115,6 @@ func TestMetricsWorkloads(t *testing.T) {
 			if got, want := clOn.SchedTickBy(), cl.SchedTickBy(); !reflect.DeepEqual(got, want) {
 				t.Errorf("enabling metrics changed the ticks per component: plain %v, metrics %v", want, got)
 			}
-			spans.Add(clOn.SchedStats().Spans)
 		})
 	}
 }

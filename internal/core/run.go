@@ -46,9 +46,8 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 	// While it lies ahead the unit is frozen — the loop skips its Step
 	// and wake probe — and Step replays the window when the unit
 	// resumes. lastChange is the last cycle a tick of any unit made
-	// progress (Machine.progressAt). A frozen unit ticks nothing, and
-	// the ticks of a retired span date their own progress, so the hang
-	// checks below measure idleness from the cycle a per-cycle run
+	// progress (Machine.progressAt). A frozen unit ticks nothing, so the
+	// hang checks below measure idleness from the cycle a per-cycle run
 	// would.
 	wake := make([]uint64, len(units))
 	var lastChange, hbIter uint64
@@ -100,7 +99,7 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 		next := now + 1
 		if stillRunning {
 			// Probe each unit stepped this cycle once (sim.Kernel.Due) and
-			// let the answer pick its next move. Two due components step
+			// let the answer pick its next move. Any due component steps
 			// the next cycle. None due, with a timed wake ahead, freezes
 			// the unit: the loop skips it until then, capped at the cycle
 			// the watchdog would fire, so a hung run diagnoses at exactly
@@ -112,10 +111,9 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 			// only through its own ticks. None due and no timed wake is an
 			// Idle (hung) unit: it neither freezes nor holds back the jump
 			// below. A unit with wake scheduling disabled steps every
-			// cycle; one due component may retire a span (below).
+			// cycle.
 			deadline := lastChange + watchdog + 1
 			target := ^uint64(0) // the earliest wake of a unit that is not idle
-			sole, limit := -1, uint64(0)
 			for i, u := range units {
 				if wake[i] <= now { // stepped this cycle, or done
 					if u.Done() {
@@ -123,13 +121,10 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 					}
 					wake[i] = next
 					if !u.noSkip {
-						n, s, l := u.kern.Due(next)
-						switch {
-						case n == 1:
-							sole, limit = s, l
-						case n == 0 && l == ^uint64(0):
-							continue
-						case n == 0:
+						if due, l := u.kern.Due(next); !due {
+							if l == ^uint64(0) {
+								continue
+							}
 							wake[i] = min(l, deadline)
 						}
 					}
@@ -142,17 +137,6 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 				// cycle (a timed event is pending throughout), so no
 				// quiescence check is bypassed.
 				next = target
-			} else if len(units) == 1 && sole >= 0 {
-				// Span retirement, for lone units only: peers share DRAM
-				// arbitration, which a batched unit could reorder. When
-				// one component is due and the rest sleep, its ticks
-				// batch in one call (see Machine.retireSpan), capped at
-				// the watchdog deadline like a frozen unit.
-				n, err := units[0].retireSpan(next, sole, min(limit, deadline))
-				if err != nil {
-					return nil, atUnit(err, 0)
-				}
-				next += n
 			}
 		}
 		now = next

@@ -1,12 +1,13 @@
-// Span-retirement equivalence: batched span retirement (Machine.retireSpan,
-// sim.Kernel.RetireSpan, docs/SIMKERNEL.md) is a host-performance
-// optimization with zero architectural effect, layered on top of the
-// wake-set scheduler. Every test here runs the same program in both
-// scheduling modes — per-cycle (SchedPerCycle) and the default wake-set
-// scheduler with span retirement (SchedSpans) — and demands identical
+// Scheduling-mode equivalence, per-cycle against the default wake-set
+// scheduler: the wake-set scheduler and its frozen jumps
+// (sim.Kernel.Due, docs/SIMKERNEL.md) are a host-performance
+// optimization with zero architectural effect. Every test here runs the
+// same program in both scheduling modes — per-cycle (SchedPerCycle) and
+// the default wake-set scheduler (SchedWakeSet) — and demands identical
 // results: statistics, memory images, fault schedules, and
 // observability dumps alike. FuzzSpanEquivalence extends the seeds
-// under `make fuzz-smoke`.
+// under `make fuzz-smoke`. The names keep the word "span" from span
+// retirement, a batched stepping path since deleted.
 package core_test
 
 import (
@@ -14,7 +15,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"softbrain/internal/core"
@@ -33,7 +33,7 @@ var schedModes = []struct {
 	sched core.SchedMode
 }{
 	{"per-cycle", core.SchedPerCycle},
-	{"spans", core.SchedSpans},
+	{"wake-set", core.SchedWakeSet},
 }
 
 // applyMode returns cfg with the mode's scheduling set.
@@ -48,15 +48,13 @@ func schedFor(perCycle bool) core.SchedMode {
 	if perCycle {
 		return core.SchedPerCycle
 	}
-	return core.SchedSpans
+	return core.SchedWakeSet
 }
 
 // TestSpanEquivalenceWorkloads runs every MachSuite workload, the
-// extension workloads, and a DNN layer slice in both scheduling
-// modes: statistics and final memory images must be identical, each
-// workload's own golden-model check must pass, and span retirement
-// must actually engage somewhere in the suite (or the mode is
-// vacuous).
+// extension workloads, and a DNN layer slice per-cycle against the
+// default wake-set scheduler: statistics and final memory images must
+// be identical, and each workload's own golden-model check must pass.
 func TestSpanEquivalenceWorkloads(t *testing.T) {
 	type build struct {
 		name string
@@ -76,7 +74,6 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 			return e.Build(cfg, 2)
 		}, e.Config()})
 	}
-	var spansRetired atomic.Uint64
 	t.Run("suite", func(t *testing.T) {
 		for _, b := range builds {
 			b := b
@@ -122,16 +119,10 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 						t.Errorf("memory differs at %#x between %s and %s",
 							addr, schedModes[0].name, schedModes[mode].name)
 					}
-					if mode == 1 {
-						spansRetired.Add(got.cl.SchedStats().Spans)
-					}
 				}
 			})
 		}
 	})
-	if spansRetired.Load() == 0 {
-		t.Error("no workload retired a single span; span retirement never engaged")
-	}
 }
 
 // runSeeded runs p on a fresh one-unit cluster with the memory pools
@@ -192,15 +183,13 @@ func genProgram(t *testing.T, cfg core.Config, seed int64) *core.Program {
 	return fixed
 }
 
-// TestSpanEquivalenceSeeds runs generated programs across the two
-// scheduling modes and compares statistics and memory images; then the
-// same programs with the observability layer attached in each mode,
-// demanding byte-identical metrics dumps (stall attribution must itself
-// be mode-independent, spans included). At least one plain run must
-// retire a span.
+// TestSpanEquivalenceSeeds runs generated programs per-cycle against
+// the default wake-set scheduler and compares statistics and memory
+// images; then the same programs with the observability layer attached
+// in each mode, demanding byte-identical metrics dumps (stall
+// attribution must itself be mode-independent, frozen jumps included).
 func TestSpanEquivalenceSeeds(t *testing.T) {
 	cfg := core.DefaultConfig()
-	var spans uint64
 	for seed := int64(0); seed < 20; seed++ {
 		fixed := genProgram(t, cfg, seed)
 
@@ -214,9 +203,6 @@ func TestSpanEquivalenceSeeds(t *testing.T) {
 			if addr, diff := cl.Mem.FirstDiff(clRef.Mem); diff {
 				t.Errorf("seed %d: memory differs at %#x between %s and %s",
 					seed, addr, schedModes[0].name, schedModes[mode].name)
-			}
-			if mode == 1 {
-				spans += cl.SchedStats().Spans
 			}
 		}
 
@@ -234,18 +220,16 @@ func TestSpanEquivalenceSeeds(t *testing.T) {
 			}
 		}
 	}
-	if spans == 0 {
-		t.Error("no generated run retired a single span; span retirement never engaged")
-	}
 }
 
 // TestSpanEquivalenceUnderFaults runs generated programs under the
-// delay, stall, and bitflip fault profiles in both scheduling
-// modes: identical statistics, fault schedules, and memory images.
-// The stall profile draws randomness per engine-cycle, so the machine
-// must force per-cycle stepping itself (spans included); bitflips
-// corrupt data, but deterministically, so the corruption must be
-// identical across modes.
+// delay, stall, and bitflip fault profiles per-cycle against the
+// default wake-set scheduler: identical statistics, fault schedules,
+// and memory images. The stall profile draws randomness per
+// engine-cycle, so the machine must force per-cycle stepping itself
+// (TestSkipAheadUnderFaults checks that it does); bitflips corrupt
+// data, but deterministically, so the corruption must be identical
+// across modes.
 func TestSpanEquivalenceUnderFaults(t *testing.T) {
 	cfg := core.DefaultConfig()
 	for _, profile := range []string{"delay", "stall", "bitflip"} {
@@ -279,10 +263,6 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 						t.Errorf("seed %d: memory differs at %#x between %s and %s under %s",
 							seed, addr, schedModes[0].name, schedModes[mode].name, profile)
 					}
-					if profile == "stall" && mode == 1 && cl.SchedStats().Spans != 0 {
-						t.Errorf("seed %d: retired %d spans under per-cycle stall draws; spans must self-disable",
-							seed, cl.SchedStats().Spans)
-					}
 				}
 			}
 		})
@@ -290,9 +270,10 @@ func TestSpanEquivalenceUnderFaults(t *testing.T) {
 }
 
 // FuzzSpanEquivalence is the randomized slice of the two-mode
-// equivalence property for `make fuzz-smoke`: an arbitrary command
-// seed, optionally under a fault profile, must produce identical
-// statistics and memory in both scheduling modes. With traced set,
+// equivalence property, per-cycle against the default wake-set
+// scheduler, for `make fuzz-smoke`: an arbitrary command seed,
+// optionally under a fault profile, must produce identical statistics
+// and memory in both scheduling modes. With traced set,
 // both modes run with a traced metrics registry attached and their
 // dumps must be byte-identical too. With maim set, the program is the
 // seed's maimed variant (one command dropped, no repair, as in

@@ -198,8 +198,6 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 		{"serve_sched_sig_wakes_total", "wakes caused by a raised watched signal", sched.SigWakes},
 		{"serve_sched_jumps_total", "per-unit frozen jumps taken", sched.Jumps},
 		{"serve_sched_skipped_cycles_total", "unit-cycles elided by frozen jumps", sched.Skipped},
-		{"serve_sched_spans_total", "multi-cycle spans retired in one call", sched.Spans},
-		{"serve_sched_span_cycles_total", "cycles covered by retired spans", sched.SpanCycles},
 	} {
 		p.Type(sc.name, "counter", sc.help)
 		p.Sample(sc.name, nil, float64(sc.v))

@@ -22,8 +22,6 @@
 // (docs/SIMKERNEL.md gives the full soundness argument).
 package sim
 
-import "math/bits"
-
 // WakeKind classifies a component's next-wake hint.
 type WakeKind uint8
 
@@ -193,29 +191,18 @@ type SchedStats struct {
 	SigWakes   uint64 // wakes caused by a raised watched signal
 	Jumps      uint64 // frozen jumps: runs of cycles the run loop did not step this unit
 	Skipped    uint64 // cycles elided by this unit's frozen jumps
-	Spans      uint64 // spans retired in one call, length-1 spans included
-	SpanCycles uint64 // cycles covered by retired spans
 
-	// SpanHist buckets retired span lengths by floor(log2(n)):
-	// bucket 0 holds length 1 (degenerate), bucket k lengths
-	// [2^k, 2^(k+1)).
-	SpanHist [16]uint64
+	// SpanCycles is always 0. It counted the cycles of span retirement,
+	// a batched stepping path since deleted (docs/SIMKERNEL.md §4), and
+	// stays only because the benchmark's sim.span_cycle_frac reads it
+	// (perfbench/layers.go:347). ROADMAP item 2 drops that metric and
+	// this field together.
+	SpanCycles uint64
 
 	// TickHist buckets stepped cycles by how many components ticked:
 	// TickHist[k] counts cycles with exactly k ticks (the last bucket
 	// absorbs larger counts).
 	TickHist [9]uint64
-}
-
-// AddSpan records one retired span of n cycles.
-func (s *SchedStats) AddSpan(n uint64) {
-	s.Spans++
-	s.SpanCycles += n
-	b := 0
-	for v := n; v > 1 && b < len(s.SpanHist)-1; v >>= 1 {
-		b++
-	}
-	s.SpanHist[b]++
 }
 
 // Add accumulates other into s (multi-unit aggregation).
@@ -226,11 +213,6 @@ func (s *SchedStats) Add(other SchedStats) {
 	s.SigWakes += other.SigWakes
 	s.Jumps += other.Jumps
 	s.Skipped += other.Skipped
-	s.Spans += other.Spans
-	s.SpanCycles += other.SpanCycles
-	for i := range s.SpanHist {
-		s.SpanHist[i] += other.SpanHist[i]
-	}
 	for i := range s.TickHist {
 		s.TickHist[i] += other.TickHist[i]
 	}
@@ -338,22 +320,16 @@ func (k *Kernel) BeforeTick(i int, now uint64) {
 }
 
 // AfterTick caches component i's hint after its tick at cycle now and
-// settles its wake bit. Later components in the same cycle may still
-// raise its signals; the bit test in ShouldTick catches that on the
-// next cycle, exactly when a tick-everything loop would act on it.
+// settles its wake state: it re-reads the watch set if the component
+// marked it stale, moving the component's bit from the signals it left
+// to the ones it joined, and clears the wake bit, so only raises after
+// this tick wake the component again. Later components in the same
+// cycle may still raise its signals; the bit test in ShouldTick
+// catches that on the next cycle, exactly when a tick-everything loop
+// would act on it.
 func (k *Kernel) AfterTick(i int, now uint64) {
 	k.last[i] = int64(now)
 	k.hints[i] = k.comps[i].NextWake(now)
-	k.settle(i)
-	k.Stats.CompTicks++
-	k.TickBy[i]++
-}
-
-// settle ends component i's tick for the wake state: it re-reads the
-// watch set if the component marked it stale, moving the component's
-// bit from the signals it left to the ones it joined, and clears the
-// wake bit, so only raises after this tick wake the component again.
-func (k *Kernel) settle(i int) {
 	bit := uint64(1) << i
 	if k.stale&bit != 0 {
 		k.stale &^= bit
@@ -367,129 +343,35 @@ func (k *Kernel) settle(i int) {
 		}
 	}
 	k.wake &^= bit
+	k.Stats.CompTicks++
+	k.TickBy[i]++
 }
 
 // Due is the run loop's one probe of a machine after a stepped cycle:
-// how many components are due to tick at cycle next — by a raised
+// whether any component is due to tick at cycle next — by a raised
 // watched signal or a cached hint that is Ready or timed at or before
-// next, each component counted once — and, when exactly one is, its
-// index sole (-1 otherwise). n stops at 2: two due components decide
-// the answer, and sole and limit are then meaningless. limit is the
-// earliest timed wake among the components that are not due,
-// MaxUint64 when every one of them is idle. The answer picks the
-// unit's next move: n == 0 with a finite limit proves no component
-// acts before limit (a frozen jump); n == 0 without one means every
-// component is idle; n == 1 is span retirement's entry condition, with
-// limit as the span's bound; n == 2 steps the next cycle. The due test
-// mirrors ShouldTick exactly, so a span starts only on a cycle where
-// Step would have ticked exactly one component. The probe counts
-// nothing: a signal wake is counted where the woken tick runs
-// (RetireSpan, or ShouldTick when the caller steps instead).
-func (k *Kernel) Due(next uint64) (n, sole int, limit uint64) {
-	sole, limit = -1, ^uint64(0)
-	// The components a raise woke: one of them is the sole due
-	// component, or two are due at once.
-	if w := k.wake; w != 0 {
-		if w&(w-1) != 0 {
-			return 2, -1, limit
-		}
-		n, sole = 1, bits.TrailingZeros64(w)
+// next — and, when none is, limit, the earliest timed wake, MaxUint64
+// when every component is idle. The answer picks the unit's next move:
+// due steps the next cycle; not due with a finite limit proves no
+// component acts before limit (a frozen jump); not due without one
+// means every component is idle. The due test mirrors ShouldTick
+// exactly: the cycle a due unit steps next ticks some component. The
+// probe counts nothing: a signal wake is counted by ShouldTick, where
+// the woken tick runs.
+func (k *Kernel) Due(next uint64) (due bool, limit uint64) {
+	limit = ^uint64(0)
+	if k.wake != 0 {
+		return true, limit
 	}
-	// The components whose cached hint is due; the others contribute
-	// their timed wakes to the limit.
 	for i, h := range k.hints[:k.n] {
 		switch {
-		case i == sole:
 		case k.hintDue(i, next):
-			if n == 1 {
-				return 2, -1, limit
-			}
-			n, sole = 1, i
+			return true, limit
 		case h.Kind == WakeTimed && h.At < limit:
 			limit = h.At
 		}
 	}
-	return n, sole, limit
-}
-
-// RetireSpan batches consecutive solo ticks of component sole starting
-// at cycle now: tick(t) runs the component's ordinary Tick once per
-// cycle with the exact cycle number, and closed(t) runs once each solo
-// cycle is accounted — the caller's end-of-cycle work, as after Step.
-// The span is bit-exact with per-cycle stepping by construction — the
-// same Ticks run at the same cycles, and every peer provably sleeps
-// through the span just as ShouldTick would have decided. Whether a
-// peer woke is one test of the wake word against the mask of the peers
-// after, or before, the sole component. The span ends at the first
-// cycle where one of three things happens:
-//
-//   - A peer LATER in tick order wakes: in Step, a component whose
-//     signal the sole tick raised would have ticked that very same
-//     cycle. RetireSpan leaves that cycle open: it settles the sole
-//     component's hint and wake bit first — later peers' raises this
-//     cycle must be able to re-wake it, as after Step's in-loop
-//     AfterTick — counts the earlier peers as slept, and returns open.
-//     The caller finishes the cycle with Step's own tick loop from
-//     sole+1 on and closes it.
-//   - A peer EARLIER in tick order wakes, or the sole component's own
-//     hint says it would not tick next cycle: the span ends after the
-//     current cycle; the woken peer ticks next cycle under the normal
-//     loop, exactly when Step would have run it.
-//   - The exclusive limit arrives (a sleeping peer's timed wake, or
-//     the caller's watchdog cap).
-//
-// Returns the number of solo cycles fully retired, whether the cycle
-// after them is open (it counts in the span's statistics, but not yet
-// in Cycles), and the first tick error, if any; the erroring cycle is
-// not counted, matching Step's accounting. The caller must have run
-// BeforeTick(sole, now) first and must not call AfterTick for the solo
-// cycles — RetireSpan maintains the kernel's per-component cache
-// itself.
-func (k *Kernel) RetireSpan(sole int, now, limit uint64, tick func(uint64) error, closed func(uint64)) (uint64, bool, error) {
-	c := k.comps[sole]
-	ncomps := k.n
-	earlier := uint64(1)<<sole - 1
-	later := ^(earlier<<1 | 1)
-	n := uint64(0)
-	if !k.hintDue(sole, now) {
-		// Due found the component due by a raised signal: count that
-		// wake here, where its tick runs, as ShouldTick counts it in
-		// Step.
-		k.Stats.SigWakes++
-	}
-	for t := now; t < limit; t++ {
-		if err := tick(t); err != nil {
-			return n, false, err
-		}
-		// Same-cycle wakes: does a later peer need this cycle?
-		if k.wake&later != 0 {
-			k.AfterTick(sole, t)
-			k.Stats.CompSleeps += uint64(sole)
-			k.Stats.AddSpan(n + 1)
-			return n, true, nil
-		}
-		// Solo cycle: account it and decide whether the span continues.
-		k.last[sole] = int64(t)
-		k.TickBy[sole]++
-		k.Stats.CompTicks++
-		k.Stats.CompSleeps += uint64(ncomps - 1)
-		k.CountCycle(1)
-		closed(t)
-		n++
-		if k.wake&earlier != 0 {
-			break
-		}
-		h := c.NextWake(t)
-		if h.Kind != WakeReady && !(h.Kind == WakeTimed && t+1 >= h.At) {
-			break
-		}
-	}
-	k.hints[sole] = c.NextWake(uint64(k.last[sole]))
-	k.settle(sole)
-	if n > 0 {
-		k.Stats.AddSpan(n)
-	}
-	return n, false, nil
+	return false, limit
 }
 
 // CountCycle records one stepped cycle in which ticked components ran.

@@ -142,16 +142,16 @@ func TestKernelLazyReplay(t *testing.T) {
 }
 
 // TestKernelNextWake checks Kernel.Due, the one probe of when a kernel
-// next needs a cycle, after a cycle's ticks: how many components are
-// due next cycle, the sole one, and the earliest timed wake of the rest.
+// next needs a cycle, after a cycle's ticks: whether any component is
+// due next cycle and, when none is, the earliest timed wake.
 func TestKernelNextWake(t *testing.T) {
 	const now = 10
 	const never = ^uint64(0)
-	due := func(t *testing.T, k *Kernel, n, sole int, limit uint64) {
+	due := func(t *testing.T, k *Kernel, due bool, limit uint64) {
 		t.Helper()
-		gn, gsole, glimit := k.Due(now + 1)
-		if gn != n || (n < 2 && (gsole != sole || glimit != limit)) {
-			t.Errorf("Due = (%d, %d, %d), want (%d, %d, %d)", gn, gsole, glimit, n, sole, limit)
+		gdue, glimit := k.Due(now + 1)
+		if gdue != due || (!due && glimit != limit) {
+			t.Errorf("Due = (%v, %d), want (%v, %d)", gdue, glimit, due, limit)
 		}
 	}
 	t.Run("ready dominates", func(t *testing.T) {
@@ -159,14 +159,14 @@ func TestKernelNextWake(t *testing.T) {
 		k.Register(&fake{name: "a", hint: ReadyNow()})
 		k.Register(&fake{name: "b", hint: WakeAt(500)})
 		seed(t, &k, now)
-		due(t, &k, 1, 0, 500)
+		due(t, &k, true, 0)
 	})
 	t.Run("watched idle plus timed jumps", func(t *testing.T) {
 		var k Kernel
 		k.Register(&watched{fake: fake{name: "w", hint: Idle()}})
 		k.Register(&fake{name: "t", hint: WakeAt(500)})
 		seed(t, &k, now)
-		due(t, &k, 0, -1, 500)
+		due(t, &k, false, 500)
 	})
 	t.Run("signature change vetoes", func(t *testing.T) {
 		// A raise makes its watcher due: no jump.
@@ -176,42 +176,32 @@ func TestKernelNextWake(t *testing.T) {
 		k.Register(&fake{name: "t", hint: WakeAt(500)})
 		seed(t, &k, now)
 		w.sig.Raise()
-		due(t, &k, 1, 0, 500)
+		due(t, &k, true, 0)
 	})
 	t.Run("due next cycle is no jump", func(t *testing.T) {
 		var k Kernel
 		k.Register(&fake{name: "t", hint: WakeAt(now + 1)})
 		seed(t, &k, now)
-		due(t, &k, 1, 0, never)
+		due(t, &k, true, 0)
 	})
 	t.Run("all watched idle is idle", func(t *testing.T) {
 		var k Kernel
 		k.Register(&watched{fake: fake{name: "w", hint: Idle()}})
 		seed(t, &k, now)
-		due(t, &k, 0, -1, never)
+		due(t, &k, false, never)
 	})
 	t.Run("two raised bits", func(t *testing.T) {
-		// Two raises answer n = 2 from the wake word alone.
+		// Two raises, one on a component its hint also makes due: the
+		// wake word alone answers due, however many components are.
 		var k Kernel
-		a := &watched{fake: fake{name: "a", hint: Idle()}}
+		a := &watched{fake: fake{name: "a", hint: WakeAt(now + 1)}}
 		b := &watched{fake: fake{name: "b", hint: Idle()}}
 		k.Register(a)
 		k.Register(b)
 		seed(t, &k, now)
 		a.sig.Raise()
 		b.sig.Raise()
-		due(t, &k, 2, -1, 0)
-	})
-	t.Run("raised and due counts once", func(t *testing.T) {
-		// A component both raised and due by its hint is one due
-		// component, not two: the span may start.
-		var k Kernel
-		w := &watched{fake: fake{name: "w", hint: WakeAt(now + 1)}}
-		k.Register(w)
-		k.Register(&fake{name: "t", hint: WakeAt(500)})
-		seed(t, &k, now)
-		w.sig.Raise()
-		due(t, &k, 1, 0, 500)
+		due(t, &k, true, 0)
 	})
 }
 
@@ -237,65 +227,27 @@ func TestKernelJump(t *testing.T) {
 	}
 }
 
-func TestSchedStatsAddSpan(t *testing.T) {
-	var s SchedStats
-	s.AddSpan(1)
-	s.AddSpan(2)
-	s.AddSpan(3)
-	s.AddSpan(4)
-	s.AddSpan(1 << 20)
-	if s.Spans != 5 || s.SpanCycles != 1+2+3+4+(1<<20) {
-		t.Fatalf("Spans=%d SpanCycles=%d", s.Spans, s.SpanCycles)
-	}
-	if s.SpanHist[0] != 1 || s.SpanHist[1] != 2 || s.SpanHist[2] != 1 {
-		t.Errorf("low buckets %v", s.SpanHist[:3])
-	}
-	if s.SpanHist[15] != 1 {
-		t.Errorf("overflow bucket = %d, want 1 (clamped)", s.SpanHist[15])
-	}
-}
-
 // TestSignatureWakeCountedOnce checks that a signal wake is counted
-// once, where the woken tick runs: by RetireSpan when the span is
-// retired, by ShouldTick when the caller declines a one-cycle span.
+// once, by ShouldTick where the woken tick runs, and not by Due, which
+// only probes.
 func TestSignatureWakeCountedOnce(t *testing.T) {
 	const now = 10
-	for _, tc := range []struct {
-		name  string
-		peer  Hint
-		limit uint64
-	}{
-		{"declined", WakeAt(now + 1), now + 1},
-		{"retired", Idle(), ^uint64(0)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var k Kernel
-			w := &watched{fake: fake{name: "w", hint: Idle()}}
-			k.Register(w)
-			k.Register(&fake{name: "p", hint: tc.peer})
-			seed(t, &k, now-1)
-			k.Stats = SchedStats{}
-			w.sig.Raise()
-			due, sole, limit := k.Due(now)
-			if due != 1 || sole != 0 || limit != tc.limit {
-				t.Fatalf("Due = (%d, %d, %d), want (1, 0, %d)", due, sole, limit, tc.limit)
-			}
-			if limit <= now+1 {
-				tick(t, &k, now)
-			} else {
-				k.BeforeTick(sole, now)
-				n, open, err := k.RetireSpan(sole, now, limit, w.Tick, func(uint64) {})
-				if err != nil || n != 1 || open {
-					t.Fatalf("RetireSpan = (%d, %v, %v), want one closed cycle", n, open, err)
-				}
-			}
-			if len(w.ticks) != 2 || w.ticks[1] != now {
-				t.Errorf("watcher ticks %v, want woken at %d", w.ticks, now)
-			}
-			if k.Stats.SigWakes != 1 {
-				t.Errorf("SigWakes = %d, want 1", k.Stats.SigWakes)
-			}
-		})
+	var k Kernel
+	w := &watched{fake: fake{name: "w", hint: Idle()}}
+	k.Register(w)
+	k.Register(&fake{name: "p", hint: WakeAt(now + 1)})
+	seed(t, &k, now-1)
+	k.Stats = SchedStats{}
+	w.sig.Raise()
+	if due, _ := k.Due(now); !due {
+		t.Fatal("Due: a raised watcher is not due")
+	}
+	tick(t, &k, now)
+	if len(w.ticks) != 2 || w.ticks[1] != now {
+		t.Errorf("watcher ticks %v, want woken at %d", w.ticks, now)
+	}
+	if k.Stats.SigWakes != 1 {
+		t.Errorf("SigWakes = %d, want 1", k.Stats.SigWakes)
 	}
 }
 
@@ -348,92 +300,5 @@ func TestWatchRedeclared(t *testing.T) {
 	b.Raise()
 	if !k.ShouldTick(0, 2) {
 		t.Error("a raise of the added signal did not wake the component")
-	}
-}
-
-// raiser is always ready. Every tick raises its own watched signal,
-// as an engine pushing into a port it also watches does, and its tick
-// at cycle at also raises sig and switches its hint to after.
-type raiser struct {
-	fake
-	own   Signal
-	at    uint64
-	sig   *Signal
-	after Hint
-}
-
-func (r *raiser) Tick(now uint64) error {
-	r.own.Raise()
-	if now == r.at {
-		r.sig.Raise()
-		r.hint = r.after
-	}
-	return r.fake.Tick(now)
-}
-
-func (r *raiser) Watch(dst []*Signal) []*Signal { return append(dst, &r.own) }
-
-// TestRetireSpanPeerRaise checks how a raise by the span's sole
-// component ends the span. A raise that wakes a later peer leaves that
-// cycle open, with the sole component's hint already cached and its
-// wake bit settled, so a later peer's raise may still re-wake it. A
-// raise that wakes an earlier peer ends the span after that cycle.
-func TestRetireSpanPeerRaise(t *testing.T) {
-	const now, at = 10, 12
-	for _, tc := range []struct {
-		name  string
-		later bool
-		after Hint // the sole component's hint from its tick at at on
-		n     uint64
-	}{
-		{"later peer", true, Idle(), at - now},
-		{"earlier peer", false, ReadyNow(), at - now + 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var k Kernel
-			early := &watched{fake: fake{name: "early", hint: Idle()}}
-			sole := &raiser{fake: fake{name: "sole", hint: ReadyNow()}, at: at, after: tc.after}
-			late := &watched{fake: fake{name: "late", hint: Idle()}}
-			k.Register(early)
-			k.Register(sole)
-			k.Register(late)
-			sole.sig = &early.sig
-			if tc.later {
-				sole.sig = &late.sig
-			}
-			seed(t, &k, now-1)
-
-			due, s, limit := k.Due(now)
-			if due != 1 || s != 1 || limit != ^uint64(0) {
-				t.Fatalf("Due = (%d, %d, %d), want (1, 1, max)", due, s, limit)
-			}
-			k.BeforeTick(s, now)
-			n, open, err := k.RetireSpan(s, now, now+100, sole.Tick, func(uint64) {})
-			if err != nil || n != tc.n || open != tc.later {
-				t.Fatalf("RetireSpan = (%d, %v, %v), want (%d, %v, nil)", n, open, err, tc.n, tc.later)
-			}
-			if got := sole.ticks[len(sole.ticks)-1]; got != at {
-				t.Errorf("last sole tick at %d, want %d", got, at)
-			}
-			if k.hints[1] != tc.after || k.last[1] != at {
-				t.Errorf("sole cache: hint %v, last tick %d; want %v at %d", k.hints[1], k.last[1], tc.after, at)
-			}
-			if k.wake&(1<<1) != 0 {
-				t.Error("the sole component's own raises survived its last tick")
-			}
-			peer := 0
-			if tc.later {
-				peer = 2
-			}
-			if !k.ShouldTick(peer, at+1) {
-				t.Errorf("peer %d is not due after the sole raise", peer)
-			}
-			if tc.later {
-				sole.own.Raise() // as a later peer finishing the open cycle may
-				if !k.ShouldTick(1, at+1) {
-					t.Error("a raise after the open cycle's settle did not re-wake the sole component")
-				}
-			}
-		})
 	}
 }

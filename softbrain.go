@@ -89,7 +89,7 @@ type (
 // Scheduling modes for Config.Sched (see docs/SIMKERNEL.md); every
 // mode simulates the same cycles.
 const (
-	SchedSpans    = core.SchedSpans
+	SchedWakeSet  = core.SchedWakeSet
 	SchedPerCycle = core.SchedPerCycle
 )
 
