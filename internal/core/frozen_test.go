@@ -2,10 +2,10 @@
 // known future cycle and does not step it until then, while its peers,
 // if any, keep working. TestClusterNoWorklessSteps pins the saving: no
 // unit, in a cluster or alone, is stepped through a cycle in which none
-// of its components ticks. FuzzClusterEquivalence checks the soundness side on clusters
-// whose units run different programs, so one unit sleeps through
-// frozen windows while a peer works — the case the one-program sets of
-// determinism_test.go rarely reach.
+// of its components ticks. FuzzClusterEquivalence checks the soundness
+// side on clusters whose units run different programs, so one unit
+// sleeps through frozen windows while a peer works — the case the
+// one-program sets of determinism_test.go rarely reach.
 package core_test
 
 import (
