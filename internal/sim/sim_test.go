@@ -191,10 +191,9 @@ func TestKernelNextWake(t *testing.T) {
 		due(t, &k, false, never)
 	})
 	t.Run("two raised bits", func(t *testing.T) {
-		// Two raises, one on a component its hint also makes due: the
-		// wake word alone answers due, however many components are.
+		// Two raises answer due from the wake word alone.
 		var k Kernel
-		a := &watched{fake: fake{name: "a", hint: WakeAt(now + 1)}}
+		a := &watched{fake: fake{name: "a", hint: Idle()}}
 		b := &watched{fake: fake{name: "b", hint: Idle()}}
 		k.Register(a)
 		k.Register(b)
@@ -202,6 +201,25 @@ func TestKernelNextWake(t *testing.T) {
 		a.sig.Raise()
 		b.sig.Raise()
 		due(t, &k, true, 0)
+	})
+	t.Run("raised and due counts once", func(t *testing.T) {
+		// A component both raised and due by its hint is due, and its
+		// tick counts as a hint wake, not also as a signal wake.
+		var k Kernel
+		w := &watched{fake: fake{name: "w", hint: WakeAt(now + 1)}}
+		k.Register(w)
+		k.Register(&fake{name: "t", hint: WakeAt(500)})
+		seed(t, &k, now)
+		k.Stats = SchedStats{}
+		w.sig.Raise()
+		due(t, &k, true, 0)
+		tick(t, &k, now+1)
+		if len(w.ticks) != 2 || w.ticks[1] != now+1 {
+			t.Errorf("watcher ticks %v, want one at %d", w.ticks, now+1)
+		}
+		if k.Stats.SigWakes != 0 {
+			t.Errorf("SigWakes = %d, want 0", k.Stats.SigWakes)
+		}
 	})
 }
 
@@ -232,22 +250,35 @@ func TestKernelJump(t *testing.T) {
 // only probes.
 func TestSignatureWakeCountedOnce(t *testing.T) {
 	const now = 10
-	var k Kernel
-	w := &watched{fake: fake{name: "w", hint: Idle()}}
-	k.Register(w)
-	k.Register(&fake{name: "p", hint: WakeAt(now + 1)})
-	seed(t, &k, now-1)
-	k.Stats = SchedStats{}
-	w.sig.Raise()
-	if due, _ := k.Due(now); !due {
-		t.Fatal("Due: a raised watcher is not due")
-	}
-	tick(t, &k, now)
-	if len(w.ticks) != 2 || w.ticks[1] != now {
-		t.Errorf("watcher ticks %v, want woken at %d", w.ticks, now)
-	}
-	if k.Stats.SigWakes != 1 {
-		t.Errorf("SigWakes = %d, want 1", k.Stats.SigWakes)
+	for _, tc := range []struct {
+		name string
+		peer Hint
+	}{
+		// The watcher is raised while a peer is due next cycle too.
+		{"declined", WakeAt(now + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var k Kernel
+			w := &watched{fake: fake{name: "w", hint: Idle()}}
+			k.Register(w)
+			k.Register(&fake{name: "p", hint: tc.peer})
+			seed(t, &k, now-1)
+			k.Stats = SchedStats{}
+			w.sig.Raise()
+			if due, _ := k.Due(now); !due {
+				t.Fatal("Due: a raised watcher is not due")
+			}
+			if k.Stats.SigWakes != 0 {
+				t.Fatalf("Due counted %d signal wakes, want 0", k.Stats.SigWakes)
+			}
+			tick(t, &k, now)
+			if len(w.ticks) != 2 || w.ticks[1] != now {
+				t.Errorf("watcher ticks %v, want woken at %d", w.ticks, now)
+			}
+			if k.Stats.SigWakes != 1 {
+				t.Errorf("SigWakes = %d, want 1", k.Stats.SigWakes)
+			}
+		})
 	}
 }
 
