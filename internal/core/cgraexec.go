@@ -264,6 +264,13 @@ func (x *cgraExec) mappedOut(hw int) bool {
 	return false
 }
 
+// Name, Progress and Work make the fabric a kernel component and an
+// attributed one: Progress counts fired instances, Work also drained
+// result bytes.
+func (x *cgraExec) Name() string     { return "cgra" }
+func (x *cgraExec) Progress() uint64 { return x.Instances }
+func (x *cgraExec) Work() uint64     { return x.Instances + x.Drained }
+
 // Tick delivers finished outputs and fires at most one new instance.
 func (x *cgraExec) Tick(now uint64) error {
 	if x.eval == nil {

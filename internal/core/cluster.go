@@ -81,11 +81,11 @@ func (c *Cluster) SchedTickBy() map[string]uint64 {
 }
 
 // SetHeartbeat installs a progress callback invoked from the run loop
-// roughly every interval of host time (checked every heartbeatStride
-// run-loop iterations, so a hot loop pays one counter increment),
-// reporting aggregate progress across the units. Each run's first
-// check only arms the clock, so no report fires before its second one.
-// For long soaks and sdsim -progress; purely observational.
+// roughly every interval of host time (checked once per heartbeatStride
+// simulated cycles, so a hot loop pays one comparison), reporting
+// aggregate progress across the units. Each run's first check only
+// arms the clock, so no report fires before its second one. For long
+// soaks and sdsim -progress; purely observational.
 func (c *Cluster) SetHeartbeat(every time.Duration, fn func(ProgressReport)) {
 	c.hb.every, c.hb.fn = every, fn
 }

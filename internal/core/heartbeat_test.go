@@ -7,14 +7,17 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"softbrain/internal/core"
+	"softbrain/internal/isa"
+	"softbrain/internal/workloads"
+	"softbrain/internal/workloads/catalog"
 	"softbrain/internal/workloads/dnn"
-	"softbrain/internal/workloads/machsuite"
 )
 
 func TestHeartbeatStopsAfterRun(t *testing.T) {
@@ -117,35 +120,82 @@ func TestClusterHeartbeatStopsAfterRun(t *testing.T) {
 }
 
 // TestHeartbeatRearmsPerRun: every run's first stride check only arms
-// the heartbeat, on a reused cluster as on a fresh one. Viterbi at
-// scale 1 makes one stride check per run, so neither its cold run nor
-// its warm run on the same cluster may report.
+// the heartbeat, on a reused cluster as on a fresh one. Each case runs a
+// host-delay program cold and then warm on one cluster, and both runs
+// must deliver the same number of reports. One 6,000-cycle delay runs
+// 6,002 cycles: one stride check per run, which only arms, so no
+// report. Two 5,000-cycle delays run 10,002 cycles: two checks, so
+// exactly one report per run. (One 10,000-cycle delay would jump past
+// two stride multiples in one loop iteration and check once.)
 func TestHeartbeatRearmsPerRun(t *testing.T) {
-	e, err := machsuite.Find("viterbi")
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		delays  []uint64
+		cycles  uint64
+		reports int
+	}{
+		{"one-check", []uint64{6000}, 6002, 0},
+		{"two-checks", []uint64{5000, 5000}, 10002, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := core.NewProgram(c.name)
+			for _, d := range c.delays {
+				p.Delay(d)
+			}
+			p.Emit(isa.BarrierAll{})
+			cl, err := core.NewCluster(core.DefaultConfig(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fired int
+			cl.SetHeartbeat(0, func(core.ProgressReport) { fired++ })
+			for _, run := range []string{"cold", "warm"} {
+				fired = 0
+				stats, err := cl.RunContext(context.Background(), []*core.Program{p})
+				if err != nil {
+					t.Fatalf("%s run: %v", run, err)
+				}
+				if stats.Cycles != c.cycles {
+					t.Fatalf("%s run took %d cycles, want %d", run, stats.Cycles, c.cycles)
+				}
+				if fired != c.reports {
+					t.Errorf("%s run reported %d time(s), want %d", run, fired, c.reports)
+				}
+			}
+		})
 	}
-	cfg := core.DefaultConfig()
-	inst, err := e.Build(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := core.NewCluster(cfg, inst.Units())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired int
-	cl.SetHeartbeat(0, func(core.ProgressReport) { fired++ })
-	for _, run := range []string{"cold", "warm"} {
-		fired = 0
-		if inst.Init != nil {
-			inst.Init(cl.Mem)
-		}
-		if _, err := cl.RunContext(context.Background(), inst.Progs); err != nil {
-			t.Fatalf("%s run: %v", run, err)
-		}
-		if fired != 0 {
-			t.Errorf("%s run reported %d time(s); a run of fewer than two stride checks reports nothing", run, fired)
+}
+
+// TestHeartbeatCadenceModes: the heartbeat and the cancel check stride
+// by simulated cycles, so a run delivers as many reports under
+// per-cycle stepping as under the default scheduler, whose frozen jumps
+// cover many cycles in one loop iteration. Every catalog workload at
+// scales 1, 2 and 4; a DNN layer ignores the scale, so it runs once.
+func TestHeartbeatCadenceModes(t *testing.T) {
+	for _, e := range catalog.All() {
+		for _, scale := range []int{1, 2, 4} {
+			if e.Suite == "dnn" && scale > 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/s%d", e.Name, scale), func(t *testing.T) {
+				t.Parallel()
+				var reports [2]int
+				for mode := range schedModes {
+					cfg := applyMode(e.Config(), mode)
+					inst, err := e.Build(cfg, scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := &reports[mode]
+					count := func(cl *core.Cluster) { cl.SetHeartbeat(0, func(core.ProgressReport) { *n++ }) }
+					if _, _, err := inst.Run(context.Background(), cfg, workloads.RunOpts{Prepare: count}); err != nil {
+						t.Fatalf("%s: %v", schedModes[mode].name, err)
+					}
+				}
+				if reports[0] != reports[1] {
+					t.Errorf("%d report(s) %s, %d %s", reports[0], schedModes[0].name, reports[1], schedModes[1].name)
+				}
+			})
 		}
 	}
 }

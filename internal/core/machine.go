@@ -141,7 +141,7 @@ func newMachine(cfg Config, sys *mem.System) (*Machine, error) {
 	m.sse.Faults = m.faults
 	m.rse = engine.NewRSE(m.Ports, cfg.StreamTable)
 	m.rse.Faults = m.faults
-	m.disp = dispatch.New(m.mse, m.sse, m.rse, len(in), len(out), cfg.CmdQueueDepth)
+	m.disp = dispatch.New(m.mse, m.sse, m.rse, m.padBuf.EmptiedSig(), len(in), len(out), cfg.CmdQueueDepth)
 	m.disp.InOrderIssue = cfg.InOrderIssue
 	m.exec = newCGRAExec(m.Ports)
 	// Per-cycle fault draws (stall, throttle) consume randomness every
@@ -149,11 +149,11 @@ func newMachine(cfg Config, sys *mem.System) (*Machine, error) {
 	m.noSkip = cfg.Sched == SchedPerCycle || (m.faults != nil && m.faults.PerCycleDraws())
 	m.lastStepped = -1
 	// The numComps components, in tick order.
-	m.exec.stale = m.kern.Register(cgraComp{m})
-	m.mse.Stale = m.kern.Register(mseComp{m})
-	m.sse.Stale = m.kern.Register(sseComp{m})
-	m.rse.Stale = m.kern.Register(rseComp{m})
-	m.kern.Register(dispComp{m})
+	m.exec.stale = m.kern.Register(m.exec)
+	m.mse.Stale = m.kern.Register(m.mse)
+	m.sse.Stale = m.kern.Register(m.sse)
+	m.rse.Stale = m.kern.Register(m.rse)
+	m.kern.Register(m.disp)
 	m.coreStale = m.kern.Register(coreComp{m})
 	return m, nil
 }
@@ -234,7 +234,7 @@ func (m *Machine) Done() bool {
 // per-cycle fault draws) every component ticks every cycle. Component
 // errors come back wrapped in a MachineError naming the component and
 // cycle; a fault-injected stall freezes the affected stream engine for
-// the cycle (see components.go).
+// the cycle (see the engines' Tick).
 func (m *Machine) Step(now uint64) error {
 	if m.noSkip {
 		return m.stepAll(now)
@@ -252,7 +252,6 @@ func (m *Machine) Step(now uint64) error {
 	ticked := 0
 	for i := range comps {
 		if !m.kern.ShouldTick(i, now) {
-			m.kern.Stats.CompSleeps++
 			continue
 		}
 		m.kern.BeforeTick(i, now)
@@ -307,6 +306,7 @@ func (m *Machine) stepAll(now uint64) error {
 		if err := m.tick(i, now); err != nil {
 			return err
 		}
+		m.kern.TickBy[i]++
 	}
 	m.kern.Stats.CompTicks += uint64(len(comps))
 	m.kern.CountCycle(len(comps))
@@ -316,8 +316,13 @@ func (m *Machine) stepAll(now uint64) error {
 
 // SchedStats reports the wake-set scheduler's counters for this unit:
 // cycles simulated, components ticked and slept, signal-triggered
-// wakes, and frozen jumps.
-func (m *Machine) SchedStats() sim.SchedStats { return m.kern.Stats }
+// wakes, and frozen jumps. Every component either ticks or sleeps in a
+// stepped cycle, so the sleeps are derived from the other two.
+func (m *Machine) SchedStats() sim.SchedStats {
+	s := m.kern.Stats
+	s.CompSleeps = numComps*s.Cycles - s.CompTicks
+	return s
+}
 
 // SchedTickBy reports the executed tick count per component name, the
 // per-component view behind SchedStats().CompTicks.
@@ -327,11 +332,6 @@ func (m *Machine) SchedTickBy() map[string]uint64 {
 		out[c.Name()] += m.kern.TickBy[i]
 	}
 	return out
-}
-
-// stalled reports whether fault injection freezes engine e this cycle.
-func (m *Machine) stalled(e faults.Engine, now uint64) bool {
-	return m.faults != nil && m.faults.Stalled(e, now)
 }
 
 // FaultStats returns the faults injected during the current run, zero

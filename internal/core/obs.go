@@ -19,23 +19,22 @@ import (
 //
 // Busy is attributed machine-side from monotone work-counter deltas;
 // components are asked for a StallCause only on cycles they did no
-// work. Both come from the component adapters (components.go): every
-// component in the kernel's registry, plus the vector ports, reports
-// work and stallCause. A traced run's Busy slices are the activity
-// lanes of its timeline (obs.Gantt), so the lanes show Busy by
-// construction. Skipped spans are classified once per span: a span is
-// frozen by construction (the skip target is the earliest timed wake),
-// so the state-based StallCause of the first elided cycle holds for all
-// of them, which is what makes metrics byte-identical with skipping on
-// and off.
+// work. Every component in the kernel's registry, plus the vector
+// ports, reports both (see components.go). A traced run's Busy slices
+// are the activity lanes of its timeline (obs.Gantt), so the lanes
+// show Busy by construction. Skipped spans are classified once per
+// span: a span is frozen by construction (the skip target is the
+// earliest timed wake), so the state-based StallCause of the first
+// elided cycle holds for all of them, which is what makes metrics
+// byte-identical with skipping on and off.
 
 // attributed is a component the metrics layer classifies every cycle:
-// work moves on exactly the cycles the component did work (Busy), and
-// stallCause classifies the others from its state alone.
+// Work moves on exactly the cycles the component did work (Busy), and
+// StallCause classifies the others from its state alone.
 type attributed interface {
 	Name() string
-	work() uint64
-	stallCause(now uint64) obs.Cause
+	Work() uint64
+	StallCause(now uint64) obs.Cause
 }
 
 // attribution is one attributed component's account and its work
@@ -57,7 +56,7 @@ func (m *Machine) enableMetrics(reg *obs.Registry) {
 	for _, c := range comps {
 		m.attrs = append(m.attrs, attribution{c: c.(attributed), acct: reg.Attribution(c.Name())})
 	}
-	m.attrs = append(m.attrs, attribution{c: portsComp{m}, acct: reg.Attribution("ports")})
+	m.attrs = append(m.attrs, attribution{c: m.Ports, acct: reg.Attribution(m.Ports.Name())})
 	m.disp.Lat = reg.Histogram("dispatch-latency", 64, 65)
 	m.disp.Life = reg.Lifetimes()
 	retired := func(id int, kind isa.Kind, bytes uint64) {
@@ -87,16 +86,16 @@ func (c *Cluster) TraceInputs(endCycle uint64) []obs.TraceInput {
 
 // classifyCycle attributes cycle now for every component: Busy when
 // its work counter moved since the last classification, its state-
-// based stallCause otherwise. Called when metrics are enabled, as each
+// based StallCause otherwise. Called when metrics are enabled, as each
 // stepped cycle closes (closeCycle).
 func (m *Machine) classifyCycle(now uint64) {
 	for i := range m.attrs {
 		a := &m.attrs[i]
-		if w := a.c.work(); w != a.prev {
+		if w := a.c.Work(); w != a.prev {
 			a.prev = w
 			a.acct.Account(obs.Busy, now, now+1)
 		} else {
-			a.acct.Account(a.c.stallCause(now), now, now+1)
+			a.acct.Account(a.c.StallCause(now), now, now+1)
 		}
 	}
 }
@@ -108,7 +107,7 @@ func (m *Machine) classifyCycle(now uint64) {
 // (except the timed states the components report as Busy themselves).
 func (m *Machine) classifySpan(from, to uint64) {
 	for _, a := range m.attrs {
-		a.acct.Account(a.c.stallCause(from), from, to)
+		a.acct.Account(a.c.StallCause(from), from, to)
 	}
 }
 
@@ -238,16 +237,18 @@ type heartbeat struct {
 }
 
 // heartbeatStride bounds how often the run loop consults the host
-// clock: every 4096 run-loop iterations. An iteration is one stepped
-// cycle, or one frozen jump covering many, so the stride is at least
-// 4096 simulated cycles.
+// clock and the context: once per 4096 simulated cycles, on the first
+// loop iteration whose cycle reaches the next multiple of the stride.
+// The checks follow the simulated run, not how the scheduler steps it:
+// a frozen jump across a multiple checks once, where it lands.
 const heartbeatStride = 1 << 12
 
 // beat fires the callback with the units' aggregate report when the
-// interval elapsed; the run loop calls it every heartbeatStride
-// iterations. The first call of each run only arms the clock (runUnits
+// interval elapsed; the run loop calls it once per heartbeatStride
+// cycles. The first call of each run only arms the clock (runUnits
 // clears it), so no report fires before the second: a run of fewer
-// than two strides reports nothing, on a fresh cluster or a reused one.
+// than two stride checks reports nothing, on a fresh cluster or a
+// reused one.
 func (h *heartbeat) beat(units []*Machine, now uint64) {
 	if h.fn == nil {
 		return

@@ -368,7 +368,7 @@ func TestWarmTraceLifetimes(t *testing.T) {
 // run with a zero interval and report monotonically advancing cycles.
 func TestHeartbeat(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.Sched = core.SchedPerCycle // every cycle ticked, so the stride check runs often
+	cfg.Sched = core.SchedPerCycle // the reference stepping; the stride counts cycles in either mode
 	e, err := machsuite.Find("gemm")
 	if err != nil {
 		t.Fatal(err)

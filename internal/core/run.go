@@ -50,7 +50,8 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 	// hang checks below measure idleness from the cycle a per-cycle run
 	// would.
 	wake := make([]uint64, len(units))
-	var lastChange, hbIter uint64
+	var lastChange uint64
+	nextCheck := uint64(heartbeatStride) // the cycle of the next cancel check and heartbeat
 	diagnosed := false
 	for running(units) {
 		for i, u := range units {
@@ -64,7 +65,8 @@ func runUnits(ctx context.Context, units []*Machine, hb *heartbeat) (stats []*St
 				}
 			}
 		}
-		if hbIter++; hbIter&(heartbeatStride-1) == 0 {
+		if now >= nextCheck {
+			nextCheck = now - now%heartbeatStride + heartbeatStride
 			if ce := canceled(ctx, now); ce != nil {
 				return nil, ce
 			}

@@ -13,6 +13,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -123,6 +124,48 @@ func TestSpanEquivalenceWorkloads(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestSchedCountersConserve: in both scheduling modes the
+// per-component tick counts (SchedTickBy) sum to CompTicks, and every
+// component of a stepped cycle either ticks or sleeps, so CompSleeps is
+// 6×Cycles − CompTicks. Every catalog workload at scales 1 and 2; a DNN
+// layer ignores the scale, so it runs once.
+func TestSchedCountersConserve(t *testing.T) {
+	const comps = 6 // cgra, mse, sse, rse, dispatch, core
+	for _, e := range catalog.All() {
+		for scale := 1; scale <= 2; scale++ {
+			if e.Suite == "dnn" && scale > 1 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/s%d", e.Name, scale), func(t *testing.T) {
+				t.Parallel()
+				for mode := range schedModes {
+					cfg := applyMode(e.Config(), mode)
+					inst, err := e.Build(cfg, scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cl, _, err := inst.Run(context.Background(), cfg, workloads.RunOpts{})
+					if err != nil {
+						t.Fatalf("%s: %v", schedModes[mode].name, err)
+					}
+					s := cl.SchedStats()
+					var sum uint64
+					for _, n := range cl.SchedTickBy() {
+						sum += n
+					}
+					if sum != s.CompTicks {
+						t.Errorf("%s: ticks by component sum to %d, CompTicks is %d", schedModes[mode].name, sum, s.CompTicks)
+					}
+					if want := comps*s.Cycles - s.CompTicks; s.CompSleeps != want {
+						t.Errorf("%s: CompSleeps %d, want %d×%d cycles − %d ticks = %d",
+							schedModes[mode].name, s.CompSleeps, comps, s.Cycles, s.CompTicks, want)
+					}
+				}
+			})
+		}
+	}
 }
 
 // runSeeded runs p on a fresh one-unit cluster with the memory pools

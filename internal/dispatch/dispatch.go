@@ -124,6 +124,8 @@ type Dispatcher struct {
 	sse *engine.SSE
 	rse *engine.RSE
 
+	padEmptied *sim.Signal // engine.PadWriteBuf.EmptiedSig
+
 	numIn, numOut int
 	queueDepth    int
 	queue         []queued
@@ -202,10 +204,11 @@ type BarrierDrain struct {
 	Cycles uint64
 }
 
-// New builds a dispatcher over the three engines.
-func New(mse *engine.MSE, sse *engine.SSE, rse *engine.RSE, numIn, numOut, queueDepth int) *Dispatcher {
+// New builds a dispatcher over the three engines. padEmptied is the
+// pad write buffer's emptied signal (see Watch).
+func New(mse *engine.MSE, sse *engine.SSE, rse *engine.RSE, padEmptied *sim.Signal, numIn, numOut, queueDepth int) *Dispatcher {
 	return &Dispatcher{
-		mse: mse, sse: sse, rse: rse,
+		mse: mse, sse: sse, rse: rse, padEmptied: padEmptied,
 		numIn: numIn, numOut: numOut, queueDepth: queueDepth,
 		queue:     make([]queued, 0, queueDepth),
 		inWriter:  make([][]holder, numIn),
@@ -412,6 +415,26 @@ func (d *Dispatcher) Tick(now uint64) error {
 		return nil
 	}
 	return nil
+}
+
+// Name, Progress and Work make the dispatcher a kernel component and
+// an attributed one: Progress counts issued streams. Work stays zero:
+// the dispatcher reports Busy through StallCause, because retires and
+// barrier pops move no monotone counter.
+func (d *Dispatcher) Name() string     { return "dispatch" }
+func (d *Dispatcher) Progress() uint64 { return d.Issued }
+func (d *Dispatcher) Work() uint64     { return 0 }
+
+// Watch composes the dispatcher's wake sources: its own enqueue
+// signal, each engine's lifecycle signal (completions and drained
+// announcements unblock scoreboard entries), and the pad write
+// buffer's emptied signal (a scratch-write barrier clears only once
+// every pad write has landed, and the last landing empties the
+// buffer). Watching only the emptied transition — not every fill and
+// pop — keeps steady-state MSE→SSE traffic from waking the
+// dispatcher. The set never changes.
+func (d *Dispatcher) Watch(dst []*sim.Signal) []*sim.Signal {
+	return append(dst, &d.EnqSeq, &d.mse.Lifecycle, &d.sse.Lifecycle, &d.rse.Lifecycle, d.padEmptied)
 }
 
 // NextWake implements the sim.Component wake-hint contract (see

@@ -50,7 +50,7 @@ func newRig(t *testing.T) *rig {
 	r.mse = engine.NewMSE(sys, ports, padBuf, 8, nil)
 	r.sse = engine.NewSSE(pad, ports, padBuf, 8)
 	r.rse = engine.NewRSE(ports, 8)
-	r.d = New(r.mse, r.sse, r.rse, 4, 4, 8)
+	r.d = New(r.mse, r.sse, r.rse, padBuf.EmptiedSig(), 4, 4, 8)
 	return r
 }
 

@@ -160,6 +160,40 @@ func (p *Ports) Deliver(i int, data []byte) {
 // the signal the balance unit watches.
 func (p *Ports) Reserved(i int) int { return p.resIn[i] }
 
+// Name and Work attribute the vector ports, which the kernel never
+// ticks: Work is the data moved through every port.
+func (p *Ports) Name() string { return "ports" }
+func (p *Ports) Work() uint64 {
+	var w uint64
+	for _, q := range p.In {
+		w += q.TotalIn() + q.TotalOut()
+	}
+	for _, q := range p.Out {
+		w += q.TotalIn() + q.TotalOut()
+	}
+	return w
+}
+
+// StallCause classifies the vector ports on a cycle no data moved: a
+// completely full port is hard backpressure (PortFull); otherwise
+// buffered-but-unmoved data means the consumer's operand set is
+// incomplete — the CGRA fires only when every mapped port has data, so
+// data sits because a sibling port is empty (PortEmpty).
+func (p *Ports) StallCause(uint64) obs.Cause {
+	worst := obs.CauseIdle
+	for _, qs := range [][]*port.Queue{p.In, p.Out} {
+		for _, q := range qs {
+			switch {
+			case q.Space() == 0:
+				worst = obs.Worse(worst, obs.PortFull)
+			case q.Len() > 0:
+				worst = obs.Worse(worst, obs.PortEmpty)
+			}
+		}
+	}
+	return worst
+}
+
 // table is the stream-table plumbing the three engines share: the
 // entry count, the completions the dispatcher drains, the wake signals,
 // watch-set handle and retire hook the machine wires up, and the

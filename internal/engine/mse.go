@@ -42,9 +42,9 @@ type MSE struct {
 	DisableBalance bool // issue reads first-come instead of least-outstanding
 	DisableDrain   bool // never report all-requests-in-flight
 
-	// Faults, when non-nil, perturbs response timing, bus bandwidth and
-	// line contents (see internal/faults). Nil costs one comparison per
-	// hook site.
+	// Faults, when non-nil, stalls the engine and perturbs response
+	// timing, bus bandwidth and line contents (see internal/faults). Nil
+	// costs one comparison per hook site.
 	Faults *faults.Injector
 
 	// Statistics.
@@ -200,8 +200,19 @@ func (e *MSE) ActiveScratchWrites() int {
 	return n
 }
 
-// Tick advances the engine one cycle.
+// Name, Progress and Work make the engine a kernel component and an
+// attributed one: Progress counts the data it moved, Work the cycles it
+// delivered, issued or wrote anything.
+func (e *MSE) Name() string     { return "mse" }
+func (e *MSE) Progress() uint64 { return e.BytesDelivered + e.BytesStored + e.LinesWritten }
+func (e *MSE) Work() uint64     { return e.BusyCycles }
+
+// Tick advances the engine one cycle. A fault-injected stall freezes
+// it for the cycle.
 func (e *MSE) Tick(now uint64) error {
+	if e.Faults != nil && e.Faults.Stalled(faults.EngMSE, now) {
+		return nil
+	}
 	e.joined = 0
 	delivered := e.deliver(now)
 	e.refillIndirect()

@@ -27,7 +27,8 @@ type RSE struct {
 	// Hot-path scratch for constant generation (Queue.Push copies).
 	constScratch [LineBytes]byte
 
-	// Faults, when non-nil, perturbs the bus bandwidth.
+	// Faults, when non-nil, stalls the engine and perturbs the bus
+	// bandwidth.
 	Faults *faults.Injector
 
 	// Statistics.
@@ -89,8 +90,19 @@ func (e *RSE) Start(id int, cmd isa.Command) error {
 // Active is the number of live streams.
 func (e *RSE) Active() int { return len(e.streams) }
 
+// Name, Progress and Work make the engine a kernel component and an
+// attributed one: Progress counts the data it moved, Work the cycles it
+// moved any.
+func (e *RSE) Name() string     { return "rse" }
+func (e *RSE) Progress() uint64 { return e.BytesMoved }
+func (e *RSE) Work() uint64     { return e.BusyCycles }
+
 // Tick moves data for the active streams under the shared bus budget.
+// A fault-injected stall freezes the engine for the cycle.
 func (e *RSE) Tick(now uint64) error {
+	if e.Faults != nil && e.Faults.Stalled(faults.EngRSE, now) {
+		return nil
+	}
 	e.joined = 0
 	budget := LineBytes
 	if e.Faults != nil {

@@ -35,8 +35,8 @@ type SSE struct {
 	runScratch [LineBytes]Run
 	freeData   freeList
 
-	// Faults, when non-nil, perturbs bus bandwidth and read line
-	// contents (see internal/faults).
+	// Faults, when non-nil, stalls the engine and perturbs bus
+	// bandwidth and read line contents (see internal/faults).
 	Faults *faults.Injector
 
 	// Statistics.
@@ -119,10 +119,21 @@ func (e *SSE) ActiveScratchWrites() int {
 	return n
 }
 
+// Name, Progress and Work make the engine a kernel component and an
+// attributed one: Progress counts the data it moved, Work also its
+// scratchpad port grants.
+func (e *SSE) Name() string     { return "sse" }
+func (e *SSE) Progress() uint64 { return e.BytesIn + e.BytesOut }
+func (e *SSE) Work() uint64     { return e.ReadGrants + e.WriteGrants + e.BytesOut + e.BytesIn }
+
 // Tick advances the engine one cycle: deliver ready read data, grant the
 // read port to one stream, grant the write port to the MSE buffer or a
-// port-to-scratch stream.
+// port-to-scratch stream. A fault-injected stall freezes it for the
+// cycle.
 func (e *SSE) Tick(now uint64) error {
+	if e.Faults != nil && e.Faults.Stalled(faults.EngSSE, now) {
+		return nil
+	}
 	e.joined = 0
 	busy := e.deliver(now)
 	if err := e.issueRead(now); err != nil {

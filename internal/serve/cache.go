@@ -93,7 +93,7 @@ type flight struct {
 	timer  *time.Timer // wall-clock deadline; stopped on finish
 
 	mu      sync.Mutex
-	waiters int
+	waiters int // back to 0 only when every waiter left: the run is canceled
 
 	events    *eventHub                           // run lifecycle events (SSE)
 	startedNS atomic.Int64                        // unix ns the run left the queue (0 = still queued)
@@ -121,11 +121,16 @@ func (f *flight) waiterCount() int {
 	return f.waiters
 }
 
-// addWaiter registers one more request waiting on the flight.
-func (f *flight) addWaiter() {
+// addWaiter registers one more request waiting on the flight. It
+// refuses a flight every waiter has left: that run is canceled.
+func (f *flight) addWaiter() bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.waiters == 0 {
+		return false
+	}
 	f.waiters++
-	f.mu.Unlock()
+	return true
 }
 
 // dropWaiter removes a departed request; the last one out cancels the
@@ -159,36 +164,61 @@ func (f *flight) finish(resp *Response, err *apiError) {
 	f.cancel(nil) // release the context resources
 }
 
-// flightGroup is the singleflight table: at most one live flight per
-// submission key.
+// flightGroup is the table of live flights: at most one per submission
+// key (singleflight dedup), each also indexed by run ID for /statusz
+// rows and event attachment. A flight is in both indexes from join
+// until forget.
 type flightGroup struct {
-	mu      sync.Mutex
-	flights map[string]*flight
+	mu    sync.Mutex
+	byKey map[string]*flight
+	byID  map[string]*flight
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{flights: make(map[string]*flight)}
+	return &flightGroup{byKey: make(map[string]*flight), byID: make(map[string]*flight)}
 }
 
 // join returns the live flight for key, or registers fresh as it and
 // returns nil. Either way the caller is a waiter on the returned or
-// registered flight.
+// registered flight. A flight every waiter left is not joined: fresh
+// replaces it under key, and the left one keeps its run ID until forget.
 func (g *flightGroup) join(key string, fresh *flight) *flight {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if f, ok := g.flights[key]; ok {
-		f.addWaiter()
+	if f, ok := g.byKey[key]; ok && f.addWaiter() {
 		return f
 	}
-	fresh.addWaiter()
-	g.flights[key] = fresh
+	fresh.waiters = 1 // not yet shared
+	g.byKey[key] = fresh
+	g.byID[fresh.id] = fresh
 	return nil
 }
 
-// forget removes the flight once it completed (or was shed before
-// starting), so later submissions start a new one (or hit the cache).
-func (g *flightGroup) forget(key string) {
+// forget retires f once it completed (or was shed before starting), so
+// later submissions start a new flight (or hit the cache).
+func (g *flightGroup) forget(f *flight) {
 	g.mu.Lock()
-	delete(g.flights, key)
+	if g.byKey[f.key] == f {
+		delete(g.byKey, f.key)
+	}
+	delete(g.byID, f.id)
 	g.mu.Unlock()
+}
+
+// lookup returns the live flight with run ID id, or nil.
+func (g *flightGroup) lookup(id string) *flight {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.byID[id]
+}
+
+// live snapshots the live flights, in no particular order.
+func (g *flightGroup) live() []*flight {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([]*flight, 0, len(g.byID))
+	for _, f := range g.byID {
+		out = append(out, f)
+	}
+	return out
 }

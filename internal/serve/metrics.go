@@ -146,7 +146,7 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 		{"serve_queue_capacity", "admission queue bound", float64(s.opts.QueueDepth)},
 		{"serve_workers", "simulation worker pool size", float64(s.opts.Workers)},
 		{"serve_workers_busy", "workers currently executing a run", float64(s.workersBusy.Load())},
-		{"serve_inflight_runs", "runs queued or executing right now", float64(s.inflightRuns())},
+		{"serve_inflight_runs", "runs queued or executing right now", float64(len(s.flights.live()))},
 		{"serve_cache_entries", "entries in the result cache", float64(s.cache.len())},
 	} {
 		p.Type(g.name, "gauge", g.help)

@@ -13,12 +13,14 @@ import (
 	"time"
 
 	"softbrain/internal/obs"
+	"softbrain/internal/wire"
 )
 
 // SelfTest is the in-process end-to-end smoke the check.sh gate runs:
 // start a real server on a loopback port, submit gemm, resubmit and
-// require a cache hit, stream a run and require progress events before
-// a terminal result byte-identical to the unary body, scrape /metrics
+// require a cache hit, stream a run and require progress events, as
+// many stepping every cycle as under the default scheduler, before a
+// terminal result byte-identical to the unary body, scrape /metrics
 // through the exposition lint, reject an invalid body with a typed
 // error, then drain and require /readyz to flip unhealthy and
 // in-flight work to finish. It returns nil only if every step behaved.
@@ -98,6 +100,15 @@ func SelfTest(w io.Writer) error {
 		}
 		if out.Progress < 1 {
 			return fmt.Errorf("no progress events before the terminal result")
+		}
+		// The heartbeat strides by simulated cycles, so the same run
+		// stepped every cycle streams as many progress frames.
+		perCycle, err := cl.SubmitStream(ctx, Request{Workload: "gemm", Scale: 4, Config: &wire.Config{NoSkipAhead: true}})
+		if err != nil {
+			return err
+		}
+		if perCycle.Progress != out.Progress {
+			return fmt.Errorf("%d progress frames stepping every cycle, %d under the default scheduler", perCycle.Progress, out.Progress)
 		}
 		var order []string
 		for _, ev := range out.Events {
@@ -192,6 +203,7 @@ func SelfTest(w io.Writer) error {
 		// Kick off a fresh (uncached) run, then drain while it is in
 		// flight: drain must finish it, and readyz must flip unhealthy.
 		inflight := make(chan error, 1)
+		admitted := s.Counters().Accepted
 		go func() {
 			resp, _, err := cl.SubmitRetry(ctx, Request{Workload: "fft"})
 			if err == nil && resp == nil {
@@ -199,7 +211,12 @@ func SelfTest(w io.Writer) error {
 			}
 			inflight <- err
 		}()
-		time.Sleep(20 * time.Millisecond) // let it reach a worker
+		for s.Counters().Accepted == admitted { // drain must finish an admitted run
+			if ctx.Err() != nil {
+				return fmt.Errorf("run never admitted before drain")
+			}
+			time.Sleep(time.Millisecond)
+		}
 		s.Drain()
 		if err := expectStatus(ctx, base+"/readyz", http.StatusServiceUnavailable); err != nil {
 			return fmt.Errorf("readyz after drain: %w", err)

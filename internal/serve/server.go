@@ -128,8 +128,6 @@ type Server struct {
 
 	runSeq      atomic.Uint64 // run ID allocator
 	workersBusy atomic.Int64  // workers executing right now
-	runsMu      sync.Mutex
-	runs        map[string]*flight // in-flight runs by ID, for /statusz and event attach
 
 	accepted, completed, failed   atomic.Uint64
 	shed, rejected                atomic.Uint64
@@ -148,7 +146,6 @@ func New(opts Options) *Server {
 		mux:     http.NewServeMux(),
 		logger:  opts.Logger,
 		metrics: newServerMetrics(),
-		runs:    make(map[string]*flight),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancelCause(context.Background())
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -369,8 +366,7 @@ func (s *Server) runFlight(f *flight) {
 			s.panicsContained.Add(1)
 			s.logger.Error("panic contained",
 				"run_id", f.id, "req_id", f.reqID, "panic", fmt.Sprint(r))
-			s.flights.forget(f.key)
-			s.forgetRun(f)
+			s.flights.forget(f)
 			f.finish(nil, &apiError{Status: 500, Kind: KindPanic,
 				Msg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())})
 		}
@@ -404,8 +400,7 @@ func (s *Server) runFlight(f *flight) {
 // request that deduplicated onto it in the meantime gets the same
 // refusal instead of waiting on a flight that never runs.
 func (s *Server) refuse(f *flight, aerr *apiError) {
-	s.flights.forget(f.key)
-	s.forgetRun(f)
+	s.flights.forget(f)
 	f.finish(nil, aerr)
 }
 
@@ -417,8 +412,7 @@ func (s *Server) finishFlight(f *flight, resp *Response, aerr *apiError) {
 	if cacheable(aerr) && !f.req.bypassCache {
 		s.cache.put(f.key, resp, aerr)
 	}
-	s.flights.forget(f.key)
-	s.forgetRun(f)
+	s.flights.forget(f)
 	switch {
 	case aerr == nil:
 		s.completed.Add(1)
@@ -428,27 +422,6 @@ func (s *Server) finishFlight(f *flight, resp *Response, aerr *apiError) {
 		s.failed.Add(1)
 	}
 	f.finish(resp, aerr)
-}
-
-// registerRun indexes an admitted flight by run ID for /statusz rows
-// and event attachment; forgetRun retires it on completion.
-func (s *Server) registerRun(f *flight) {
-	s.runsMu.Lock()
-	s.runs[f.id] = f
-	s.runsMu.Unlock()
-}
-
-func (s *Server) forgetRun(f *flight) {
-	s.runsMu.Lock()
-	delete(s.runs, f.id)
-	s.runsMu.Unlock()
-}
-
-// inflightRuns counts runs currently queued or executing.
-func (s *Server) inflightRuns() int {
-	s.runsMu.Lock()
-	defer s.runsMu.Unlock()
-	return len(s.runs)
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -520,7 +493,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Scale:    rr.scale,
 			Queued:   len(s.queue),
 		})
-		s.registerRun(f)
 		if qerr := s.enqueue(f); qerr != nil {
 			s.refuse(f, qerr)
 			s.writeError(w, r, qerr)
@@ -613,12 +585,7 @@ type runRow struct {
 // liveRuns snapshots the in-flight runs, sorted by run ID.
 func (s *Server) liveRuns() []runRow {
 	now := time.Now()
-	s.runsMu.Lock()
-	flights := make([]*flight, 0, len(s.runs))
-	for _, f := range s.runs {
-		flights = append(flights, f)
-	}
-	s.runsMu.Unlock()
+	flights := s.flights.live()
 	sort.Slice(flights, func(i, j int) bool { return flights[i].id < flights[j].id })
 
 	rows := make([]runRow, 0, len(flights))

@@ -168,6 +168,56 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestAbandonedFlightNotJoined: a flight every waiter has left is
+// canceled, so an identical submission that arrives before it retires
+// starts a flight of its own instead of inheriting the cancellation.
+func TestAbandonedFlightNotJoined(t *testing.T) {
+	started := make(chan struct{}, 2)
+	release := make(chan struct{})
+	testHookExecute = func(*runRequest) {
+		started <- struct{}{}
+		<-release
+	}
+	defer func() { testHookExecute = nil }()
+
+	s, _, cl := newTestServer(t, Options{Workers: 1})
+	ctx, leave := context.WithCancel(context.Background())
+	left := make(chan struct{})
+	go func() {
+		cl.Submit(ctx, Request{Workload: "gemm"})
+		close(left)
+	}()
+	<-started // executing, so the flight stays live until release
+	leave()
+	<-left
+	for {
+		live := s.flights.live()
+		if len(live) == 1 && live[0].waiterCount() == 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	done := make(chan struct{})
+	var resp *Response
+	var err error
+	go func() {
+		resp, err = cl.Submit(context.Background(), Request{Workload: "gemm"})
+		close(done)
+	}()
+	for c := s.Counters(); c.Accepted != 2 && c.Deduped == 0; c = s.Counters() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-done
+	if err != nil {
+		t.Fatalf("submission after the flight was abandoned: %v", err)
+	}
+	if resp.Deduped {
+		t.Fatal("submission joined the abandoned flight")
+	}
+}
+
 // TestAdmissionShed fills the worker pool and queue, then requires an
 // overflow request, unary or streamed, to be shed with 429 +
 // Retry-After, immediately — never queued unboundedly, never hung.
@@ -254,8 +304,10 @@ func TestDeadline(t *testing.T) {
 	}
 
 	// The expired outcome must not have been cached: a fresh submission
-	// with the same content simulates and succeeds.
-	resp, err := cl.Submit(context.Background(), Request{Workload: "gemm", Options: RunOptions{TimeoutMS: 5}})
+	// with the same content simulates and succeeds. The cache key does
+	// not hash the timeout, so the resubmission runs on the default
+	// budget and would still be served a cached deadline outcome.
+	resp, err := cl.Submit(context.Background(), Request{Workload: "gemm"})
 	if err != nil {
 		t.Fatalf("post-deadline resubmission: %v", err)
 	}

@@ -202,9 +202,7 @@ func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight)
 // waiters — their disconnect never cancels the run.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.runsMu.Lock()
-	f := s.runs[id]
-	s.runsMu.Unlock()
+	f := s.flights.lookup(id)
 	if f == nil {
 		s.writeError(w, r, &apiError{Status: 404, Kind: KindUnknown,
 			Msg: fmt.Sprintf("no in-flight run %q (completed runs are not replayable)", id)})

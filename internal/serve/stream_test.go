@@ -234,7 +234,7 @@ func TestStreamDisconnectDetaches(t *testing.T) {
 	if c := s.Counters(); c.Completed != 0 {
 		t.Fatalf("disconnected run completed anyway: %+v", c)
 	}
-	for s.inflightRuns() != 0 {
+	for len(s.flights.live()) != 0 {
 		select {
 		case <-deadline:
 			t.Fatalf("flight not retired after cancel")

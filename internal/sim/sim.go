@@ -187,7 +187,7 @@ type Skipper interface {
 type SchedStats struct {
 	Cycles     uint64 // cycles the run loop stepped this unit (not jumped)
 	CompTicks  uint64 // component ticks actually executed
-	CompSleeps uint64 // component-cycles slept during stepped cycles
+	CompSleeps uint64 // component-cycles slept during stepped cycles (derived by the owner, not counted here)
 	SigWakes   uint64 // wakes caused by a raised watched signal
 	Jumps      uint64 // frozen jumps: runs of cycles the run loop did not step this unit
 	Skipped    uint64 // cycles elided by this unit's frozen jumps

@@ -57,7 +57,6 @@ func tick(t *testing.T, k *Kernel, now uint64) {
 	t.Helper()
 	for i, c := range k.Components() {
 		if !k.ShouldTick(i, now) {
-			k.Stats.CompSleeps++
 			continue
 		}
 		k.BeforeTick(i, now)
